@@ -39,5 +39,5 @@ print(f"pulsatile channel: {res.n_steps} steps in {res.wall_time:.1f}s, "
       f"{len(res.snapshots)} snapshots")
 print(f"  worst divergence over snapshots: {div_worst:.2e}")
 print(f"  cycle-to-cycle drift of the recorded cycle: {res.cycle_drift:.2e}")
-print(f"  outlet pressure range: [{res.outlet_pressure.min():.0f}, "
-      f"{res.outlet_pressure.max():.0f}]")
+print(f"  outlet pressure range: [{res.snapshots.outlet_pressure.min():.0f}, "
+      f"{res.snapshots.outlet_pressure.max():.0f}]")

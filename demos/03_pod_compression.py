@@ -22,7 +22,7 @@ cfg = FomConfig(grid=grid, nu=0.04, dt=2.5e-3, t0=0.0, t_end=1.8, waveform=wf,
 res = fom_run(cfg)
 lift = compute_lifting(grid)
 u_d = np.array([wf.magnitude(t) for t in res.snapshots.times])
-hom = homogenize(res.snapshots, u_d, res.outlet_pressure, lift)
+hom = homogenize(res.snapshots, u_d, res.snapshots.outlet_pressure, lift)
 
 basis = pod_basis(hom.velocity, kind="velocity")
 w = basis.eigenvalues

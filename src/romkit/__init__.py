@@ -17,9 +17,9 @@ from .errors import (
     StabilityError,
     TrainingError,
 )
-from .grid import Field, Grid, SnapshotSet, build_grid, inner_product, l2_norm
+from .grid import Field, FieldRows, Grid, SnapshotSet, build_grid, inner_product, l2_norm
 from .windkessel import WindkesselParams, WindkesselState, wk_steady_pressure, wk_step
-from .fom import FomConfig, FomResult, FomSolver, Waveform, fom_advance, fom_run, inlet_profile
+from .fom import FomConfig, FomResult, FomSolver, Waveform, fom_run
 from .lifting import LiftingPair, compute_lifting, dehomogenize, homogenize
 from .pod import (
     ReducedBasis,
@@ -54,15 +54,15 @@ from .pipeline import Bundle, RunReport, compare, error_vs_n, offline, online, p
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineProblem", "Bundle", "ConfigurationError", "Field", "FomConfig",
+    "AffineProblem", "Bundle", "ConfigurationError", "Field", "FieldRows", "FomConfig",
     "FomResult", "FomSolver", "FormatError", "Grid", "LiftingPair", "NNModel",
     "NumericalError", "RBSpace", "RankError", "ReducedBasis", "ReducedOperators",
     "ReducedTrajectory", "RomkitError", "RunReport", "ShapeError", "SnapshotSet",
     "StabilityError", "TrainConfig", "TrainingError", "Waveform", "WindkesselParams",
     "WindkesselState", "assemble_operators", "build_basis", "build_grid", "compare",
     "compute_lifting", "correlation_matrix", "dehomogenize", "demo_problem",
-    "error_vs_n", "fom_advance", "fom_run", "fom_solve", "homogenize",
-    "init_model", "inlet_profile", "inner_product", "integrate_rom", "l2_norm",
+    "error_vs_n", "fom_run", "fom_solve", "homogenize",
+    "init_model", "inner_product", "integrate_rom", "l2_norm",
     "nn_backprop", "nn_forward", "nn_train", "offline", "online", "parse_config",
     "pod_basis", "predict_outflow", "project_coefficients", "projection_error",
     "rb_offline", "rb_online", "reconstruct", "supremizer_enrich", "symmetric_eig",

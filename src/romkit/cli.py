@@ -39,7 +39,7 @@ def _cmd_fom(args):
     out = Path(args.out)
     result.snapshots.save(out)
     _write_outlet_pressure_csv(out / "outlet_pressure.csv",
-                               result.snapshots.times, result.outlet_pressure)
+                               result.snapshots.times, result.snapshots.outlet_pressure)
     drift = "n/a" if result.cycle_drift is None else f"{result.cycle_drift:.3e}"
     print(f"fom: {result.n_steps} steps, {len(result.snapshots)} snapshots, "
           f"{result.wall_time:.2f}s, cycle drift {drift} -> {out}")

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import cg
 
 from .errors import ConfigurationError, NumericalError
-from .grid import Field, Grid, SnapshotSet
+from .grid import FieldRows, Grid, SnapshotSet
 from .operators import advanced_masks, center_laplacian, convection, divergence, gradient, vec_laplacian
 from .windkessel import WindkesselParams, WindkesselState, wk_step
 
@@ -56,22 +56,24 @@ class Waveform:
         if self.kind == "pulse" and (self.t_cycle <= 0 or not 0 < self.systole_frac <= 1):
             raise ConfigurationError("pulse waveform needs t_cycle > 0 and 0 < systole_frac <= 1")
 
-    def magnitude(self, t: float) -> float:
+    def magnitude(self, t):
+        """u_D(t): a float for a scalar t, an array of t's shape otherwise."""
         if self.kind == "constant":
-            return self.u_sys
+            return np.full(np.shape(t), self.u_sys) if np.ndim(t) else self.u_sys
         s = np.mod(t, self.t_cycle)
         t_sys = self.systole_frac * self.t_cycle
-        return float(self.u_sys * np.sin(np.pi * s / t_sys)) if s < t_sys else 0.0
+        out = np.where(s < t_sys, self.u_sys * np.sin(np.pi * s / t_sys), 0.0)
+        return out if np.ndim(t) else float(out)
 
-    def magnitude_dot(self, t: float) -> float:
-        """Analytic du_D/dt (used by the reduced model's lifting forcing)."""
+    def magnitude_dot(self, t):
+        """Analytic du_D/dt (used by the reduced model's lifting forcing),
+        shaped like magnitude(t)."""
         if self.kind == "constant":
-            return 0.0
+            return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
         s = np.mod(t, self.t_cycle)
         t_sys = self.systole_frac * self.t_cycle
-        if s < t_sys:
-            return float(self.u_sys * np.pi / t_sys * np.cos(np.pi * s / t_sys))
-        return 0.0
+        out = np.where(s < t_sys, self.u_sys * np.pi / t_sys * np.cos(np.pi * s / t_sys), 0.0)
+        return out if np.ndim(t) else float(out)
 
     def profile(self, grid: Grid) -> np.ndarray:
         """Spatial inlet shape over the inlet faces, normalized to mean 1."""
@@ -95,11 +97,6 @@ class Waveform:
     @classmethod
     def from_dict(cls, d: dict) -> "Waveform":
         return cls(**d)
-
-
-def inlet_profile(t: float, spec: Waveform) -> float:
-    """Inlet velocity magnitude u_D(t) for the given waveform."""
-    return spec.magnitude(t)
 
 
 @dataclass(frozen=True)
@@ -155,14 +152,6 @@ class FomState:
     p: np.ndarray
     wk: dict
     t: float
-
-    @property
-    def velocity(self) -> Field:
-        return Field.vector2(self.grid, self.u, self.v)
-
-    @property
-    def pressure(self) -> Field:
-        return Field.scalar(self.grid, self.p)
 
 
 def _side_flux(grid: Grid, u: np.ndarray, v: np.ndarray, side: str) -> float:
@@ -281,39 +270,27 @@ class FomSolver:
         stride = cfg.snap_stride
 
         outlet_ids = [k for k, _ in g.outlets]
-        times, vels, pres, pouts = [], [], [], []
-
-        def record(state: FomState):
-            times.append(state.t)
-            vels.append(Field.vector2(g, state.u, state.v))
-            pres.append(Field.scalar(g, state.p))
-            pouts.append([state.wk[k].p for k in outlet_ids])
-
-        def want(i: int) -> bool:
-            if i < i_start:
-                return False
-            if stride is None:
-                return i == i_start
-            return (i - i_start) % stride == 0
-
+        recorded = list(range(i_start, n_steps + 1, stride or n_steps + 1))  # None: i_start only
+        row = {i: m for m, i in enumerate(recorded)}
+        vels = np.empty((len(row), g.n_vector))
+        pres = np.empty((len(row), g.n_scalar))
         times_full, pouts_full = [], []
 
-        def record_datum(state: FomState):
+        def record(i: int, state: FomState):
             times_full.append(state.t)
             pouts_full.append([state.wk[k].p for k in outlet_ids])
+            if i in row:
+                vels[row[i]] = np.concatenate([state.u.ravel(), state.v.ravel()])
+                pres[row[i]] = state.p.ravel()
 
         t_wall = time.perf_counter()
         state = self.initial_state()
-        record_datum(state)
-        if want(0):
-            record(state)
+        record(0, state)
         cycle_ref = None
         t_ref = cfg.t_end - cfg.waveform.t_cycle if cfg.waveform.kind == "pulse" else None
         for i in range(1, n_steps + 1):
             state = self.advance(state)
-            record_datum(state)
-            if want(i):
-                record(state)
+            record(i, state)
             if t_ref is not None and cycle_ref is None and state.t >= t_ref - 1e-12:
                 cycle_ref = (state.u.copy(), state.v.copy())
         t_wall = time.perf_counter() - t_wall
@@ -325,35 +302,23 @@ class FomSolver:
             denom = np.linalg.norm(ref) * np.sqrt(g.cell_area)
             drift = float(np.linalg.norm(du) * np.sqrt(g.cell_area) / max(denom, 1e-300))
 
-        snaps = SnapshotSet(
-            np.array(times),
-            vels,
-            pres,
-            nu=cfg.nu,
-            waveform=cfg.waveform.to_dict(),
-            outlet_pressure=np.array(pouts),
-        )
-        return FomResult(snapshots=snaps, outlet_pressure=snaps.outlet_pressure,
-                         wall_time=t_wall, cycle_drift=drift, n_steps=n_steps,
-                         step_times=np.array(times_full),
-                         step_outlet_pressure=np.array(pouts_full))
+        step_times, step_pouts = np.array(times_full), np.array(pouts_full)
+        snaps = SnapshotSet(step_times[recorded], FieldRows(g, "vector2", vels),
+                            FieldRows(g, "scalar", pres), nu=cfg.nu,
+                            waveform=cfg.waveform.to_dict(),
+                            outlet_pressure=step_pouts[recorded])
+        return FomResult(snapshots=snaps, wall_time=t_wall, cycle_drift=drift, n_steps=n_steps,
+                         step_times=step_times, step_outlet_pressure=step_pouts)
 
 
 @dataclass
 class FomResult:
-    snapshots: SnapshotSet
-    outlet_pressure: np.ndarray        # per snapshot time
+    snapshots: SnapshotSet             # outlet_pressure: the datum per snapshot time
     wall_time: float
     cycle_drift: float | None
     n_steps: int
     step_times: np.ndarray | None = None            # every step, for fine queries
     step_outlet_pressure: np.ndarray | None = None
-
-
-def fom_advance(state: FomState, cfg: FomConfig) -> FomState:
-    """One projection step (convenience wrapper; FomSolver caches the
-    Poisson operator for loops)."""
-    return FomSolver(cfg).advance(state)
 
 
 def fom_run(cfg: FomConfig) -> FomResult:

@@ -9,6 +9,9 @@ Layout for an ``nx x ny`` cell grid over ``[0, lx] x [0, ly]``:
 A ``Field`` stores one flat float64 vector in this layout (u block then v
 block for vector fields).  Fields are immutable after construction so they
 can be shared freely across threads; all operations on them are pure.
+Snapshot sets and bases hold M fields of one kind as the rows of a single
+read-only (M, n) array (``FieldRows``); indexing it yields Field views of
+the rows without copying.
 
 The discrete inner product is the unweighted L2 sum over unknowns times the
 cell area hx*hy, for both scalar and vector fields.
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -172,6 +175,15 @@ class Field:
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
 
+    @classmethod
+    def _view(cls, grid: Grid, kind: str, values: np.ndarray) -> "Field":
+        """Field over a read-only row the caller has already checked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "kind", kind)
+        object.__setattr__(f, "values", values)
+        return f
+
     # -- constructors ---------------------------------------------------------
     @classmethod
     def scalar(cls, grid: Grid, values=None) -> "Field":
@@ -288,22 +300,67 @@ def outlet_flux(f: Field, k: int) -> float:
 
 # -- snapshot containers -------------------------------------------------------
 
+class FieldRows(Sequence):
+    """M fields of one kind and grid as the rows of one read-only (M, n) array.
+
+    The array is taken over (copied only if it is not C-contiguous float64)
+    and frozen in place.  ``rows[m]`` is a Field view of row m; slices and
+    index arrays give FieldRows.
+    """
+
+    __slots__ = ("grid", "kind", "values")
+
+    def __init__(self, grid: Grid, kind: str, values):
+        n = {"scalar": grid.n_scalar, "vector2": grid.n_vector}.get(kind)
+        if n is None:
+            raise ShapeError(f"unknown field kind {kind!r}")
+        vals = np.require(values, np.float64, "C")
+        if vals.ndim != 2 or vals.shape[1] != n:
+            raise ShapeError(f"{kind} rows need shape (M, {n}), got {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ShapeError(f"{kind} rows contain non-finite entries")
+        vals.flags.writeable = False
+        self.grid, self.kind, self.values = grid, kind, vals
+
+    def __len__(self):
+        return self.values.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return Field._view(self.grid, self.kind, self.values[i])
+        return FieldRows(self.grid, self.kind, self.values[i])
+
+
+def field_rows(fields) -> FieldRows:
+    """``fields`` itself if it is a FieldRows, else the stack of its Fields."""
+    if isinstance(fields, FieldRows):
+        return fields
+    fields = list(fields)
+    if not fields:
+        raise ShapeError("empty field list")
+    g, kind = fields[0].grid, fields[0].kind
+    if any(f.grid != g or f.kind != kind for f in fields):
+        raise ShapeError("fields must share one grid and kind")
+    return FieldRows(g, kind, snapshot_matrix(fields))
+
+
 @dataclass(eq=False)
 class SnapshotSet:
     """Time-ordered velocity/pressure snapshots plus run metadata.
 
-    ``outlet_pressure[m, k]`` is the outflow-pressure datum of outlet k that
-    was in force when snapshot m was recorded (the series the neural network
-    trains on).
+    ``velocity`` and ``pressure`` are FieldRows (given as FieldRows or as
+    sequences of Fields): ``velocity.values`` is the (M, n_vector) array,
+    ``velocity[m]`` a Field view of snapshot m.  ``outlet_pressure[m, k]``
+    is the outflow-pressure datum of outlet k that was in force when
+    snapshot m was recorded (the series the neural network trains on).
     """
 
     times: np.ndarray
-    velocity: list
-    pressure: list
+    velocity: FieldRows
+    pressure: FieldRows
     nu: float
     waveform: dict | None = None
     outlet_pressure: np.ndarray | None = None
-    _grid: Grid = dc_field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -312,18 +369,17 @@ class SnapshotSet:
             raise ShapeError("SnapshotSet needs at least one snapshot")
         if len(self.velocity) != m or len(self.pressure) != m:
             raise ShapeError(
-                f"snapshot list lengths differ: {m} times, "
+                f"snapshot counts differ: {m} times, "
                 f"{len(self.velocity)} velocity, {len(self.pressure)} pressure"
             )
         if m > 1 and not np.all(np.diff(self.times) > 0):
             raise ShapeError("snapshot times must be strictly increasing")
-        g = self.velocity[0].grid
-        for f in self.velocity:
-            if f.kind != "vector2" or f.grid != g:
-                raise ShapeError("velocity snapshots must be vector2 on one grid")
-        for f in self.pressure:
-            if f.kind != "scalar" or f.grid != g:
-                raise ShapeError("pressure snapshots must be scalar on the same grid")
+        self.velocity = field_rows(self.velocity)
+        self.pressure = field_rows(self.pressure)
+        if self.velocity.kind != "vector2":
+            raise ShapeError("velocity snapshots must be vector2 fields")
+        if self.pressure.kind != "scalar" or self.pressure.grid != self.velocity.grid:
+            raise ShapeError("pressure snapshots must be scalar on the velocity grid")
         if self.outlet_pressure is not None:
             op = np.asarray(self.outlet_pressure, dtype=np.float64)
             if op.ndim == 1:
@@ -331,14 +387,19 @@ class SnapshotSet:
             if op.shape[0] != m:
                 raise ShapeError("outlet_pressure rows must match snapshot count")
             self.outlet_pressure = op
-        self._grid = g
 
     @property
     def grid(self) -> Grid:
-        return self._grid
+        return self.velocity.grid
 
     def __len__(self):
         return self.times.size
+
+    def take(self, rows) -> "SnapshotSet":
+        """The snapshots at a slice or index array of rows."""
+        op = None if self.outlet_pressure is None else self.outlet_pressure[rows]
+        return SnapshotSet(self.times[rows], self.velocity[rows], self.pressure[rows],
+                           self.nu, self.waveform, op)
 
     # -- persistence: meta.json + one raw little-endian float64 file per field
     def save(self, directory) -> None:
@@ -361,8 +422,8 @@ class SnapshotSet:
         }
         (d / "meta.json").write_text(json.dumps(meta, indent=1))
         for m in range(len(self)):
-            (d / f"u_{m:06d}.bin").write_bytes(self.velocity[m].values.astype("<f8").tobytes())
-            (d / f"p_{m:06d}.bin").write_bytes(self.pressure[m].values.astype("<f8").tobytes())
+            (d / f"u_{m:06d}.bin").write_bytes(self.velocity.values[m].astype("<f8").tobytes())
+            (d / f"p_{m:06d}.bin").write_bytes(self.pressure.values[m].astype("<f8").tobytes())
 
     @classmethod
     def load(cls, directory) -> "SnapshotSet":
@@ -375,16 +436,23 @@ class SnapshotSet:
             raise FormatError(f"unsupported snapshot format {meta.get('format')!r}")
         grid = Grid(meta["nx"], meta["ny"], float(meta["lx"]), float(meta["ly"]), meta["tags"])
         times = np.array([float(t) for t in meta["times"]])
-        vel, pres = [], []
-        for m in range(times.size):
-            ub = np.frombuffer((d / f"u_{m:06d}.bin").read_bytes(), dtype="<f8")
-            pb = np.frombuffer((d / f"p_{m:06d}.bin").read_bytes(), dtype="<f8")
-            vel.append(Field(grid, "vector2", ub))
-            pres.append(Field(grid, "scalar", pb))
+        vel = _load_rows(grid, "vector2", [d / f"u_{m:06d}.bin" for m in range(times.size)])
+        pres = _load_rows(grid, "scalar", [d / f"p_{m:06d}.bin" for m in range(times.size)])
         op = meta.get("outlet_pressure")
         if op is not None:
             op = np.array([[float(x) for x in row] for row in op])
         return cls(times, vel, pres, float(meta["nu"]), meta.get("waveform"), op)
+
+
+def _load_rows(grid: Grid, kind: str, paths) -> FieldRows:
+    """FieldRows from raw little-endian float64 files, one file per row."""
+    out = np.empty((len(paths), grid.n_scalar if kind == "scalar" else grid.n_vector))
+    for m, path in enumerate(paths):
+        row = np.frombuffer(path.read_bytes(), dtype="<f8")
+        if row.size != out.shape[1]:
+            raise ShapeError(f"{path} holds {row.size} values, expected {out.shape[1]}")
+        out[m] = row
+    return FieldRows(grid, kind, out)
 
 
 def snapshot_matrix(fields: Sequence[Field]) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse.linalg import cg
 
 from .errors import ConfigurationError, FormatError, NumericalError, ShapeError
-from .grid import Field, Grid, SnapshotSet
+from .grid import Field, FieldRows, Grid, SnapshotSet
 from .operators import center_laplacian, divergence
 
 LIFT_RTOL = 1e-12
@@ -186,18 +186,15 @@ def _check_series(snaps: SnapshotSet, u_d, p_d, lift: LiftingPair):
 
 def _shift(snaps: SnapshotSet, u_d, p_d, lift: LiftingPair, sign: float) -> SnapshotSet:
     u_d, p_d = _check_series(snaps, u_d, p_d, lift)
-    vel, pres = [], []
-    for m in range(len(snaps)):
-        vel.append(Field(snaps.grid, "vector2",
-                         snaps.velocity[m].values + sign * u_d[m] * lift.chi_u.values))
-        pvals = snaps.pressure[m].values.copy()
-        for k in range(lift.n_outlets):
-            pvals = pvals + sign * p_d[m, k] * lift.chi_p[k].values
-        pres.append(Field(snaps.grid, "scalar", pvals))
+    vel = snaps.velocity.values + np.outer(sign * u_d, lift.chi_u.values)
+    pres = snaps.pressure.values
+    for k in range(lift.n_outlets):
+        pres = pres + np.outer(sign * p_d[:, k], lift.chi_p[k].values)
     op = snaps.outlet_pressure
     if op is not None and op.shape[1] == lift.n_outlets:
         op = op + sign * p_d
-    return SnapshotSet(snaps.times.copy(), vel, pres, snaps.nu, snaps.waveform, op)
+    return SnapshotSet(snaps.times.copy(), FieldRows(snaps.grid, "vector2", vel),
+                       FieldRows(snaps.grid, "scalar", pres), snaps.nu, snaps.waveform, op)
 
 
 def homogenize(snaps: SnapshotSet, u_d, p_d, lift: LiftingPair) -> SnapshotSet:

@@ -4,8 +4,9 @@ offline: FOM run -> lifting -> homogenize -> POD (velocity, pressure) ->
 supremizer enrichment -> operator assembly -> outflow-pressure network per
 outlet -> bundle directory.  online: load bundle, integrate the reduced
 system at the query times (substepping at the recorded full-order dt by
-default), reconstruct fields, compare against the stored snapshots and
-write errors/timings/report files.
+default), read the coefficients at the query instants, reconstruct those
+fields, compare against the stored snapshots and write errors/timings/report
+files.
 
 Everything written into the bundle is deterministic given the config and
 seed; wall-clock artifacts (timings.csv, report.json) live next to it and
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, ShapeError
 from .fom import FomConfig, FomResult, Waveform, fom_run
-from .grid import Field, Grid, SnapshotSet, l2_norm
+from .grid import Grid, SnapshotSet
 from .lifting import LiftingPair, compute_lifting, homogenize
 from .nn import (
     NNModel,
@@ -38,7 +40,8 @@ from .nn import (
 )
 from .nn import REFERENCE_NN_DEFAULTS
 from .pod import ReducedBasis, pod_basis, project_coefficients, truncation_rank
-from .rom import ReducedOperators, assemble_operators, integrate_rom, reconstruct, supremizer_enrich
+from .rom import (ReducedOperators, ReducedTrajectory, assemble_operators, integrate_rom,
+                  reconstruct, supremizer_enrich)
 from .windkessel import WindkesselParams
 
 BUNDLE_FORMAT = "romkit-bundle-1"
@@ -66,8 +69,17 @@ DEFAULT_CONFIG = {
 }
 
 
+def _check_keys(cfg: dict) -> None:
+    """Reject keys outside DEFAULT_CONFIG, ``wk_file`` and ``wk_<k>``."""
+    unknown = sorted(k for k in cfg if k not in DEFAULT_CONFIG and k != "wk_file"
+                     and not re.fullmatch(r"wk_\d+", k))
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {unknown}")
+
+
 def parse_config(source) -> dict:
-    """Flat key=value text (path or literal text); '#' starts a comment."""
+    """Flat key=value text (path or literal text); '#' starts a comment.
+    Unknown keys raise ConfigurationError."""
     path = Path(source)
     text = path.read_text() if path.exists() else str(source)
     out = dict(DEFAULT_CONFIG)
@@ -79,6 +91,7 @@ def parse_config(source) -> dict:
             raise ConfigurationError(f"config line {ln}: expected key = value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         out[key] = val
+    _check_keys(out)
     return out
 
 
@@ -203,10 +216,10 @@ class Bundle:
         return np.array(idx, dtype=int), n_p
 
     def sliced_basis_u(self, idx) -> ReducedBasis:
-        modes = [self.basis_u.modes[i] for i in idx]
-        n_sup = int(np.sum(np.asarray(idx) >= self.basis_u.n_primary))
-        return ReducedBasis(modes, self.basis_u.eigenvalues, self.basis_u.kind,
-                            self.basis_u.M, n_supremizer=n_sup)
+        idx = np.asarray(idx, dtype=int)
+        n_sup = int(np.sum(idx >= self.basis_u.n_primary))
+        return ReducedBasis(self.basis_u.modes[idx], self.basis_u.eigenvalues,
+                            self.basis_u.kind, self.basis_u.M, n_supremizer=n_sup)
 
     def sliced_basis_p(self, n_p: int) -> ReducedBasis | None:
         if n_p == 0 or self.basis_p is None:
@@ -304,12 +317,6 @@ class Bundle:
         )
 
 
-def _subsample(snaps: SnapshotSet, outlet_pressure: np.ndarray, step: int) -> SnapshotSet:
-    sel = slice(0, None, step)
-    return SnapshotSet(snaps.times[sel], snaps.velocity[sel], snaps.pressure[sel],
-                       snaps.nu, snaps.waveform, outlet_pressure[sel])
-
-
 class _StageFailure(Exception):
     """Internal wrapper used to tag which offline stage failed."""
 
@@ -352,7 +359,11 @@ def offline(config: dict | str, out_dir=None, fom_result: FomResult | None = Non
 
 def _offline_stages(config, out_dir, fom_result):
     with _stage("config"):
-        cfg = parse_config(config) if not isinstance(config, dict) else {**DEFAULT_CONFIG, **config}
+        if isinstance(config, dict):
+            cfg = {**DEFAULT_CONFIG, **config}
+            _check_keys(cfg)
+        else:
+            cfg = parse_config(config)
         fom_cfg = build_fom_config(cfg)
         if fom_cfg.waveform.shape != "plug":
             raise ConfigurationError("the reduced pipeline requires the plug inlet shape "
@@ -366,7 +377,7 @@ def _offline_stages(config, out_dir, fom_result):
         timings["fom"] = fom_result.wall_time
         fine = fom_result.snapshots
         sub = _i(cfg, "train_subsample") if "train_subsample" in cfg else 1
-        train = _subsample(fine, fom_result.outlet_pressure, sub) if sub > 1 else fine
+        train = fine.take(slice(0, None, sub)) if sub > 1 else fine
 
     with _stage("lifting"):
         t0 = time.perf_counter()
@@ -375,7 +386,7 @@ def _offline_stages(config, out_dir, fom_result):
 
     with _stage("homogenize"):
         lift_pressure = _b(cfg, "lift_pressure") if "lift_pressure" in cfg else True
-        u_d = np.array([fom_cfg.waveform.magnitude(t) for t in train.times])
+        u_d = fom_cfg.waveform.magnitude(train.times)
         p_d_series = train.outlet_pressure if lift_pressure else None
         hom = homogenize(train, u_d, p_d_series, lifting)
 
@@ -516,13 +527,15 @@ def _write_timings(path, timings: dict) -> None:
 
 
 def _match_indices(query: np.ndarray, reference: np.ndarray):
-    """Positions of query times inside reference times (None if absent)."""
-    ref = np.asarray(reference, dtype=np.float64)
-    out = []
-    for t in np.asarray(query, dtype=np.float64):
-        m = int(np.argmin(np.abs(ref - t)))
-        out.append(m if abs(ref[m] - t) <= 1e-9 else None)
-    return out
+    """Positions of the query times among the reference times, or None
+    unless every query time is a reference time (to 1e-9)."""
+    pos = np.abs(reference[None, :] - query[:, None]).argmin(axis=1)
+    return pos if np.all(np.abs(reference[pos] - query) <= 1e-9) else None
+
+
+def _row_norms(R: np.ndarray, area: float) -> np.ndarray:
+    """Discrete L2 norm of every row of R."""
+    return np.sqrt(np.sum(R * R, axis=1) * area)
 
 
 def projection_errors(snaps: SnapshotSet, hom: SnapshotSet, basis_u: ReducedBasis,
@@ -532,18 +545,14 @@ def projection_errors(snaps: SnapshotSet, hom: SnapshotSet, basis_u: ReducedBasi
     Residual fields are formed explicitly; the norm-difference shortcut
     cancels catastrophically when the span captures most of a large field.
     """
-    from .grid import snapshot_matrix
-
     area = snaps.grid.cell_area
 
-    def residual_norms(fields, basis):
-        S = snapshot_matrix(fields)
-        Phi = basis.mode_matrix()
-        R = S - ((S @ Phi.T) * area) @ Phi
-        return np.sqrt(np.sum(R * R, axis=1) * area)
+    def residual_norms(S, basis):
+        Phi = basis.modes.values
+        return _row_norms(S - ((S @ Phi.T) * area) @ Phi, area)
 
-    proj_u = residual_norms(hom.velocity, basis_u)
-    proj_p = residual_norms(hom.pressure, basis_p) if basis_p is not None else None
+    proj_u = residual_norms(hom.velocity.values, basis_u)
+    proj_p = residual_norms(hom.pressure.values, basis_p) if basis_p is not None else None
     return proj_u, proj_p
 
 
@@ -554,28 +563,25 @@ def compare(fom_set: SnapshotSet, rom_set: SnapshotSet, basis_u: ReducedBasis | 
         raise ShapeError("snapshot sets must share their time grid")
     if fom_set.grid != rom_set.grid:
         raise ShapeError("snapshot sets must share one grid")
-    err_u = np.array([l2_norm(a - b) for a, b in zip(fom_set.velocity, rom_set.velocity)])
-    err_p = np.array([l2_norm(a - b) for a, b in zip(fom_set.pressure, rom_set.pressure)])
+    area = fom_set.grid.cell_area
+    err_u = _row_norms(fom_set.velocity.values - rom_set.velocity.values, area)
+    err_p = _row_norms(fom_set.pressure.values - rom_set.pressure.values, area)
     proj_u = proj_p = None
     if basis_u is not None and lift is not None:
         if fom_set.waveform is None:
             raise ConfigurationError("projection errors need the waveform metadata")
-        wf = Waveform.from_dict(fom_set.waveform)
-        u_d = np.array([wf.magnitude(t) for t in fom_set.times])
+        u_d = Waveform.from_dict(fom_set.waveform).magnitude(fom_set.times)
         hom = homogenize(fom_set, u_d, fom_set.outlet_pressure, lift)
         proj_u, proj_p = projection_errors(fom_set, hom, basis_u, basis_p)
     return RunReport(times=fom_set.times.copy(), err_u=err_u, err_p=err_p,
                      proj_u=proj_u, proj_p=proj_p)
 
 
-def _integration_grid(t_start: float, t_end: float, substep: float, query: np.ndarray):
-    """Uniform substep grid plus any query time not already on it."""
-    n = max(1, int(round((t_end - t_start) / substep)))
-    base = t_start + substep * np.arange(n + 1)
-    extra = [t for t in np.asarray(query, dtype=np.float64)
-             if np.abs(base - t).min() > 1e-9]
-    allt = np.sort(np.concatenate([base, np.array(extra)])) if extra else base
-    return allt
+def _interpolate(steps: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows given at the step times, linearly interpolated to the instants t."""
+    i = np.clip(np.searchsorted(steps, t, side="right") - 1, 0, steps.size - 2)
+    w = np.clip((t - steps[i]) / (steps[i + 1] - steps[i]), 0.0, 1.0)[:, None]
+    return (1.0 - w) * rows[i] + w * rows[i + 1]
 
 
 def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
@@ -584,8 +590,11 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     """Reduced solve + reconstruction at the query times, with a RunReport.
 
     dt_r sets the reduced integration step (defaults to the full-order dt
-    recorded in the bundle); query times must stay within 10% beyond the
-    training window.
+    recorded in the bundle).  The reduced system steps on the uniform dt_r
+    grid from the training-window start; the coefficients at an instant
+    between two steps are interpolated linearly from them, and only the
+    query instants are reconstructed.  Query times must stay within 10% of
+    the window span beyond the training window.
     """
     train_times = bundle.train.times
     t_lo, t_hi = float(train_times[0]), float(train_times[-1])
@@ -609,20 +618,18 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     bu = bundle.sliced_basis_u(idx)
     bp = bundle.sliced_basis_p(n_p)
 
+    # steps k*dt_r from t_lo, covering the window and every instant; an
+    # instant within 1e-9 steps past an end step counts as on it
     substep = bundle.dt_fom if dt_r is None else float(dt_r)
-    grid_times = _integration_grid(t_lo, max(t_hi, query_times.max()), substep, query_times)
+    k_lo = min(0, int(np.floor((query_times.min() - t_lo) / substep + 1e-9)))
+    k_hi = max(1, int(np.ceil((max(t_hi, query_times.max()) - t_lo) / substep - 1e-9)))
+    steps = t_lo + substep * np.arange(k_lo, k_hi + 1)
 
-    u_d0 = bundle.waveform.magnitude(t_lo)
-    hom0_u = Field(bundle.grid, "vector2",
-                   bundle.train.velocity[0].values - u_d0 * bundle.lifting.chi_u.values)
-    a0 = project_coefficients(hom0_u, bu)
-    b0 = None
-    if bp is not None:
-        p0 = bundle.train.pressure[0].values.copy()
-        if bundle.lift_pressure and bundle.train.outlet_pressure is not None:
-            for k in range(bundle.lifting.n_outlets):
-                p0 = p0 - bundle.train.outlet_pressure[0, k] * bundle.lifting.chi_p[k].values
-        b0 = project_coefficients(Field(bundle.grid, "scalar", p0), bp)
+    first = bundle.train.take(slice(0, 1))
+    hom0 = homogenize(first, bundle.waveform.magnitude(first.times),
+                      first.outlet_pressure if bundle.lift_pressure else None, bundle.lifting)
+    a0 = project_coefficients(hom0.velocity, bu)[0]
+    b0 = None if bp is None else project_coefficients(hom0.pressure, bp)[0]
 
     p_d = bundle.outlet_pressure_fn() if bundle.lift_pressure else None
 
@@ -630,33 +637,23 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     traj = None
     for _ in range(max(1, timing_reps)):
         t0 = time.perf_counter()
-        traj = integrate_rom(ops, a0, grid_times, bundle.waveform, p_d, b0=b0)
+        traj = integrate_rom(ops, a0, steps, bundle.waveform, p_d, b0=b0)
         solve_times.append(time.perf_counter() - t0)
     t_solve = float(np.median(solve_times))
 
     t0 = time.perf_counter()
-    rec_full = reconstruct(bu, bp, traj, bundle.lifting, bundle.waveform, p_d, nu=bundle.nu)
+    at_query = ReducedTrajectory(query_times, _interpolate(steps, traj.a, query_times),
+                                 _interpolate(steps, traj.b, query_times))
+    rec = reconstruct(bu, bp, at_query, bundle.lifting, bundle.waveform, p_d, nu=bundle.nu)
     t_reconstruct = time.perf_counter() - t0
-
-    pos = _match_indices(query_times, grid_times)
-    if any(p is None for p in pos):
-        raise ShapeError("query times missing from the integration grid")
-    rec = SnapshotSet(query_times, [rec_full.velocity[p] for p in pos],
-                      [rec_full.pressure[p] for p in pos], nu=bundle.nu,
-                      waveform=bundle.waveform.to_dict(),
-                      outlet_pressure=None if rec_full.outlet_pressure is None
-                      else rec_full.outlet_pressure[pos])
 
     # errors against whichever stored set covers the query times
     report = RunReport(times=query_times.copy(), err_u=None, err_p=None,
                        proj_u=None, proj_p=None)
     for ref in (bundle.train, bundle.fine):
         at = _match_indices(query_times, ref.times)
-        if all(p is not None for p in at):
-            ref_sub = SnapshotSet(query_times, [ref.velocity[p] for p in at],
-                                  [ref.pressure[p] for p in at], ref.nu, ref.waveform,
-                                  None if ref.outlet_pressure is None else ref.outlet_pressure[at])
-            cmp = compare(ref_sub, rec, bu, bp, bundle.lifting)
+        if at is not None:
+            cmp = compare(ref.take(at), rec, bu, bp, bundle.lifting)
             report.err_u, report.err_p = cmp.err_u, cmp.err_p
             report.proj_u, report.proj_p = cmp.proj_u, cmp.proj_p
             break

@@ -24,20 +24,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError, NumericalError, RankError, ShapeError
-from .grid import Field, Grid, snapshot_matrix
+# snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
+from .grid import Field, FieldRows, Grid, _load_rows, field_rows, snapshot_matrix  # noqa: F401
 
 RANK_CUTOFF = 1e-13
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
 
 
-def correlation_matrix(fields: Sequence[Field]) -> np.ndarray:
+def correlation_matrix(fields: FieldRows | Sequence[Field]) -> np.ndarray:
     """Symmetric PSD matrix of scaled snapshot inner products."""
     if len(fields) < 1:
         raise ShapeError("correlation_matrix needs at least one snapshot")
-    S = snapshot_matrix(fields)
-    area = fields[0].grid.cell_area
-    C = (S @ S.T) * (area / len(fields))
+    rows = field_rows(fields)
+    C = (rows.values @ rows.values.T) * (rows.grid.cell_area / len(rows))
     return 0.5 * (C + C.T)  # exact symmetry regardless of GEMM blocking
 
 
@@ -111,11 +111,13 @@ def symmetric_eig(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ReducedBasis:
     """Orthonormal modes plus the full originating spectrum.
 
-    ``n_primary`` counts the snapshot-derived modes; supremizer enrichment
-    appends modes after them and bumps ``n_supremizer``.
+    ``modes`` is a FieldRows (given as one or as a sequence of Fields):
+    ``modes.values`` is the (N, n) mode array, ``modes[i]`` a Field view of
+    mode i.  ``n_primary`` counts the snapshot-derived modes; supremizer
+    enrichment appends modes after them and bumps ``n_supremizer``.
     """
 
-    modes: list
+    modes: FieldRows
     eigenvalues: np.ndarray
     kind: str
     M: int
@@ -123,15 +125,13 @@ class ReducedBasis:
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        if not self.modes:
+        if len(self.modes) == 0:
             raise ShapeError("ReducedBasis needs at least one mode")
-        g = self.modes[0].grid
-        if any(f.grid != g or f.kind != self.modes[0].kind for f in self.modes):
-            raise ShapeError("modes must share one grid and kind")
+        self.modes = field_rows(self.modes)
 
     @property
     def grid(self) -> Grid:
-        return self.modes[0].grid
+        return self.modes.grid
 
     @property
     def n_modes(self) -> int:
@@ -141,18 +141,15 @@ class ReducedBasis:
     def n_primary(self) -> int:
         return self.n_modes - self.n_supremizer
 
-    def mode_matrix(self) -> np.ndarray:
-        return snapshot_matrix(self.modes)
-
     def gram(self) -> np.ndarray:
-        Phi = self.mode_matrix()
+        Phi = self.modes.values
         return (Phi @ Phi.T) * self.grid.cell_area
 
     def save(self, directory) -> None:
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
-        for i, f in enumerate(self.modes):
-            (d / f"modes_{i:06d}.bin").write_bytes(f.values.astype("<f8").tobytes())
+        for i, row in enumerate(self.modes.values):
+            (d / f"modes_{i:06d}.bin").write_bytes(row.astype("<f8").tobytes())
         with open(d / "spectrum.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["i", "lambda"])
@@ -164,7 +161,7 @@ class ReducedBasis:
             "N": self.n_modes,
             "M": self.M,
             "n_supremizer": self.n_supremizer,
-            "field_kind": self.modes[0].kind,
+            "field_kind": self.modes.kind,
             "normalization": "unit",
         }, indent=1))
 
@@ -177,10 +174,8 @@ class ReducedBasis:
             raise FormatError(f"no basis.json under {d}")
         if meta.get("format") != "romkit-basis-1":
             raise FormatError(f"unsupported basis format {meta.get('format')!r}")
-        modes = []
-        for i in range(meta["N"]):
-            raw = np.frombuffer((d / f"modes_{i:06d}.bin").read_bytes(), dtype="<f8")
-            modes.append(Field(grid, meta["field_kind"], raw))
+        modes = _load_rows(grid, meta["field_kind"],
+                           [d / f"modes_{i:06d}.bin" for i in range(meta["N"])])
         lams = []
         with open(d / "spectrum.csv", newline="") as fh:
             for row in csv.DictReader(fh):
@@ -209,10 +204,11 @@ def _mgs(matrix: np.ndarray, area: float, start: int = 0) -> np.ndarray:
     return Q
 
 
-def build_basis(fields: Sequence[Field], eigenvalues: np.ndarray, eigenvectors: np.ndarray,
-                n_modes: int, kind: str = "velocity") -> ReducedBasis:
+def build_basis(fields: FieldRows | Sequence[Field], eigenvalues: np.ndarray,
+                eigenvectors: np.ndarray, n_modes: int, kind: str = "velocity") -> ReducedBasis:
     """Orthonormal spanning modes of the dominant n_modes-dimensional subspace."""
-    M = len(fields)
+    rows = field_rows(fields)
+    M = len(rows)
     w = np.asarray(eigenvalues, dtype=np.float64)
     if eigenvectors.shape != (M, w.size):
         raise ShapeError("eigenvector matrix shape does not match snapshots/eigenvalues")
@@ -221,15 +217,9 @@ def build_basis(fields: Sequence[Field], eigenvalues: np.ndarray, eigenvectors: 
     rank = numerical_rank(w)
     if n_modes > rank:
         raise RankError(f"requested {n_modes} modes but numerical rank is {rank}")
-    S = snapshot_matrix(fields)
-    area = fields[0].grid.cell_area
     coeff = eigenvectors[:, :n_modes] / np.sqrt(M * w[:n_modes])
-    Phi = coeff.T @ S
-    Phi = _mgs(Phi, area)
-    grid = fields[0].grid
-    fkind = fields[0].kind
-    modes = [Field(grid, fkind, Phi[i]) for i in range(n_modes)]
-    return ReducedBasis(modes, w, kind, M)
+    Phi = _mgs(coeff.T @ rows.values, rows.grid.cell_area)
+    return ReducedBasis(FieldRows(rows.grid, rows.kind, Phi), w, kind, M)
 
 
 def numerical_rank(eigenvalues: np.ndarray) -> int:
@@ -251,9 +241,10 @@ def truncation_rank(eigenvalues: np.ndarray, threshold: float) -> int:
     return int(np.searchsorted(frac, threshold - 1e-15) + 1)
 
 
-def pod_basis(fields: Sequence[Field], n_modes: int | None = None,
+def pod_basis(fields: FieldRows | Sequence[Field], n_modes: int | None = None,
               energy: float | None = None, kind: str = "velocity") -> ReducedBasis:
     """Correlation matrix, eigensolve and basis assembly in one call."""
+    fields = field_rows(fields)
     C = correlation_matrix(fields)
     w, V = symmetric_eig(C)
     rank = numerical_rank(w)
@@ -263,28 +254,27 @@ def pod_basis(fields: Sequence[Field], n_modes: int | None = None,
     return build_basis(fields, w, V, n_modes, kind)
 
 
-def project_coefficients(fields: Sequence[Field] | Field, basis: ReducedBasis,
+def project_coefficients(fields: FieldRows | Sequence[Field] | Field, basis: ReducedBasis,
                          n_modes: int | None = None) -> np.ndarray:
     """Inner products of each snapshot with the first n_modes basis modes."""
     single = isinstance(fields, Field)
-    flist = [fields] if single else list(fields)
+    S = fields.values[None, :] if single else field_rows(fields).values
     n = basis.n_modes if n_modes is None else n_modes
-    S = snapshot_matrix(flist)
-    Phi = basis.mode_matrix()[:n]
-    coeff = (S @ Phi.T) * basis.grid.cell_area
+    coeff = (S @ basis.modes.values[:n].T) * basis.grid.cell_area
     return coeff[0] if single else coeff
 
 
-def projection_error(fields: Sequence[Field], basis: ReducedBasis, n_modes: int) -> float:
+def projection_error(fields: FieldRows | Sequence[Field], basis: ReducedBasis,
+                     n_modes: int) -> float:
     """Mean squared distance of the snapshots to the span of the first
     n_modes modes, computed directly from the projection residuals."""
     if n_modes > basis.n_modes:
         raise RankError(f"basis holds {basis.n_modes} modes, asked for {n_modes}")
-    S = snapshot_matrix(fields)
+    S = field_rows(fields).values
     area = basis.grid.cell_area
     if n_modes == 0:
         R = S
     else:
-        Phi = basis.mode_matrix()[:n_modes]
+        Phi = basis.modes.values[:n_modes]
         R = S - ((S @ Phi.T) * area) @ Phi
-    return float(np.sum(R * R) * area / len(fields))
+    return float(np.sum(R * R) * area / S.shape[0])

@@ -40,7 +40,8 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import FormatError, NumericalError, ShapeError, StabilityError
 from .fom import Waveform
-from .grid import Field, Grid, SnapshotSet, snapshot_matrix
+# snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
+from .grid import FieldRows, Grid, SnapshotSet, snapshot_matrix  # noqa: F401
 from .lifting import LiftingPair
 from .operators import advanced_masks, convection, divergence, gradient, vec_laplacian
 from .pod import ReducedBasis, _mgs
@@ -169,8 +170,9 @@ class ReducedTrajectory:
             raise ShapeError("trajectory contains non-finite entries")
 
 
-def _fields_to_arrays(field: Field):
-    return field.u, field.v
+def _flat(uv) -> np.ndarray:
+    """Flat (u block, v block) layout of a pair of face arrays."""
+    return np.concatenate([uv[0].ravel(), uv[1].ravel()])
 
 
 def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
@@ -186,24 +188,21 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     if basis_u.grid != grid or basis_p.grid != grid:
         raise ShapeError("bases must live on the provided grid")
 
-    mu, mv = advanced_masks(grid)
-    n_mu = int(mu.sum())
+    # the unknowns are the advanced faces, in the flat (u block, v block) layout
+    unknown = np.concatenate([m.ravel() for m in advanced_masks(grid)])
+    n_unknown = int(unknown.sum())
 
     def matvec(x):
-        u = np.zeros((grid.ny, grid.nx + 1))
-        v = np.zeros((grid.ny + 1, grid.nx))
-        u[mu] = x[:n_mu]
-        v[mv] = x[n_mu:]
-        lu, lv = vec_laplacian(grid, u, v)
-        return -np.concatenate([lu[mu], lv[mv]])
+        w = np.zeros(grid.n_vector)
+        w[unknown] = x
+        u, v = w[:grid.n_u].reshape(grid.ny, grid.nx + 1), w[grid.n_u:].reshape(grid.ny + 1, grid.nx)
+        return -_flat(vec_laplacian(grid, u, v))[unknown]
 
-    n_unknown = n_mu + int(mv.sum())
     A = LinearOperator((n_unknown, n_unknown), matvec=matvec)
 
-    sup_fields = []
+    sup = np.zeros((basis_p.n_modes, grid.n_vector))
     for j, psi in enumerate(basis_p.modes):
-        gx, gy = gradient(grid, psi.c, {})
-        rhs = -np.concatenate([gx[mu], gy[mv]])
+        rhs = -_flat(gradient(grid, psi.c, {}))[unknown]
         n_iter = [0]
 
         def count(_):
@@ -216,19 +215,14 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
                 f"supremizer solve for pressure mode {j} failed "
                 f"(info={info}, {n_iter[0]} iterations)"
             )
-        u = np.zeros((grid.ny, grid.nx + 1))
-        v = np.zeros((grid.ny + 1, grid.nx))
-        u[mu] = x[:n_mu]
-        v[mv] = x[n_mu:]
-        sup_fields.append(Field.vector2(grid, u, v))
+        sup[j, unknown] = x
 
-    stacked = np.vstack([basis_u.mode_matrix(), snapshot_matrix(sup_fields)])
-    ortho = _mgs(stacked, grid.cell_area, start=basis_u.n_modes)
-    modes = list(basis_u.modes) + [
-        Field(grid, "vector2", ortho[basis_u.n_modes + i]) for i in range(len(sup_fields))
-    ]
-    return ReducedBasis(modes, basis_u.eigenvalues, "velocity+supremizer",
-                        basis_u.M, n_supremizer=basis_u.n_supremizer + len(sup_fields))
+    # _mgs leaves the rows before `start` (the velocity modes) untouched
+    ortho = _mgs(np.vstack([basis_u.modes.values, sup]), grid.cell_area,
+                 start=basis_u.n_modes)
+    return ReducedBasis(FieldRows(grid, "vector2", ortho), basis_u.eigenvalues,
+                        "velocity+supremizer", basis_u.M,
+                        n_supremizer=basis_u.n_supremizer + sup.shape[0])
 
 
 def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
@@ -242,63 +236,58 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
         raise ShapeError("lifting grid mismatch")
 
     area = grid.cell_area
-    Phi = basis_u.mode_matrix()
+    Phi = basis_u.modes.values
     n_u = Phi.shape[0]
     n_p = basis_p.n_modes if basis_p is not None else 0
-    Psi = basis_p.mode_matrix() if n_p else np.zeros((0, grid.n_scalar))
+    Psi = basis_p.modes.values if n_p else np.zeros((0, grid.n_scalar))
+    umodes = [(f.u, f.v) for f in basis_u.modes]
+    cu_u, cu_v = lift.chi_u.u, lift.chi_u.v
 
-    umodes = [_fields_to_arrays(f) for f in basis_u.modes]
-    cu_u, cu_v = _fields_to_arrays(lift.chi_u)
+    def proj(uv):
+        """Galerkin projection of one vector field on the velocity modes."""
+        return area * (Phi @ _flat(uv))
 
-    def vec_flat(u, v):
-        return np.concatenate([u.ravel(), v.ravel()])
-
-    lap_rows = np.empty((n_u, grid.n_vector))
-    for j, (u, v) in enumerate(umodes):
-        lu, lv = vec_laplacian(grid, u, v)
-        lap_rows[j] = vec_flat(lu, lv)
-    B = area * (Phi @ lap_rows.T)
-
+    B = area * (Phi @ np.array([_flat(vec_laplacian(grid, u, v)) for u, v in umodes]).T)
     Ct = np.empty((n_u, n_u, n_u))
     for j, (au, av) in enumerate(umodes):
         for k, (bu, bv) in enumerate(umodes):
-            cu, cv = convection(grid, au, av, bu, bv)
-            Ct[:, j, k] = area * (Phi @ vec_flat(cu, cv))
-
+            Ct[:, j, k] = proj(convection(grid, au, av, bu, bv))
     K = np.zeros((n_u, n_p))
-    d7 = np.zeros(n_p)
-    P = np.zeros((n_p, n_u))
-    if n_p:
-        for j in range(n_p):
-            gx, gy = gradient(grid, Psi[j].reshape(grid.ny, grid.nx), {})
-            K[:, j] = area * (Phi @ vec_flat(gx, gy))
-        div_rows = np.empty((n_u, grid.n_scalar))
-        for j, (u, v) in enumerate(umodes):
-            div_rows[j] = divergence(grid, u, v).ravel()
-        P = area * (Psi @ div_rows.T)
-        d7 = area * (Psi @ divergence(grid, cu_u, cu_v).ravel())
+    for j in range(n_p):
+        K[:, j] = proj(gradient(grid, Psi[j].reshape(grid.ny, grid.nx), {}))
+    P = area * (Psi @ np.array([divergence(grid, u, v).ravel() for u, v in umodes]).T)
+    d7 = area * (Psi @ divergence(grid, cu_u, cu_v).ravel())
 
-    lcu, lcv = vec_laplacian(grid, cu_u, cu_v)
-    d1 = area * (Phi @ vec_flat(lcu, lcv))
-    d2 = np.empty((n_u, n_u))
-    d3 = np.empty((n_u, n_u))
-    for j, (u, v) in enumerate(umodes):
-        cu2, cv2 = convection(grid, u, v, cu_u, cu_v)
-        d2[:, j] = area * (Phi @ vec_flat(cu2, cv2))
-        cu3, cv3 = convection(grid, cu_u, cu_v, u, v)
-        d3[:, j] = area * (Phi @ vec_flat(cu3, cv3))
-    cu4, cv4 = convection(grid, cu_u, cu_v, cu_u, cu_v)
-    d4 = area * (Phi @ vec_flat(cu4, cv4))
-    d6 = area * (Phi @ vec_flat(cu_u, cu_v))
-
-    d5 = np.zeros((lift.n_outlets, n_u))
-    for k_out in range(lift.n_outlets):
-        datum = {kk: (1.0 if i == k_out else 0.0) for i, (kk, _) in enumerate(grid.outlets)}
-        gx, gy = gradient(grid, lift.chi_p[k_out].c, datum)
-        d5[k_out] = area * (Phi @ vec_flat(gx, gy))
+    d1 = proj(vec_laplacian(grid, cu_u, cu_v))
+    d2 = np.column_stack([proj(convection(grid, u, v, cu_u, cu_v)) for u, v in umodes])
+    d3 = np.column_stack([proj(convection(grid, cu_u, cu_v, u, v)) for u, v in umodes])
+    d4 = proj(convection(grid, cu_u, cu_v, cu_u, cu_v))
+    d6 = proj((cu_u, cu_v))
+    outlets = [kk for kk, _ in grid.outlets]
+    d5 = np.array([proj(gradient(grid, chi.c, {kk: float(kk == k) for kk in outlets}))
+                   for k, chi in zip(outlets, lift.chi_p)])
 
     return ReducedOperators(B=B, Ct=Ct, K=K, P=P, d1=d1, d2=d2, d3=d3, d4=d4,
                             d5=d5, d6=d6, d7=d7, nu=float(nu))
+
+
+def _outlet_series(p_d, times: np.ndarray, n_outlets: int) -> np.ndarray:
+    """(T, n_outlets) outlet pressures of ``p_d`` at the times: one vectorized
+    call, or one call per time for a p_d that only takes scalars.  None
+    means homogeneous outlet pressure."""
+    if p_d is None:
+        return np.zeros((times.size, n_outlets))
+    try:
+        q = np.asarray(p_d(times), dtype=np.float64)
+        if q.shape == (times.size,):
+            q = q[:, None]
+        if q.shape != (times.size, n_outlets):
+            raise ShapeError
+    except (ShapeError, TypeError, KeyError):
+        q = np.array([np.atleast_1d(p_d(float(t))) for t in times], dtype=np.float64)
+    if q.shape != (times.size, n_outlets):
+        raise ShapeError(f"p_d must yield {n_outlets} values per time")
+    return q
 
 
 def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Waveform,
@@ -324,22 +313,9 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
 
     # boundary data precomputed over the whole grid: the step loop is the
     # timed online path and should touch only reduced-size arrays
-    g_all = np.array([waveform.magnitude(float(t)) for t in times])
-    gdot_all = np.array([waveform.magnitude_dot(float(t)) for t in times])
-    if p_d is None:
-        q_all = np.zeros((times.size, ops.n_outlets))
-    else:
-        try:
-            q_all = np.asarray(p_d(times), dtype=np.float64)
-            if q_all.shape == (times.size,):
-                q_all = q_all[:, None]
-            if q_all.shape != (times.size, ops.n_outlets):
-                raise ShapeError
-        except (ShapeError, TypeError, KeyError):
-            q_all = np.array([np.atleast_1d(p_d(float(t))) for t in times], dtype=np.float64)
-        if q_all.shape != (times.size, ops.n_outlets):
-            raise ShapeError(f"p_d must yield {ops.n_outlets} values per time")
-    d5_forcing = q_all @ ops.d5                       # (T, Nu)
+    g_all = waveform.magnitude(times)
+    gdot_all = waveform.magnitude_dot(times)
+    d5_forcing = _outlet_series(p_d, times, ops.n_outlets) @ ops.d5     # (T, Nu)
 
     factor_cache = {}
 
@@ -403,27 +379,21 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
 def reconstruct(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
                 traj: ReducedTrajectory, lift: LiftingPair, waveform: Waveform,
                 p_d=None, nu: float = 0.0) -> SnapshotSet:
-    """Full-field snapshots from reduced coefficients plus boundary lifting."""
+    """Full-field snapshots from reduced coefficients plus boundary lifting:
+    one mode product per field and one rank-1 term per lifting field."""
     grid = basis_u.grid
     if traj.a.shape[1] != basis_u.n_modes:
         raise ShapeError("trajectory width does not match velocity basis")
     if basis_p is not None and traj.b.shape[1] != basis_p.n_modes:
         raise ShapeError("trajectory width does not match pressure basis")
 
-    Phi = basis_u.mode_matrix()
-    Psi = basis_p.mode_matrix() if basis_p is not None else None
-    vel, pres, pouts = [], [], []
-    for m, t in enumerate(traj.times):
-        g = waveform.magnitude(float(t))
-        vals = traj.a[m] @ Phi + g * lift.chi_u.values
-        vel.append(Field(grid, "vector2", vals))
-        q = np.zeros(lift.n_outlets)
-        if p_d is not None:
-            q = np.atleast_1d(np.asarray(p_d(float(t)), dtype=np.float64))
-        pvals = traj.b[m] @ Psi if Psi is not None else np.zeros(grid.n_scalar)
-        for k in range(lift.n_outlets):
-            pvals = pvals + q[k] * lift.chi_p[k].values
-        pres.append(Field(grid, "scalar", pvals))
-        pouts.append(q)
-    return SnapshotSet(traj.times.copy(), vel, pres, nu=nu,
-                       waveform=waveform.to_dict(), outlet_pressure=np.array(pouts))
+    vel = traj.a @ basis_u.modes.values + np.outer(waveform.magnitude(traj.times),
+                                                    lift.chi_u.values)
+    q = _outlet_series(p_d, traj.times, lift.n_outlets)
+    pres = (traj.b @ basis_p.modes.values if basis_p is not None
+            else np.zeros((traj.times.size, grid.n_scalar)))
+    for k in range(lift.n_outlets):
+        pres += np.outer(q[:, k], lift.chi_p[k].values)
+    return SnapshotSet(traj.times.copy(), FieldRows(grid, "vector2", vel),
+                       FieldRows(grid, "scalar", pres), nu=nu,
+                       waveform=waveform.to_dict(), outlet_pressure=q)

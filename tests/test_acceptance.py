@@ -257,7 +257,7 @@ def test_criterion_8_stokes_equivalence():
     res = fom_run(cfg)
     lift = compute_lifting(grid)
     u_d = np.array([wf.magnitude(t) for t in res.snapshots.times])
-    hom = homogenize(res.snapshots, u_d, res.outlet_pressure, lift)
+    hom = homogenize(res.snapshots, u_d, res.snapshots.outlet_pressure, lift)
     basis_u = pod_basis(hom.velocity, kind="velocity")
     basis_p = pod_basis(hom.pressure, kind="pressure")
     enriched = supremizer_enrich(basis_u, basis_p, grid)

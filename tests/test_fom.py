@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from romkit.errors import ConfigurationError
-from romkit.fom import FomConfig, FomSolver, Waveform, fom_run, inlet_profile
+from romkit.fom import FomConfig, FomSolver, Waveform, fom_run
 from romkit.grid import Grid
 from romkit.operators import advanced_masks, divergence
 from romkit.windkessel import WindkesselParams
@@ -23,25 +23,25 @@ def channel_cfg(nx=16, ny=8, lx=2.0, ly=0.5, nu=5e-3, dt=0.01, t_end=0.1,
 class TestWaveform:
     def test_zero_at_cycle_start(self):
         wf = Waveform(u_sys=0.3, t_cycle=0.6, systole_frac=0.4)
-        assert inlet_profile(0.0, wf) == 0.0
+        assert wf.magnitude(0.0) == 0.0
 
     def test_peak_at_half_systole(self):
         wf = Waveform(u_sys=0.3, t_cycle=0.6, systole_frac=0.4)
-        assert inlet_profile(0.5 * 0.4 * 0.6, wf) == pytest.approx(0.3, rel=1e-14)
+        assert wf.magnitude(0.5 * 0.4 * 0.6) == pytest.approx(0.3, rel=1e-14)
 
     def test_zero_in_diastole(self):
         wf = Waveform(u_sys=0.3, t_cycle=0.6, systole_frac=0.4)
-        assert inlet_profile(0.5, wf) == 0.0
+        assert wf.magnitude(0.5) == 0.0
 
     def test_periodic(self):
         wf = Waveform(u_sys=0.3, t_cycle=0.6, systole_frac=0.4)
         for t in (0.05, 0.11, 0.2, 0.55):
-            assert inlet_profile(t + 0.6, wf) == pytest.approx(inlet_profile(t, wf), abs=2e-15)
+            assert wf.magnitude(t + 0.6) == pytest.approx(wf.magnitude(t), abs=2e-15)
 
     def test_nonnegative_and_derivative_consistent(self):
         wf = Waveform(u_sys=0.3, t_cycle=0.6, systole_frac=0.4)
         ts = np.linspace(0, 1.2, 241)
-        vals = [inlet_profile(t, wf) for t in ts]
+        vals = [wf.magnitude(t) for t in ts]
         assert min(vals) >= 0.0
         h = 1e-7
         for t in (0.03, 0.1, 0.21, 0.5):
@@ -161,10 +161,10 @@ class TestRun:
     def test_outlet_pressure_recorded(self):
         cfg = channel_cfg(dt=0.01, t_end=0.1, stride=1)
         res = fom_run(cfg)
-        assert res.outlet_pressure.shape == (len(res.snapshots), 1)
-        assert np.all(np.isfinite(res.outlet_pressure))
-        assert res.outlet_pressure[0, 0] == 0.0
-        assert res.outlet_pressure[-1, 0] > 0.0  # systolic inflow pressurized the outlet
+        assert res.snapshots.outlet_pressure.shape == (len(res.snapshots), 1)
+        assert np.all(np.isfinite(res.snapshots.outlet_pressure))
+        assert res.snapshots.outlet_pressure[0, 0] == 0.0
+        assert res.snapshots.outlet_pressure[-1, 0] > 0.0  # systolic inflow pressurized the outlet
 
     def test_deterministic_rerun(self):
         cfg = channel_cfg(dt=0.01, t_end=0.08, stride=2)
@@ -174,7 +174,7 @@ class TestRun:
             assert np.array_equal(fa.values, fb.values)
         for fa, fb in zip(a.snapshots.pressure, b.snapshots.pressure):
             assert np.array_equal(fa.values, fb.values)
-        assert np.array_equal(a.outlet_pressure, b.outlet_pressure)
+        assert np.array_equal(a.snapshots.outlet_pressure, b.snapshots.outlet_pressure)
 
     def test_cycle_drift_reported(self):
         wf = Waveform(u_sys=0.01, t_cycle=0.05, systole_frac=0.4)

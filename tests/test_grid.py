@@ -6,6 +6,7 @@ import pytest
 from romkit.errors import ConfigurationError, ShapeError
 from romkit.grid import (
     Field,
+    FieldRows,
     Grid,
     SnapshotSet,
     build_grid,
@@ -183,6 +184,29 @@ class TestSnapshotSet:
         for a, b in zip(s.pressure, s2.pressure):
             assert np.array_equal(a.values, b.values)
         assert np.array_equal(s.outlet_pressure, s2.outlet_pressure)
+
+    def test_rows_are_read_only_views(self, small_grid, rng):
+        s = self._make(small_grid, rng)
+        assert s.velocity.values.shape == (3, small_grid.n_vector)
+        assert s.pressure.values.shape == (3, small_grid.n_scalar)
+        f = s.velocity[1]
+        assert isinstance(f, Field) and f.kind == "vector2"
+        assert np.shares_memory(f.values, s.velocity.values)
+        assert np.array_equal(f.values, s.velocity.values[1])
+        with pytest.raises(ValueError):
+            f.values[0] = 1.0
+        with pytest.raises(ValueError):
+            s.pressure.values[0, 0] = 1.0
+        sub = s.take(slice(1, None))
+        assert np.array_equal(sub.times, s.times[1:])
+        assert np.array_equal(sub.velocity.values, s.velocity.values[1:])
+        assert np.array_equal(sub.outlet_pressure, s.outlet_pressure[1:])
+
+    def test_non_finite_rows_rejected(self, small_grid):
+        vals = np.zeros((2, small_grid.n_scalar))
+        vals[1, 3] = np.nan
+        with pytest.raises(ShapeError):
+            FieldRows(small_grid, "scalar", vals)
 
     def test_meta_uses_decimal_strings(self, small_grid, rng, tmp_path):
         s = self._make(small_grid, rng)

@@ -105,7 +105,7 @@ class TestHomogenize:
                         windkessel={0: WindkesselParams(1.0, 10.0, 0.1)}, snap_stride=4)
         res = fom_run(cfg)
         u_d = np.array([wf.magnitude(t) for t in res.snapshots.times])
-        hom = homogenize(res.snapshots, u_d, res.outlet_pressure, lift)
+        hom = homogenize(res.snapshots, u_d, res.snapshots.outlet_pressure, lift)
         bound = 1e-9 * max(np.abs(u_d).max(), 1e-300)
         for f in hom.velocity:
             assert np.abs(inlet_trace(f)).max() <= bound
@@ -116,8 +116,8 @@ class TestHomogenize:
                         windkessel={0: WindkesselParams(1.0, 10.0, 0.1)}, snap_stride=4)
         res = fom_run(cfg)
         u_d = np.array([wf.magnitude(t) for t in res.snapshots.times])
-        hom = homogenize(res.snapshots, u_d, res.outlet_pressure, lift)
-        assert np.abs(hom.outlet_pressure).max() <= 1e-9 * max(np.abs(res.outlet_pressure).max(), 1e-300)
+        hom = homogenize(res.snapshots, u_d, res.snapshots.outlet_pressure, lift)
+        assert np.abs(hom.outlet_pressure).max() <= 1e-9 * max(np.abs(res.snapshots.outlet_pressure).max(), 1e-300)
 
     def test_roundtrip_identity(self, channel, lift, rng):
         snaps = _toy_set(channel, rng)

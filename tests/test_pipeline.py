@@ -78,6 +78,20 @@ class TestConfig:
         fom_cfg = build_fom_config(cfg)
         assert fom_cfg.windkessel[0].Rd == 590.0
 
+    def test_unknown_key_rejected(self, tmp_path):
+        f = tmp_path / "cfg.txt"
+        f.write_text("nn_epoch = 5\n")  # typo of nn_epochs
+        with pytest.raises(ConfigurationError, match="nn_epoch"):
+            parse_config(f)
+        with pytest.raises(ConfigurationError, match="nn_epoch"):
+            offline({**SMALL_CONFIG, "nn_epoch": "5"})
+        assert cli_main(["offline", "--config", str(f), "--out", str(tmp_path / "b")]) == 2
+        assert not (tmp_path / "b").exists()
+
+    def test_windkessel_keys_accepted(self):
+        cfg = parse_config("wk_0 = 35.0,590.0,8e-4\nwk_1 = 1,2,3\nwk_file = wk.csv\n")
+        assert cfg["wk_1"] == "1,2,3" and cfg["wk_file"] == "wk.csv"
+
 
 class TestOffline:
     def test_bundle_files_present(self, bundle_dir):
@@ -159,6 +173,26 @@ class TestOnline:
         rec, report = online(bundle, query_times=times, dt_r=0.005)
         assert report.err_u is not None and report.err_u.size == times.size
 
+    def test_instants_next_to_a_step(self, bundle):
+        # instants a few ns to a us past a stored one once made sub-us steps
+        # and a false StabilityError
+        t = bundle.train.times[3] + np.array([0.0, 2e-9, 1e-7, 1e-6])
+        rec, _ = online(bundle, query_times=t, timing_reps=1)
+        assert np.array_equal(rec.times, t)
+        assert np.all(np.isfinite(rec.velocity.values)) and np.all(np.isfinite(rec.pressure.values))
+
+    def test_off_step_instant_interpolates_coefficients(self, bundle):
+        wf, lift, dt = bundle.waveform, bundle.lifting, bundle.dt_fom
+        t = bundle.train.times[3] + np.array([0.0, 0.25 * dt, dt])
+        rec, _ = online(bundle, query_times=t, timing_reps=1)
+        # the reduced part (field minus lifting) is affine in the coefficients
+        hom = rec.velocity.values - np.outer(wf.magnitude(t), lift.chi_u.values)
+        assert np.allclose(hom[1], 0.75 * hom[0] + 0.25 * hom[2], rtol=0, atol=1e-9 * np.abs(hom).max())
+        q = rec.outlet_pressure[:, 0]
+        hom_p = rec.pressure.values - np.outer(q, lift.chi_p[0].values)
+        assert np.allclose(hom_p[1], 0.75 * hom_p[0] + 0.25 * hom_p[2], rtol=0,
+                           atol=1e-9 * np.abs(hom_p).max())
+
     def test_query_window_guard(self, bundle):
         with pytest.raises(ConfigurationError):
             online(bundle, query_times=np.array([0.6, 1.2]))
@@ -205,8 +239,8 @@ class TestCompare:
         wf = bundle.waveform
         u_d = np.array([wf.magnitude(t) for t in bundle.train.times])
         hom = homogenize(bundle.train, u_d, bundle.train.outlet_pressure, bundle.lifting)
-        Phi = bu.mode_matrix()
-        Psi = bp.mode_matrix()
+        Phi = bu.modes.values
+        Psi = bp.modes.values
         vel, pres = [], []
         for m in range(len(bundle.train)):
             cu = project_coefficients(hom.velocity[m], bu)

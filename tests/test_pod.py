@@ -204,8 +204,8 @@ class TestProjectionError:
         b1 = pod_basis(fields, n_modes=4, kind="pressure")
         b2 = pod_basis(scaled, n_modes=4, kind="pressure")
         area = grid.cell_area
-        P1 = b1.mode_matrix().T @ b1.mode_matrix() * area
-        P2 = b2.mode_matrix().T @ b2.mode_matrix() * area
+        P1 = b1.modes.values.T @ b1.modes.values * area
+        P2 = b2.modes.values.T @ b2.modes.values * area
         assert np.linalg.norm(P1 - P2, 2) < 1e-10
 
 
@@ -225,5 +225,5 @@ class TestCoefficients:
         fields = _random_set(grid, rng, 5)
         basis = pod_basis(fields)
         c = project_coefficients(fields[2], basis)
-        recon = basis.mode_matrix().T @ c
+        recon = basis.modes.values.T @ c
         assert np.allclose(recon, fields[2].values, atol=1e-10 * np.abs(fields[2].values).max())

@@ -31,7 +31,7 @@ def stokes_setup():
     res = fom_run(cfg)
     lift = compute_lifting(grid)
     u_d = np.array([wf.magnitude(t) for t in res.snapshots.times])
-    hom = homogenize(res.snapshots, u_d, res.outlet_pressure, lift)
+    hom = homogenize(res.snapshots, u_d, res.snapshots.outlet_pressure, lift)
     basis_u = pod_basis(hom.velocity, kind="velocity")
     basis_p = pod_basis(hom.pressure, kind="pressure")
     return dict(grid=grid, cfg=cfg, res=res, lift=lift, hom=hom,
@@ -160,8 +160,8 @@ class TestAssemble:
         q = -1.3
         nu = s["cfg"].nu
 
-        Phi = enriched.mode_matrix()
-        Psi = s["basis_p"].mode_matrix()
+        Phi = enriched.modes.values
+        Psi = s["basis_p"].modes.values
         uvals = a @ Phi + g * lift.chi_u.values
         field_u = Field(grid, "vector2", uvals)
         pvals = b @ Psi + q * lift.chi_p[0].values
@@ -299,10 +299,10 @@ class TestReconstruct:
         b = project_coefficients(hom.pressure[m], bp)
         eps = 1e-6
         traj = ReducedTrajectory(np.array([t_m, t_m + eps]), np.vstack([a, a]), np.vstack([b, b]))
-        q = res.outlet_pressure[m, 0]
+        q = res.snapshots.outlet_pressure[m, 0]
         rec = reconstruct(bu, bp, traj, lift, wf, lambda t: q)
         # reconstruction equals P_N of the snapshot plus lifting
-        Phi = bu.mode_matrix()
+        Phi = bu.modes.values
         expect = a @ Phi + wf.magnitude(t_m) * lift.chi_u.values
         assert np.abs(rec.velocity[0].values - expect).max() <= 1e-12 * max(
             1.0, np.abs(expect).max())
