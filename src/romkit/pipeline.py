@@ -192,15 +192,8 @@ class Bundle:
         """Continuous per-outlet outflow pressure from the trained networks."""
         if not self.nn_models:
             return None
-        keys = sorted(self.nn_models)
-
-        def p_d(t):
-            vals = [predict_outflow(self.nn_models[k], t) for k in keys]
-            if np.ndim(t) == 0:
-                return np.array(vals)
-            return np.stack([np.asarray(v) for v in vals], axis=-1)
-
-        return p_d
+        models = [self.nn_models[k] for k in sorted(self.nn_models)]
+        return lambda t: np.stack([np.asarray(predict_outflow(m, t)) for m in models], axis=-1)
 
     def mode_selection(self, n_u: int | None = None, n_p: int | None = None):
         """Velocity index set (modes + matching supremizers) and n_p."""
@@ -275,9 +268,25 @@ class Bundle:
         # fom_wall_time varies run to run; hash only the deterministic artifacts
         (d / "manifest.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
 
+    @staticmethod
+    def _check_manifest(d: Path) -> None:
+        """FormatError unless every file manifest.json names exists with its SHA-256."""
+        try:
+            files = json.loads((d / "manifest.json").read_text())["files"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"no readable manifest.json under {d}: {exc}")
+        for name, digest in files.items():
+            try:
+                data = (d / name).read_bytes()
+            except OSError:
+                raise FormatError(f"bundle file {name!r} named in manifest.json is missing")
+            if hashlib.sha256(data).hexdigest() != digest:
+                raise FormatError(f"bundle file {name!r} does not match its manifest hash")
+
     @classmethod
     def load(cls, directory) -> "Bundle":
         d = Path(directory)
+        cls._check_manifest(d)
         try:
             rom = json.loads((d / "rom.json").read_text())
         except FileNotFoundError:
@@ -591,18 +600,19 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
 
     dt_r sets the reduced integration step (defaults to the full-order dt
     recorded in the bundle).  The reduced system steps on the uniform dt_r
-    grid from the training-window start; the coefficients at an instant
-    between two steps are interpolated linearly from them, and only the
-    query instants are reconstructed.  Query times must stay within 10% of
-    the window span beyond the training window.
+    grid from the training-window start, where the stored initial state is;
+    the coefficients at an instant between two steps are interpolated
+    linearly from them, and only the query instants are reconstructed.
+    Query times must lie in [t_lo, t_hi + 10% of the window span].
     """
     train_times = bundle.train.times
     t_lo, t_hi = float(train_times[0]), float(train_times[-1])
     if query_times is None:
         query_times = train_times.copy()
     query_times = np.asarray(query_times, dtype=np.float64)
-    span = t_hi - t_lo
-    if query_times.min() < t_lo - 0.1 * span or query_times.max() > t_hi + 0.1 * span:
+    if query_times.min() < t_lo - 1e-9:
+        raise ConfigurationError(f"query times start before the training window ({t_lo!r})")
+    if query_times.max() > t_hi + 0.1 * (t_hi - t_lo):
         raise ConfigurationError("query times exceed the training window by more than 10%")
 
     if want_pressure is None:
@@ -619,11 +629,10 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     bp = bundle.sliced_basis_p(n_p)
 
     # steps k*dt_r from t_lo, covering the window and every instant; an
-    # instant within 1e-9 steps past an end step counts as on it
+    # instant within 1e-9 steps past the last step counts as on it
     substep = bundle.dt_fom if dt_r is None else float(dt_r)
-    k_lo = min(0, int(np.floor((query_times.min() - t_lo) / substep + 1e-9)))
     k_hi = max(1, int(np.ceil((max(t_hi, query_times.max()) - t_lo) / substep - 1e-9)))
-    steps = t_lo + substep * np.arange(k_lo, k_hi + 1)
+    steps = t_lo + substep * np.arange(k_hi + 1)
 
     first = bundle.train.take(slice(0, 1))
     hom0 = homogenize(first, bundle.waveform.magnitude(first.times),
@@ -633,18 +642,22 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
 
     p_d = bundle.outlet_pressure_fn() if bundle.lift_pressure else None
 
+    # the timed solve includes the network evaluation at the steps
     solve_times = []
     traj = None
     for _ in range(max(1, timing_reps)):
         t0 = time.perf_counter()
-        traj = integrate_rom(ops, a0, steps, bundle.waveform, p_d, b0=b0)
+        q_steps = None if p_d is None else p_d(steps)
+        traj = integrate_rom(ops, a0, steps, bundle.waveform, q_steps, b0=b0)
         solve_times.append(time.perf_counter() - t0)
     t_solve = float(np.median(solve_times))
 
     t0 = time.perf_counter()
     at_query = ReducedTrajectory(query_times, _interpolate(steps, traj.a, query_times),
                                  _interpolate(steps, traj.b, query_times))
-    rec = reconstruct(bu, bp, at_query, bundle.lifting, bundle.waveform, p_d, nu=bundle.nu)
+    q_query = None if p_d is None else p_d(query_times)
+    rec = reconstruct(bu, bp, at_query, bundle.lifting, bundle.waveform, q_query,
+                      nu=bundle.nu)
     t_reconstruct = time.perf_counter() - t0
 
     # errors against whichever stored set covers the query times

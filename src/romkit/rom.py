@@ -35,7 +35,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import FormatError, NumericalError, ShapeError, StabilityError
@@ -271,116 +270,91 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
                             d5=d5, d6=d6, d7=d7, nu=float(nu))
 
 
-def _outlet_series(p_d, times: np.ndarray, n_outlets: int) -> np.ndarray:
-    """(T, n_outlets) outlet pressures of ``p_d`` at the times: one vectorized
-    call, or one call per time for a p_d that only takes scalars.  None
-    means homogeneous outlet pressure."""
+def _outlet_array(p_d, n_times: int, n_outlets: int) -> np.ndarray:
+    """The (T, n_outlets) outlet-pressure array, zeros for None."""
     if p_d is None:
-        return np.zeros((times.size, n_outlets))
-    try:
-        q = np.asarray(p_d(times), dtype=np.float64)
-        if q.shape == (times.size,):
-            q = q[:, None]
-        if q.shape != (times.size, n_outlets):
-            raise ShapeError
-    except (ShapeError, TypeError, KeyError):
-        q = np.array([np.atleast_1d(p_d(float(t))) for t in times], dtype=np.float64)
-    if q.shape != (times.size, n_outlets):
-        raise ShapeError(f"p_d must yield {n_outlets} values per time")
+        return np.zeros((n_times, n_outlets))
+    q = np.asarray(p_d, dtype=np.float64)
+    if q.shape != (n_times, n_outlets):
+        raise ShapeError(f"p_d must have shape ({n_times}, {n_outlets}), got {q.shape}")
     return q
 
 
 def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Waveform,
-                  p_d=None, convection_on: bool = True, b0=None) -> ReducedTrajectory:
-    """Semi-implicit Euler integration of the reduced dynamical system.
+                  p_d=None, b0=None) -> ReducedTrajectory:
+    """Semi-implicit Euler integration of the reduced system on a uniform grid.
 
-    ``p_d`` maps a time to the per-outlet boundary pressures (scalar is fine
-    for a single outlet); None means homogeneous outlet pressure.  The
-    pressure multiplier only exists from the first step onward; ``b0`` seeds
-    the reported initial value (backfilled from step one when omitted).
+    ``p_d`` is the (T, n_outlets) array of outlet pressures at the times, or
+    None for homogeneous outlet pressure.  The saddle matrix of the one step
+    size is inverted once and all boundary forcing is mapped through that
+    inverse before the loop, so a step is one outer product and one matvec.
+    The pressure multiplier only exists from the first step onward; ``b0``
+    seeds the reported initial value (backfilled from step one when omitted).
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
         raise ShapeError("need at least two time points")
-    if np.any(np.diff(times) <= 0):
-        raise ShapeError("times must be strictly increasing")
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    if not (dt > 0 and np.abs(np.diff(times) - dt).max() <= 1e-6 * dt):
+        raise ShapeError("times must be increasing and uniformly spaced")
     a0 = np.asarray(a0, dtype=np.float64)
     if a0.shape != (ops.n_u,):
         raise ShapeError(f"a0 must have length {ops.n_u}")
+    q = _outlet_array(p_d, times.size, ops.n_outlets)
 
     n_u, n_p = ops.n_u, ops.n_p
-    n = n_u + n_p
+    M = np.block([[np.eye(n_u) / dt - ops.nu * ops.B, ops.K],
+                  [ops.P, np.zeros((n_p, n_p))]])
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > SADDLE_COND_LIMIT:
+        raise StabilityError(
+            f"reduced saddle matrix is numerically singular "
+            f"(cond ~ {cond:.2e}); enrich the velocity basis with "
+            f"supremizer modes before integrating"
+        )
+    S = np.linalg.inv(M)
 
-    # boundary data precomputed over the whole grid: the step loop is the
-    # timed online path and should touch only reduced-size arrays
-    g_all = waveform.magnitude(times)
-    gdot_all = waveform.magnitude_dot(times)
-    d5_forcing = _outlet_series(p_d, times, ops.n_outlets) @ ops.d5     # (T, Nu)
+    # boundary forcing of step m -> m+1, mapped through S: lifting terms at
+    # t_{m+1}, the explicit g^2 d4 convection term at t_m
+    g = waveform.magnitude(times)
+    forcing = np.hstack([
+        (ops.nu * g[1:, None]) * ops.d1 - q[1:] @ ops.d5
+        - waveform.magnitude_dot(times[1:])[:, None] * ops.d6 - (g[:-1, None] ** 2) * ops.d4,
+        -g[1:, None] * ops.d7,
+    ])
+    sol = np.empty((times.size, n_u + n_p))
+    sol[0, :n_u] = a0
+    sol[1:] = forcing @ S.T
 
-    factor_cache = {}
-
-    def factor_for(dt: float):
-        # quantized so float jitter in accumulated time grids shares one LU
-        key = round(dt, 12)
-        if key not in factor_cache:
-            M = np.zeros((n, n))
-            M[:n_u, :n_u] = np.eye(n_u) / dt - ops.nu * ops.B
-            if n_p:
-                M[:n_u, n_u:] = ops.K
-                M[n_u:, :n_u] = ops.P
-            cond = np.linalg.cond(M)
-            if not np.isfinite(cond) or cond > SADDLE_COND_LIMIT:
-                raise StabilityError(
-                    f"reduced saddle matrix is numerically singular "
-                    f"(cond ~ {cond:.2e}); enrich the velocity basis with "
-                    f"supremizer modes before integrating"
-                )
-            factor_cache[key] = sla.lu_factor(M, check_finite=False)
-        return factor_cache[key]
-
-    Ct_flat = ops.Ct.reshape(n_u, n_u * n_u)
-    D23 = ops.d2 + ops.d3
-    a_hist = np.empty((times.size, n_u))
-    b_hist = np.empty((times.size, n_p))
-    a = a0.copy()
-    a_hist[0] = a
-    rhs = np.empty(n)
-    dts = np.diff(times)
+    # the rest of a step is one matvec on the rows of outer([1, g_m, a], a),
+    # i.e. on [a; g_m a; a (x) a]: L = S[:, :n_u] [I/dt, -(d2 + d3), -Ct]
+    L = S[:, :n_u] @ np.hstack([np.eye(n_u) / dt, -(ops.d2 + ops.d3),
+                                -ops.Ct.reshape(n_u, n_u * n_u)])
+    z = np.ones(n_u + 2)
+    z[2:] = a0
     for m in range(times.size - 1):
-        dt = dts[m]
-        g_n = g_all[m]
-        g_np1 = g_all[m + 1]
-
-        rhs_a = a / dt + (ops.nu * g_np1) * ops.d1 - d5_forcing[m + 1] - gdot_all[m + 1] * ops.d6
-        if convection_on:
-            rhs_a -= Ct_flat @ np.outer(a, a).ravel()
-            rhs_a -= g_n * (D23 @ a) + g_n * g_n * ops.d4
-        rhs[:n_u] = rhs_a
-        if n_p:
-            rhs[n_u:] = -g_np1 * ops.d7
-        sol = sla.lu_solve(factor_for(dt), rhs, check_finite=False)
-        a = sol[:n_u]
-        a_hist[m + 1] = a
-        if n_p:
-            b_hist[m + 1] = sol[n_u:]
-    if not np.all(np.isfinite(a_hist)):
+        z[1] = g[m]
+        sol[m + 1] += L @ np.outer(z, z[2:]).ravel()
+        z[2:] = sol[m + 1, :n_u]
+    if not np.all(np.isfinite(sol[1:])):
         raise NumericalError("reduced trajectory diverged")
-    if n_p:
-        if b0 is not None:
-            b0 = np.asarray(b0, dtype=np.float64)
-            if b0.shape != (n_p,):
-                raise ShapeError(f"b0 must have length {n_p}")
-            b_hist[0] = b0
-        else:
-            b_hist[0] = b_hist[1] if times.size > 1 else 0.0
-    return ReducedTrajectory(times.copy(), a_hist, b_hist)
+    if b0 is None:
+        sol[0, n_u:] = sol[1, n_u:]
+    else:
+        b0 = np.asarray(b0, dtype=np.float64)
+        if b0.shape != (n_p,):
+            raise ShapeError(f"b0 must have length {n_p}")
+        sol[0, n_u:] = b0
+    return ReducedTrajectory(times.copy(), sol[:, :n_u], sol[:, n_u:])
 
 
 def reconstruct(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
                 traj: ReducedTrajectory, lift: LiftingPair, waveform: Waveform,
                 p_d=None, nu: float = 0.0) -> SnapshotSet:
     """Full-field snapshots from reduced coefficients plus boundary lifting:
-    one mode product per field and one rank-1 term per lifting field."""
+    one mode product per field and one rank-1 term per lifting field.
+    ``p_d`` is the (T, n_outlets) outlet-pressure array at the trajectory
+    times, or None for homogeneous outlet pressure."""
     grid = basis_u.grid
     if traj.a.shape[1] != basis_u.n_modes:
         raise ShapeError("trajectory width does not match velocity basis")
@@ -389,7 +363,7 @@ def reconstruct(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
 
     vel = traj.a @ basis_u.modes.values + np.outer(waveform.magnitude(traj.times),
                                                     lift.chi_u.values)
-    q = _outlet_series(p_d, traj.times, lift.n_outlets)
+    q = _outlet_array(p_d, traj.times.size, lift.n_outlets)
     pres = (traj.b @ basis_p.modes.values if basis_p is not None
             else np.zeros((traj.times.size, grid.n_scalar)))
     for k in range(lift.n_outlets):

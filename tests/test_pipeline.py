@@ -1,10 +1,11 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from romkit.cli import main as cli_main
-from romkit.errors import ConfigurationError
+from romkit.errors import ConfigurationError, FormatError
 from romkit.grid import SnapshotSet
 from romkit.pipeline import (
     Bundle,
@@ -124,6 +125,22 @@ class TestOffline:
             for wa, wb in zip(again.nn_models[k].weights, bundle.nn_models[k].weights):
                 assert np.array_equal(wa, wb)
 
+    def test_corrupted_bundle_rejected(self, bundle_dir, tmp_path):
+        flipped = tmp_path / "flipped"
+        shutil.copytree(bundle_dir, flipped)
+        raw = bytearray((flipped / "operators.bin").read_bytes())
+        raw[-1] ^= 0x01
+        (flipped / "operators.bin").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="operators.bin"):
+            Bundle.load(flipped)
+        assert cli_main(["online", "--bundle", str(flipped), "--out", str(tmp_path / "r")]) == 2
+
+        missing = tmp_path / "missing"
+        shutil.copytree(bundle_dir, missing)
+        (missing / "nn_0.json").unlink()
+        with pytest.raises(FormatError, match="missing"):
+            Bundle.load(missing)
+
     def test_velocity_only_flagged(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
         cfg["n_p"] = "0"
@@ -196,6 +213,21 @@ class TestOnline:
     def test_query_window_guard(self, bundle):
         with pytest.raises(ConfigurationError):
             online(bundle, query_times=np.array([0.6, 1.2]))
+
+    def test_instant_before_window_rejected(self, bundle):
+        t_lo = float(bundle.train.times[0])
+        with pytest.raises(ConfigurationError, match="before the training window"):
+            online(bundle, query_times=np.array([t_lo - 0.02, t_lo]), timing_reps=1)
+
+    def test_stored_rows_independent_of_later_instants(self, bundle):
+        times = bundle.train.times
+        stored = times[[0, 3, times.size - 1]]
+        later = np.append(stored, times[-1] + 0.05 * (times[-1] - times[0]))
+        rec, _ = online(bundle, query_times=stored, timing_reps=1)
+        ext, _ = online(bundle, query_times=later, timing_reps=1)
+        for a, b in ((rec.velocity.values, ext.velocity.values[:3]),
+                     (rec.pressure.values, ext.pressure.values[:3])):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     def test_mode_override(self, bundle):
         _, r_small = online(bundle, modes=(2, 2), timing_reps=1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,34 @@ def stokes_setup():
     basis_p = pod_basis(hom.pressure, kind="pressure")
     return dict(grid=grid, cfg=cfg, res=res, lift=lift, hom=hom,
                 basis_u=basis_u, basis_p=basis_p, wf=wf)
+
+
+def _stokes(ops):
+    """The operators with every convection tensor zeroed."""
+    return dataclasses.replace(ops, Ct=np.zeros_like(ops.Ct), d2=np.zeros_like(ops.d2),
+                               d3=np.zeros_like(ops.d3), d4=np.zeros_like(ops.d4))
+
+
+def _dense_oracle(ops, a0, times, wf, q):
+    """Reference semi-implicit Euler: one dense saddle solve per step."""
+    n_u, n_p = ops.n_u, ops.n_p
+    a, a_out, b_out = a0.copy(), [a0.copy()], [np.zeros(n_p)]
+    for m in range(times.size - 1):
+        dt = times[m + 1] - times[m]
+        g0, g1 = wf.magnitude(float(times[m])), wf.magnitude(float(times[m + 1]))
+        M = np.zeros((n_u + n_p, n_u + n_p))
+        M[:n_u, :n_u] = np.eye(n_u) / dt - ops.nu * ops.B
+        M[:n_u, n_u:] = ops.K
+        M[n_u:, :n_u] = ops.P
+        rhs_u = (a / dt + ops.nu * g1 * ops.d1 - q[m + 1] @ ops.d5
+                 - wf.magnitude_dot(float(times[m + 1])) * ops.d6
+                 - np.einsum("ijk,j,k->i", ops.Ct, a, a)
+                 - g0 * (ops.d2 + ops.d3) @ a - g0 * g0 * ops.d4)
+        sol = np.linalg.solve(M, np.concatenate([rhs_u, -g1 * ops.d7]))
+        a = sol[:n_u]
+        a_out.append(a)
+        b_out.append(sol[n_u:])
+    return np.array(a_out), np.array(b_out)
 
 
 def _zero_lifting(grid):
@@ -229,10 +259,8 @@ class TestIntegrate:
         enriched = supremizer_enrich(s["basis_u"], s["basis_p"], s["grid"])
         ops = assemble_operators(enriched, s["basis_p"], s["lift"], s["cfg"].nu, s["grid"])
         a_fom = project_coefficients(hom.velocity, enriched)
-        pd_map = {round(float(t), 10): res.step_outlet_pressure[m]
-                  for m, t in enumerate(res.step_times)}
-        traj = integrate_rom(ops, a_fom[0], res.step_times, wf,
-                             lambda t: pd_map[round(float(t), 10)], convection_on=False)
+        traj = integrate_rom(_stokes(ops), a_fom[0], res.step_times, wf,
+                             res.step_outlet_pressure)
         idx = np.searchsorted(res.step_times, res.snapshots.times)
         diff = np.linalg.norm(traj.a[idx] - a_fom, axis=1)
         full = np.array([l2_norm(f) for f in res.snapshots.velocity])
@@ -251,7 +279,7 @@ class TestIntegrate:
         ops = assemble_operators(enriched, s["basis_p"], s["lift"], s["cfg"].nu, s["grid"])
         quiet = Waveform(kind="constant", u_sys=0.0)
         a0 = rng.standard_normal(ops.n_u)
-        traj = integrate_rom(ops, a0, np.linspace(0, 0.5, 51), quiet, None, convection_on=False)
+        traj = integrate_rom(_stokes(ops), a0, np.linspace(0, 0.5, 51), quiet, None)
         norms = np.linalg.norm(traj.a, axis=1)
         assert np.all(np.diff(norms) <= 1e-12 * norms[0])
 
@@ -273,6 +301,36 @@ class TestIntegrate:
             integrate_rom(ops, np.zeros(ops.n_u + 1), [0.0, 0.1], s["wf"], None)
         with pytest.raises(ShapeError):
             integrate_rom(ops, np.zeros(ops.n_u), [0.1, 0.1], s["wf"], None)
+        with pytest.raises(ShapeError, match="uniform"):
+            integrate_rom(ops, np.zeros(ops.n_u), [0.0, 0.01, 0.025, 0.03], s["wf"], None)
+        times = np.linspace(0, 0.1, 11)
+        for bad in (np.zeros(times.size), np.zeros((times.size, 2)), np.zeros((10, 1))):
+            with pytest.raises(ShapeError, match="p_d"):
+                integrate_rom(ops, np.zeros(ops.n_u), times, s["wf"], bad)
+
+    @pytest.mark.parametrize("n_p", [0, 3])
+    def test_matches_dense_per_step_solve(self, rng, n_p):
+        # random operators, so that every convection and lifting term counts
+        n_u, n_out = 6, 2
+        A = rng.standard_normal((n_u, n_u))
+        K = rng.standard_normal((n_u, n_p))
+        ops = ReducedOperators(
+            B=-(A @ A.T) - np.eye(n_u), Ct=0.3 * rng.standard_normal((n_u,) * 3), K=K, P=-K.T,
+            d1=rng.standard_normal(n_u), d2=rng.standard_normal((n_u, n_u)),
+            d3=rng.standard_normal((n_u, n_u)), d4=rng.standard_normal(n_u),
+            d5=rng.standard_normal((n_out, n_u)), d6=rng.standard_normal(n_u),
+            d7=rng.standard_normal(n_p), nu=0.05)
+        wf = Waveform(kind="pulse", u_sys=1.0, t_cycle=0.24, systole_frac=0.4)
+        times = np.linspace(0.0, 0.12, 25)
+        q = rng.standard_normal((times.size, n_out))
+        a0 = 0.1 * rng.standard_normal(n_u)
+        a_ref, b_ref = _dense_oracle(ops, a0, times, wf, q)
+        traj = integrate_rom(ops, a0, times, wf, q)
+        assert np.abs(traj.a - a_ref).max() <= 1e-10 * np.abs(a_ref).max()
+        assert traj.b.shape == (times.size, n_p)
+        if n_p:
+            assert np.abs(traj.b[1:] - b_ref[1:]).max() <= 1e-10 * np.abs(b_ref).max()
+            assert np.array_equal(traj.b[0], traj.b[1])
 
 
 class TestReconstruct:
@@ -282,8 +340,7 @@ class TestReconstruct:
         times = np.array([0.03, 0.06])
         traj = ReducedTrajectory(times, np.zeros((2, s["basis_u"].n_modes)),
                                  np.zeros((2, s["basis_p"].n_modes)))
-        q_fun = lambda t: 2.5
-        rec = reconstruct(s["basis_u"], s["basis_p"], traj, lift, wf, q_fun)
+        rec = reconstruct(s["basis_u"], s["basis_p"], traj, lift, wf, np.full((2, 1), 2.5))
         for m, t in enumerate(times):
             g = wf.magnitude(float(t))
             assert np.allclose(rec.velocity[m].values, g * lift.chi_u.values, atol=0)
@@ -300,7 +357,7 @@ class TestReconstruct:
         eps = 1e-6
         traj = ReducedTrajectory(np.array([t_m, t_m + eps]), np.vstack([a, a]), np.vstack([b, b]))
         q = res.snapshots.outlet_pressure[m, 0]
-        rec = reconstruct(bu, bp, traj, lift, wf, lambda t: q)
+        rec = reconstruct(bu, bp, traj, lift, wf, np.full((2, 1), q))
         # reconstruction equals P_N of the snapshot plus lifting
         Phi = bu.modes.values
         expect = a @ Phi + wf.magnitude(t_m) * lift.chi_u.values
