@@ -32,14 +32,23 @@ def _write_outlet_pressure_csv(path, times, outlet_pressure):
     Path(path).write_text("\n".join(rows) + "\n")
 
 
+def _write_diagnostics_csv(path, result):
+    rows = ["step,t,poisson_iters,div_max"]
+    for i in range(result.n_steps):
+        rows.append(f"{i + 1},{float(result.step_times[i + 1])!r},"
+                    f"{int(result.poisson_iters[i])},{float(result.div_max[i])!r}")
+    Path(path).write_text("\n".join(rows) + "\n")
+
+
 def _cmd_fom(args):
-    cfg = pipeline.parse_config(args.config)
+    cfg = pipeline.parse_config(Path(args.config))
     fom_cfg = pipeline.build_fom_config(cfg)
     result = fom_run(fom_cfg)
     out = Path(args.out)
     result.snapshots.save(out)
     _write_outlet_pressure_csv(out / "outlet_pressure.csv",
                                result.snapshots.times, result.snapshots.outlet_pressure)
+    _write_diagnostics_csv(out / "diagnostics.csv", result)
     drift = "n/a" if result.cycle_drift is None else f"{result.cycle_drift:.3e}"
     print(f"fom: {result.n_steps} steps, {len(result.snapshots)} snapshots, "
           f"{result.wall_time:.2f}s, cycle drift {drift} -> {out}")
@@ -57,7 +66,7 @@ def _parse_modes(text):
 
 
 def _cmd_offline(args):
-    cfg = pipeline.parse_config(args.config)
+    cfg = pipeline.parse_config(Path(args.config))
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
     modes = _parse_modes(args.modes)

@@ -25,11 +25,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import cg
 
 from .errors import ConfigurationError, NumericalError
 from .grid import FieldRows, Grid, SnapshotSet
-from .operators import advanced_masks, center_laplacian, convection, divergence, gradient, vec_laplacian
+from .operators import (advanced_masks, center_laplacian, cg, convection, divergence, gradient,
+                        vec_laplacian)
 from .windkessel import WindkesselParams, WindkesselState, wk_step
 
 POISSON_RTOL = 1e-10
@@ -152,6 +152,8 @@ class FomState:
     p: np.ndarray
     wk: dict
     t: float
+    poisson_iters: int = 0     # CG iterations of the step that produced this state
+    div_max: float = 0.0       # max |div u| after its pressure correction
 
 
 def _side_flux(grid: Grid, u: np.ndarray, v: np.ndarray, side: str) -> float:
@@ -260,7 +262,8 @@ class FomSolver:
                 f"{DIV_TOL_FACTOR * u_ref / min(g.hx, g.hy):.3e}"
             )
 
-        return FomState(grid=g, u=u_new, v=v_new, p=p_new, wk=wk_new, t=t_new)
+        return FomState(grid=g, u=u_new, v=v_new, p=p_new, wk=wk_new, t=t_new,
+                        poisson_iters=n_iter[0], div_max=float(div_inf))
 
     def run(self) -> "FomResult":
         cfg, g = self.cfg, self.grid
@@ -275,6 +278,8 @@ class FomSolver:
         vels = np.empty((len(row), g.n_vector))
         pres = np.empty((len(row), g.n_scalar))
         times_full, pouts_full = [], []
+        poisson_iters = np.zeros(n_steps, dtype=np.int64)
+        div_max = np.zeros(n_steps)
 
         def record(i: int, state: FomState):
             times_full.append(state.t)
@@ -291,6 +296,7 @@ class FomSolver:
         for i in range(1, n_steps + 1):
             state = self.advance(state)
             record(i, state)
+            poisson_iters[i - 1], div_max[i - 1] = state.poisson_iters, state.div_max
             if t_ref is not None and cycle_ref is None and state.t >= t_ref - 1e-12:
                 cycle_ref = (state.u.copy(), state.v.copy())
         t_wall = time.perf_counter() - t_wall
@@ -308,7 +314,8 @@ class FomSolver:
                             waveform=cfg.waveform.to_dict(),
                             outlet_pressure=step_pouts[recorded])
         return FomResult(snapshots=snaps, wall_time=t_wall, cycle_drift=drift, n_steps=n_steps,
-                         step_times=step_times, step_outlet_pressure=step_pouts)
+                         step_times=step_times, step_outlet_pressure=step_pouts,
+                         poisson_iters=poisson_iters, div_max=div_max)
 
 
 @dataclass
@@ -319,6 +326,8 @@ class FomResult:
     n_steps: int
     step_times: np.ndarray | None = None            # every step, for fine queries
     step_outlet_pressure: np.ndarray | None = None
+    poisson_iters: np.ndarray | None = None         # per step 1..n_steps: Poisson CG iterations
+    div_max: np.ndarray | None = None               # and max |div u| after the correction
 
 
 def fom_run(cfg: FomConfig) -> FomResult:

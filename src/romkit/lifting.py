@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import cg
 
 from .errors import ConfigurationError, FormatError, NumericalError, ShapeError
 from .grid import Field, FieldRows, Grid, SnapshotSet
-from .operators import center_laplacian, divergence
+from .operators import center_laplacian, cg, divergence
 
 LIFT_RTOL = 1e-12
 LIFT_RESIDUAL_TOL = 1e-10

@@ -38,13 +38,12 @@ REFERENCE_NN_DEFAULTS = {
 }
 
 
-def _softplus(u):
-    return np.logaddexp(0.0, u)
+def _softplus(u, out):
+    return np.logaddexp(0.0, u, out=out)
 
 
-def _softplus_d(u):
+def _softplus_d(u, out):
     # stable sigmoid: exp only ever sees non-positive arguments
-    out = np.empty_like(u)
     pos = u >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
     e = np.exp(u[~pos])
@@ -52,31 +51,35 @@ def _softplus_d(u):
     return out
 
 
-def _tanh_d(u):
-    return 1.0 / np.cosh(np.clip(u, -300.0, 300.0)) ** 2
+def _tanh_d(u, out):
+    # 1/cosh(u)**2 with u clipped to [-300, 300] so that cosh stays finite
+    np.maximum(u, -300.0, out=out)
+    np.minimum(out, 300.0, out=out)
+    np.cosh(out, out=out)
+    np.square(out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
-def _relu(u):
-    return np.maximum(u, 0.0)
+def _relu(u, out):
+    return np.maximum(u, 0.0, out=out)
 
 
-def _relu_d(u):
-    return (u > 0).astype(np.float64)
+def _relu_d(u, out):
+    return np.greater(u, 0.0, out=out)
 
 
-def _identity(u):
-    return u
+def _one(u, out):
+    out.fill(1.0)
+    return out
 
 
-def _one(u):
-    return np.ones_like(u)
-
-
+# name: (activation(u, out), derivative(u, out)); each writes into `out` the
+# same bits as its allocating form
 ACTIVATIONS = {
     "softplus": (_softplus, _softplus_d),
     "tanh": (np.tanh, _tanh_d),
     "relu": (_relu, _relu_d),
-    "identity": (_identity, _one),
+    "identity": (np.positive, _one),
 }
 
 
@@ -130,18 +133,74 @@ def init_model(hidden_neurons: int = 150, hidden_layers: int = 2,
                    tuple(map(float, x_range)), tuple(map(float, y_range)))
 
 
-def _forward_normalized(model: NNModel, xn: np.ndarray):
-    """All pre-activations and layer outputs for a normalized input row."""
-    act, _ = ACTIVATIONS[model.activation]
-    y = xn[None, :]
-    pre, post = [], [y]
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        u = w @ y + b[:, None]
-        pre.append(u)
-        y = u if l == last else act(u)
-        post.append(y)
-    return pre, post
+def _layer_views(flat: np.ndarray, sizes) -> list:
+    """(W_l, b_l) views of a flat parameter or gradient array, layer by layer."""
+    views, i = [], 0
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        w = flat[i:i + n_out * n_in].reshape(n_out, n_in)
+        i += n_out * n_in
+        views.append((w, flat[i:i + n_out]))
+        i += n_out
+    return views
+
+
+class _Batch:
+    """Normalized samples (inputs as a (1, m) row) and the buffers of a
+    forward pass over them; with targets `yn`, also those of a backward pass."""
+
+    def __init__(self, sizes, xn: np.ndarray, yn: np.ndarray | None = None):
+        m = xn.size
+        self.yn = yn
+        self.pre = [np.empty((s, m)) for s in sizes[1:]]
+        # post[l] is the input of layer l; the linear output layer's is its pre
+        self.post = [xn[None, :]] + [np.empty((s, m)) for s in sizes[1:-1]] + [self.pre[-1]]
+        if yn is not None:
+            self.delta = [np.empty((s, m)) for s in sizes[1:]]
+            self.dact = [np.empty((s, m)) for s in sizes[1:-1]]
+
+
+def _forward(layers, act, batch: _Batch) -> np.ndarray:
+    """Fill the batch's pre-activations and layer outputs; returns the output row."""
+    pre, post = batch.pre, batch.post
+    last = len(layers) - 1
+    for l, (w, b) in enumerate(layers):
+        u = pre[l]
+        if w.shape[1] == 1:
+            np.multiply(w, post[l], out=u)      # a K = 1 matmul: one product per entry
+        else:
+            np.matmul(w, post[l], out=u)
+        u += b[:, None]
+        if l < last:
+            act(u, out=post[l + 1])
+    return pre[last][0]
+
+
+def _mse(resid: np.ndarray) -> float:
+    return float(np.add.reduce(resid * resid) / resid.size)
+
+
+def _backprop(layers, grads, activation, batch: _Batch) -> float:
+    """Mean squared error over the batch; writes its gradients into `grads`."""
+    act, dact = activation
+    resid = _forward(layers, act, batch) - batch.yn
+    delta = np.multiply(2.0 / resid.size, resid[None, :], out=batch.delta[-1])  # dL/du, output
+    for l in range(len(layers) - 1, -1, -1):
+        gw, gb = grads[l]
+        np.matmul(delta, batch.post[l].T, out=gw)
+        np.add.reduce(delta, axis=1, out=gb)
+        if l > 0:
+            w, back = layers[l][0], batch.delta[l - 1]
+            if w.shape[0] == 1:
+                np.multiply(w.T, delta, out=back)
+            else:
+                np.matmul(w.T, delta, out=back)
+            back *= dact(batch.pre[l - 1], out=batch.dact[l - 1])
+            delta = back
+    return _mse(resid)
+
+
+def _normalize(v: np.ndarray, lo_hi: tuple) -> np.ndarray:
+    return (v - lo_hi[0]) / _span(*lo_hi)
 
 
 def nn_forward(model: NNModel, x) -> np.ndarray | float:
@@ -149,11 +208,10 @@ def nn_forward(model: NNModel, x) -> np.ndarray | float:
     xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(xa)):
         raise ShapeError("non-finite network input")
-    xlo, xhi = model.x_range
-    xn = (xa - xlo) / _span(xlo, xhi)
-    _, post = _forward_normalized(model, xn)
+    batch = _Batch(model.layer_sizes, _normalize(xa, model.x_range))
+    yn = _forward(list(zip(model.weights, model.biases)), ACTIVATIONS[model.activation][0], batch)
     ylo, yhi = model.y_range
-    out = post[-1][0] * _span(ylo, yhi) + ylo
+    out = yn * _span(ylo, yhi) + ylo
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -167,27 +225,12 @@ def nn_backprop(model: NNModel, x, y):
     ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if xa.size == 0 or xa.shape != ya.shape:
         raise ShapeError("backprop needs a nonempty batch of matching x/y")
-    xlo, xhi = model.x_range
-    ylo, yhi = model.y_range
-    xn = (xa - xlo) / _span(xlo, xhi)
-    yn = (ya - ylo) / _span(ylo, yhi)
-
-    _, dact = ACTIVATIONS[model.activation]
-    pre, post = _forward_normalized(model, xn)
-    m = xa.size
-    n_layers = len(model.weights)
-
-    grad_w = [None] * n_layers
-    grad_b = [None] * n_layers
-    resid = post[-1][0] - yn
-    mse = float(np.mean(resid**2))
-    delta = (2.0 / m) * resid[None, :]                     # dL/du at the linear output
-    for l in range(n_layers - 1, -1, -1):
-        grad_w[l] = delta @ post[l].T
-        grad_b[l] = delta.sum(axis=1)
-        if l > 0:
-            delta = (model.weights[l].T @ delta) * dact(pre[l - 1])
-    return grad_w, grad_b, mse
+    sizes = model.layer_sizes
+    grads = _layer_views(np.empty(model.n_params), sizes)
+    batch = _Batch(sizes, _normalize(xa, model.x_range), _normalize(ya, model.y_range))
+    mse = _backprop(list(zip(model.weights, model.biases)), grads,
+                    ACTIVATIONS[model.activation], batch)
+    return [gw for gw, _ in grads], [gb for _, gb in grads], mse
 
 
 @dataclass(frozen=True)
@@ -231,33 +274,30 @@ def nn_train(model: NNModel, t, p, cfg: TrainConfig):
     t_train, p_train = ta[idx_train], pa[idx_train]
     t_test, p_test = ta[idx_test], pa[idx_test]
 
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
+    sizes = model.layer_sizes
+    train = _Batch(sizes, _normalize(t_train, model.x_range), _normalize(p_train, model.y_range))
+    test = _Batch(sizes, _normalize(t_test, model.x_range), _normalize(p_test, model.y_range))
+    # one flat parameter array and its gradient, so that a step is one update
+    theta = np.concatenate([a.ravel() for wb in zip(model.weights, model.biases) for a in wb])
+    grad = np.empty_like(theta)
+    layers, grads = _layer_views(theta, sizes), _layer_views(grad, sizes)
+    activation = ACTIVATIONS[model.activation]
     history = np.empty((cfg.epochs, 3))
+    history[:, 0] = np.arange(cfg.epochs)
     eta = cfg.learning_rate
 
-    def norm_mse(current, xa, ya):
-        xlo, xhi = current.x_range
-        ylo, yhi = current.y_range
-        xn = (xa - xlo) / _span(xlo, xhi)
-        yn = (ya - ylo) / _span(ylo, yhi)
-        _, post = _forward_normalized(current, xn)
-        return float(np.mean((post[-1][0] - yn) ** 2))
-
     for epoch in range(cfg.epochs):
-        current = replace(model, weights=tuple(weights), biases=tuple(biases))
-        gw, gb, train_mse = nn_backprop(current, t_train, p_train)
+        train_mse = _backprop(layers, grads, activation, train)
         if not np.isfinite(train_mse):
             raise TrainingError(
                 f"training diverged at epoch {epoch} (loss={train_mse}); "
                 f"reduce the learning rate (eta={eta})"
             )
-        history[epoch] = (epoch, train_mse, norm_mse(current, t_test, p_test))
-        for l in range(len(weights)):
-            weights[l] -= eta * gw[l]
-            biases[l] -= eta * gb[l]
-    trained = replace(model, weights=tuple(w.copy() for w in weights),
-                      biases=tuple(b.copy() for b in biases))
+        history[epoch, 1] = train_mse
+        history[epoch, 2] = _mse(_forward(layers, activation[0], test) - test.yn)
+        theta -= eta * grad
+    trained = replace(model, weights=tuple(w.copy() for w, _ in layers),
+                      biases=tuple(b.copy() for _, b in layers))
     return trained, history
 
 

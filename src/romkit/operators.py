@@ -13,6 +13,9 @@ stored face values:
 Convection is the divergence form div(a (x) b) with arithmetic face means,
 which keeps it bilinear in (a, b) -- a property the reduced convection
 tensor relies on.
+
+`cg` is the conjugate-gradient solver every SPD solve in romkit uses (the
+Poisson step, the lifting potentials, the supremizers).
 """
 
 from __future__ import annotations
@@ -223,3 +226,43 @@ def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset())
         return out
 
     return A, bc_vector
+
+
+def cg(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None, callback=None):
+    """Conjugate gradients for a real SPD `A` (anything with ``A @ x``).
+
+    Follows scipy.sparse.linalg.cg operation for operation with the identity
+    preconditioner -- ``||r|| = sqrt(r.r)``, ``rho = r.r``, one ``A @ p`` per
+    iteration -- so it returns the same bits, without wrapping `A` in a
+    LinearOperator on every call.  Same contract: stops once ``||r|| <
+    max(atol, rtol ||b||)``; returns ``(x, info)`` with info 0 on convergence
+    and `maxiter` (default 10 n) when it ran out; ``callback(x)`` runs after
+    every iteration; `x0` is copied, never modified.
+    """
+    b = np.asarray(b, dtype=np.float64).ravel()
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0:
+        return b.copy(), 0
+    if maxiter is None:
+        maxiter = 10 * b.size
+    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=np.float64).ravel()
+    r = b - A @ x if x.any() else b.copy()
+    rho_prev = p = None
+    for iteration in range(maxiter):
+        rho = np.dot(r, r)
+        if np.sqrt(rho) < atol:
+            return x, 0
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += r
+        else:
+            p = r.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback:
+            callback(x)
+    return x, maxiter

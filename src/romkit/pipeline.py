@@ -77,11 +77,17 @@ def _check_keys(cfg: dict) -> None:
         raise ConfigurationError(f"unknown config keys: {unknown}")
 
 
-def parse_config(source) -> dict:
-    """Flat key=value text (path or literal text); '#' starts a comment.
-    Unknown keys raise ConfigurationError."""
-    path = Path(source)
-    text = path.read_text() if path.exists() else str(source)
+def parse_config(source: Path | str) -> dict:
+    """Flat key=value config; '#' starts a comment.  A Path is read as a file,
+    a str is the config text itself.  An unreadable file and unknown keys
+    raise ConfigurationError."""
+    if isinstance(source, Path):
+        try:
+            text = source.read_text()
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config file {source}: {exc.strerror}") from exc
+    else:
+        text = source
     out = dict(DEFAULT_CONFIG)
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -347,12 +353,14 @@ class _stage:
         return False
 
 
-def offline(config: dict | str, out_dir=None, fom_result: FomResult | None = None):
+def offline(config: dict | Path | str, out_dir=None, fom_result: FomResult | None = None):
     """Run the whole offline stage; returns (Bundle, timings dict).
 
-    ``fom_result`` short-circuits the snapshot generation (used by ablation
-    studies that share one full-order run).  Any stage failure is re-raised
-    with the stage name attached and partial bundle output is removed.
+    ``config`` is a dict of config keys, or a file Path or config text as
+    parse_config reads them.  ``fom_result`` short-circuits the snapshot
+    generation (used by ablation studies that share one full-order run).  Any
+    stage failure is re-raised with the stage name attached and partial bundle
+    output is removed.
     """
     try:
         return _offline_stages(config, out_dir, fom_result)

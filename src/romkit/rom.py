@@ -35,14 +35,14 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import FormatError, NumericalError, ShapeError, StabilityError
 from .fom import Waveform
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
 from .grid import FieldRows, Grid, SnapshotSet, snapshot_matrix  # noqa: F401
 from .lifting import LiftingPair
-from .operators import advanced_masks, convection, divergence, gradient, vec_laplacian
+from .operators import advanced_masks, cg, convection, divergence, gradient, vec_laplacian
 from .pod import ReducedBasis, _mgs
 
 SADDLE_COND_LIMIT = 1e12

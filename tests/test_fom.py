@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from romkit.errors import ConfigurationError
+from romkit import fom, operators
+from romkit.errors import ConfigurationError, NumericalError
 from romkit.fom import FomConfig, FomSolver, Waveform, fom_run
 from romkit.grid import Grid
 from romkit.operators import advanced_masks, divergence
@@ -139,6 +140,14 @@ class TestAdvance:
         e_fine = np.linalg.norm(sols[4e-3] - sols[2e-3])
         assert 1.7 <= e_coarse / e_fine <= 2.3
 
+    def test_unconverged_poisson_solve_raises(self, monkeypatch):
+        solver = FomSolver(channel_cfg())
+        state = solver.advance(solver.initial_state())
+        assert state.poisson_iters > 2
+        monkeypatch.setattr(fom, "cg", lambda *a, **kw: operators.cg(*a, **{**kw, "maxiter": 2}))
+        with pytest.raises(NumericalError, match="did not converge"):
+            solver.advance(state)
+
 
 class TestRun:
     def test_snapshot_counting(self):
@@ -181,3 +190,25 @@ class TestRun:
         cfg = channel_cfg(dt=0.005, t_end=0.2, stride=2, waveform=wf)
         res = fom_run(cfg)
         assert res.cycle_drift is not None and res.cycle_drift >= 0.0
+
+    def test_step_diagnostics_recorded(self, monkeypatch):
+        calls = []
+
+        def counting_cg(*args, callback, **kw):
+            calls.append(0)
+
+            def count(xk):
+                calls[-1] += 1
+                callback(xk)
+
+            return operators.cg(*args, callback=count, **kw)
+
+        monkeypatch.setattr(fom, "cg", counting_cg)
+        cfg = channel_cfg(dt=0.01, t_end=0.1, stride=2)
+        res = fom_run(cfg)
+        assert res.poisson_iters.shape == res.div_max.shape == (res.n_steps,)
+        assert res.poisson_iters.tolist() == calls
+        g = cfg.grid
+        last = res.snapshots.velocity[-1]
+        assert res.snapshots.times[-1] == res.step_times[-1]
+        assert res.div_max[-1] == np.abs(divergence(g, last.u, last.v)).max()

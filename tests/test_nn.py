@@ -174,6 +174,103 @@ class TestTraining:
         assert m.activation == "softplus"
 
 
+def _reference_train(model, t, p, cfg):
+    """nn_train as first written, kept as its bit-for-bit oracle: per-layer
+    arrays, a model rebuilt and re-validated every epoch, `w @ y` for every
+    layer, np.clip/np.mean/.sum, and a separate forward pass for the test MSE."""
+    from dataclasses import replace
+
+    def span(lo, hi):
+        return hi - lo if hi > lo else 1.0
+
+    def softplus_d(u):
+        out = np.empty_like(u)
+        pos = u >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+        e = np.exp(u[~pos])
+        out[~pos] = e / (1.0 + e)
+        return out
+
+    act, dact = {
+        "tanh": (np.tanh, lambda u: 1.0 / np.cosh(np.clip(u, -300.0, 300.0)) ** 2),
+        "softplus": (lambda u: np.logaddexp(0.0, u), softplus_d),
+    }[model.activation]
+
+    def forward(current, xn):
+        y = xn[None, :]
+        pre, post = [], [y]
+        last = len(current.weights) - 1
+        for l, (w, b) in enumerate(zip(current.weights, current.biases)):
+            u = w @ y + b[:, None]
+            pre.append(u)
+            y = u if l == last else act(u)
+            post.append(y)
+        return pre, post
+
+    def normalized(current, xa, ya):
+        xlo, xhi = current.x_range
+        ylo, yhi = current.y_range
+        return (xa - xlo) / span(xlo, xhi), (ya - ylo) / span(ylo, yhi)
+
+    def backprop(current, xa, ya):
+        xn, yn = normalized(current, xa, ya)
+        pre, post = forward(current, xn)
+        m, n_layers = xa.size, len(current.weights)
+        grad_w, grad_b = [None] * n_layers, [None] * n_layers
+        resid = post[-1][0] - yn
+        mse = float(np.mean(resid**2))
+        delta = (2.0 / m) * resid[None, :]
+        for l in range(n_layers - 1, -1, -1):
+            grad_w[l] = delta @ post[l].T
+            grad_b[l] = delta.sum(axis=1)
+            if l > 0:
+                delta = (current.weights[l].T @ delta) * dact(pre[l - 1])
+        return grad_w, grad_b, mse
+
+    def norm_mse(current, xa, ya):
+        xn, yn = normalized(current, xa, ya)
+        _, post = forward(current, xn)
+        return float(np.mean((post[-1][0] - yn) ** 2))
+
+    ta, pa = np.asarray(t, dtype=np.float64), np.asarray(p, dtype=np.float64)
+    model = replace(model, x_range=(float(ta.min()), float(ta.max())),
+                    y_range=(float(pa.min()), float(pa.max())))
+    perm = np.random.default_rng(cfg.seed).permutation(ta.size)
+    n_train = min(max(1, int(round(cfg.train_fraction * ta.size))), ta.size - 1)
+    idx_train, idx_test = perm[:n_train], perm[n_train:]
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    history = np.empty((cfg.epochs, 3))
+    for epoch in range(cfg.epochs):
+        current = replace(model, weights=tuple(weights), biases=tuple(biases))
+        gw, gb, train_mse = backprop(current, ta[idx_train], pa[idx_train])
+        history[epoch] = (epoch, train_mse, norm_mse(current, ta[idx_test], pa[idx_test]))
+        for l in range(len(weights)):
+            weights[l] -= cfg.learning_rate * gw[l]
+            biases[l] -= cfg.learning_rate * gb[l]
+    return weights, biases, history
+
+
+class TestTrainingOracle:
+    @pytest.mark.parametrize("hidden_layers", [1, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "softplus"])
+    def test_bit_identical_to_reference_loop(self, activation, hidden_layers):
+        # full-batch GD at lr 0.25 sits at the edge of stability, where a
+        # last-bit change in one epoch grows into a visibly different network
+        t = np.linspace(0.0, 1.2, 61)
+        p = 80.0 + 30.0 * np.sin(2 * np.pi * t / 0.6) + 5.0 * np.cos(6 * np.pi * t)
+        m = init_model(hidden_neurons=12, hidden_layers=hidden_layers,
+                       activation=activation, seed=7)
+        cfg = TrainConfig(epochs=200, learning_rate=0.25, train_fraction=0.8, seed=2)
+        trained, hist = nn_train(m, t, p, cfg)
+        weights, biases, ref_hist = _reference_train(m, t, p, cfg)
+        assert np.array_equal(hist, ref_hist)
+        for w, ref in zip(trained.weights, weights):
+            assert np.array_equal(w, ref)
+        for b, ref in zip(trained.biases, biases):
+            assert np.array_equal(b, ref)
+
+
 class TestNormalization:
     def test_roundtrip(self):
         m = init_model(hidden_neurons=4, hidden_layers=1, seed=0,

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import cg as scipy_cg
 
+from romkit import fom, lifting, rom
 from romkit.grid import Field, Grid, inner_product
 from romkit.operators import (
     advanced_masks,
     center_laplacian,
+    cg,
     convection,
     divergence,
     gradient,
@@ -135,3 +139,65 @@ def test_convection_skew_symmetry_divfree_advector(grid, rng):
     s1 = (np.sum(au * cab_u) + np.sum(av * cab_v)) * grid.cell_area
     s2 = (np.sum(bu * cba_u) + np.sum(bv * cba_v)) * grid.cell_area
     assert abs(s1 + s2) < 1e-8 * scale**2
+
+
+def _cg_runs(A, b, **kw):
+    """(x, info, iterates) of romkit's cg and of scipy's on the same system."""
+    runs = []
+    for solver in (cg, scipy_cg):
+        iterates = []
+        x, info = solver(A, b, callback=lambda xk: iterates.append(xk.copy()), **kw)
+        runs.append((x, info, iterates))
+    return runs
+
+
+def _assert_same_run(ours, ref):
+    assert ours[1] == ref[1]
+    assert np.array_equal(ours[0], ref[0])
+    assert len(ours[2]) == len(ref[2])
+    assert all(np.array_equal(a, b) for a, b in zip(ours[2], ref[2]))
+
+
+class TestCg:
+    def test_bit_identical_to_scipy_on_poisson_matrix(self, rng):
+        g = Grid(24, 12, 2.0, 0.5, CHANNEL_TAGS)
+        A, bc = center_laplacian(g, frozenset({"right"}))
+        b = bc({"right": 3.5}) - rng.standard_normal(g.n_scalar)
+        x0 = rng.standard_normal(g.n_scalar)             # a previous step's pressure
+        kept = x0.copy()
+        ours, ref = _cg_runs(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=20 * g.n_scalar)
+        assert ours[1] == 0 and len(ours[2]) > 10
+        _assert_same_run(ours, ref)
+        assert np.array_equal(x0, kept)
+        _assert_same_run(*_cg_runs(A, b, rtol=1e-12))    # cold start, default maxiter
+
+    def test_bit_identical_to_scipy_on_supremizer_operator(self, grid, rng):
+        unknown = np.concatenate([m.ravel() for m in advanced_masks(grid)])
+
+        def matvec(x):
+            w = np.zeros(grid.n_vector)
+            w[unknown] = x
+            u = w[:grid.n_u].reshape(grid.ny, grid.nx + 1)
+            v = w[grid.n_u:].reshape(grid.ny + 1, grid.nx)
+            lu, lv = vec_laplacian(grid, u, v)
+            return -np.concatenate([lu.ravel(), lv.ravel()])[unknown]
+
+        n = int(unknown.sum())
+        A = LinearOperator((n, n), matvec=matvec)
+        gx, gy = gradient(grid, rng.standard_normal((grid.ny, grid.nx)), {})
+        b = -np.concatenate([gx.ravel(), gy.ravel()])[unknown]
+        ours, ref = _cg_runs(A, b, rtol=1e-10, atol=0.0, maxiter=50 * n)
+        assert ours[1] == 0
+        _assert_same_run(ours, ref)
+
+    def test_maxiter_and_zero_rhs(self, grid, rng):
+        A, _ = center_laplacian(grid, frozenset({"right"}))
+        b = rng.standard_normal(grid.n_scalar)
+        ours, ref = _cg_runs(A, b, rtol=1e-12, maxiter=3)
+        assert ours[1] == 3 and len(ours[2]) == 3
+        _assert_same_run(ours, ref)
+        x, info = cg(A, np.zeros(grid.n_scalar), x0=b)
+        assert info == 0 and not x.any()
+
+    def test_every_solve_uses_it(self):
+        assert fom.cg is cg and lifting.cg is cg and rom.cg is cg

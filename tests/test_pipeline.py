@@ -6,6 +6,7 @@ import pytest
 
 from romkit.cli import main as cli_main
 from romkit.errors import ConfigurationError, FormatError
+from romkit.fom import fom_run
 from romkit.grid import SnapshotSet
 from romkit.pipeline import (
     Bundle,
@@ -88,6 +89,18 @@ class TestConfig:
             offline({**SMALL_CONFIG, "nn_epoch": "5"})
         assert cli_main(["offline", "--config", str(f), "--out", str(tmp_path / "b")]) == 2
         assert not (tmp_path / "b").exists()
+
+    def test_missing_config_file_rejected(self, tmp_path):
+        missing = tmp_path / "no_such.txt"
+        with pytest.raises(ConfigurationError, match="no_such.txt"):
+            parse_config(missing)
+        assert cli_main(["fom", "--config", str(missing), "--out", str(tmp_path / "s")]) == 2
+        assert cli_main(["offline", "--config", str(missing), "--out", str(tmp_path / "b")]) == 2
+        # a str is config text even when it names an existing file
+        f = tmp_path / "cfg.txt"
+        f.write_text("nx = 32\n")
+        with pytest.raises(ConfigurationError, match="expected key = value"):
+            parse_config(str(f))
 
     def test_windkessel_keys_accepted(self):
         cfg = parse_config("wk_0 = 35.0,590.0,8e-4\nwk_1 = 1,2,3\nwk_file = wk.csv\n")
@@ -309,6 +322,14 @@ class TestCli:
         assert (tmp_path / "snaps" / "outlet_pressure.csv").exists()
         loaded = SnapshotSet.load(tmp_path / "snaps")
         assert len(loaded) > 1
+        rows = (tmp_path / "snaps" / "diagnostics.csv").read_text().splitlines()
+        assert rows[0] == "step,t,poisson_iters,div_max"
+        fom_result = fom_run(build_fom_config(parse_config(cfg)))
+        assert len(rows) == fom_result.n_steps + 1
+        step, t, iters, div = rows[-1].split(",")
+        assert int(step) == fom_result.n_steps and float(t) == fom_result.step_times[-1]
+        assert int(iters) == fom_result.poisson_iters[-1] > 0
+        assert float(div) == fom_result.div_max[-1]
 
     def test_offline_online_compare_roundtrip(self, tmp_path):
         cfg = self._write_config(tmp_path)
