@@ -159,16 +159,17 @@ class _Batch:
             self.dact = [np.empty((s, m)) for s in sizes[1:-1]]
 
 
+def _matmul(a, b, out):
+    # with K = 1 each entry is one product, which a broadcast gives faster
+    return np.multiply(a, b, out=out) if a.shape[1] == 1 else np.matmul(a, b, out=out)
+
+
 def _forward(layers, act, batch: _Batch) -> np.ndarray:
     """Fill the batch's pre-activations and layer outputs; returns the output row."""
     pre, post = batch.pre, batch.post
     last = len(layers) - 1
     for l, (w, b) in enumerate(layers):
-        u = pre[l]
-        if w.shape[1] == 1:
-            np.multiply(w, post[l], out=u)      # a K = 1 matmul: one product per entry
-        else:
-            np.matmul(w, post[l], out=u)
+        u = _matmul(w, post[l], pre[l])
         u += b[:, None]
         if l < last:
             act(u, out=post[l + 1])
@@ -186,14 +187,10 @@ def _backprop(layers, grads, activation, batch: _Batch) -> float:
     delta = np.multiply(2.0 / resid.size, resid[None, :], out=batch.delta[-1])  # dL/du, output
     for l in range(len(layers) - 1, -1, -1):
         gw, gb = grads[l]
-        np.matmul(delta, batch.post[l].T, out=gw)
+        _matmul(delta, batch.post[l].T, gw)
         np.add.reduce(delta, axis=1, out=gb)
         if l > 0:
-            w, back = layers[l][0], batch.delta[l - 1]
-            if w.shape[0] == 1:
-                np.multiply(w.T, delta, out=back)
-            else:
-                np.matmul(w.T, delta, out=back)
+            back = _matmul(layers[l][0].T, delta, batch.delta[l - 1])
             back *= dact(batch.pre[l - 1], out=batch.dact[l - 1])
             delta = back
     return _mse(resid)
