@@ -33,10 +33,13 @@ def _write_outlet_pressure_csv(path, times, outlet_pressure):
 
 
 def _write_diagnostics_csv(path, result):
-    rows = ["step,t,poisson_iters,div_max"]
+    rows = [",".join(["step,t,poisson_iters,poisson_residual,div_max"]
+                     + [f"Q_{k}" for k in range(result.outlet_flux.shape[1])])]
     for i in range(result.n_steps):
-        rows.append(f"{i + 1},{float(result.step_times[i + 1])!r},"
-                    f"{int(result.poisson_iters[i])},{float(result.div_max[i])!r}")
+        cells = [i + 1, float(result.step_times[i + 1]), int(result.poisson_iters[i]),
+                 float(result.poisson_residual[i]), float(result.div_max[i]),
+                 *map(float, result.outlet_flux[i])]
+        rows.append(",".join(map(repr, cells)))
     Path(path).write_text("\n".join(rows) + "\n")
 
 

@@ -152,8 +152,11 @@ class FomState:
     p: np.ndarray
     wk: dict
     t: float
-    poisson_iters: int = 0     # CG iterations of the step that produced this state
-    div_max: float = 0.0       # max |div u| after its pressure correction
+    poisson_iters: int = 0          # CG iterations of the step that produced this state
+    poisson_residual: float = 0.0   # its true relative residual ||rhs - A p|| / ||rhs||
+    div_max: float = 0.0            # max |div u| after its pressure correction
+    outlet_flux: tuple = ()         # outward flux Q per outlet (grid.outlets order)
+                                    # that its Windkessel integrated in that step
 
 
 def _side_flux(grid: Grid, u: np.ndarray, v: np.ndarray, side: str) -> float:
@@ -227,9 +230,10 @@ class FomSolver:
         self._apply_inlet(us, vs, cfg.waveform.magnitude(t_new))
         self._apply_walls(us, vs)
 
-        wk_new, datums, outlet_vals = {}, {}, {}
+        wk_new, datums, outlet_vals, fluxes = {}, {}, {}, []
         for k, side in g.outlets:
             Q = _side_flux(g, state.u, state.v, side)
+            fluxes.append(Q)
             wk_new[k] = wk_step(state.wk[k], Q, dt, cfg.windkessel[k])
             datums[side] = wk_new[k].p
             outlet_vals[k] = wk_new[k].p
@@ -242,12 +246,15 @@ class FomSolver:
 
         p_flat, info = cg(self._A, rhs, x0=self._prev_p, rtol=POISSON_RTOL, atol=0.0,
                           maxiter=20 * g.n_scalar, callback=count)
+        res = np.linalg.norm(rhs - self._A @ p_flat)
         if info != 0:
             raise NumericalError(
                 f"pressure Poisson CG did not converge (info={info}, {n_iter[0]} iterations, "
-                f"residual {np.linalg.norm(self._A @ p_flat - rhs):.3e})"
+                f"residual {res:.3e})"
             )
         self._prev_p = p_flat
+        rhs_norm = np.linalg.norm(rhs)
+        res = float(res / rhs_norm) if rhs_norm > 0 else 0.0
         p_new = p_flat.reshape(g.ny, g.nx)
 
         gx, gy = gradient(g, p_new, outlet_vals)
@@ -263,7 +270,8 @@ class FomSolver:
             )
 
         return FomState(grid=g, u=u_new, v=v_new, p=p_new, wk=wk_new, t=t_new,
-                        poisson_iters=n_iter[0], div_max=float(div_inf))
+                        poisson_iters=n_iter[0], poisson_residual=res, div_max=float(div_inf),
+                        outlet_flux=tuple(fluxes))
 
     def run(self) -> "FomResult":
         cfg, g = self.cfg, self.grid
@@ -279,7 +287,9 @@ class FomSolver:
         pres = np.empty((len(row), g.n_scalar))
         times_full, pouts_full = [], []
         poisson_iters = np.zeros(n_steps, dtype=np.int64)
+        poisson_res = np.zeros(n_steps)
         div_max = np.zeros(n_steps)
+        outlet_flux = np.zeros((n_steps, len(outlet_ids)))
 
         def record(i: int, state: FomState):
             times_full.append(state.t)
@@ -296,7 +306,8 @@ class FomSolver:
         for i in range(1, n_steps + 1):
             state = self.advance(state)
             record(i, state)
-            poisson_iters[i - 1], div_max[i - 1] = state.poisson_iters, state.div_max
+            poisson_iters[i - 1], poisson_res[i - 1] = state.poisson_iters, state.poisson_residual
+            div_max[i - 1], outlet_flux[i - 1] = state.div_max, state.outlet_flux
             if t_ref is not None and cycle_ref is None and state.t >= t_ref - 1e-12:
                 cycle_ref = (state.u.copy(), state.v.copy())
         t_wall = time.perf_counter() - t_wall
@@ -315,7 +326,8 @@ class FomSolver:
                             outlet_pressure=step_pouts[recorded])
         return FomResult(snapshots=snaps, wall_time=t_wall, cycle_drift=drift, n_steps=n_steps,
                          step_times=step_times, step_outlet_pressure=step_pouts,
-                         poisson_iters=poisson_iters, div_max=div_max)
+                         poisson_iters=poisson_iters, poisson_residual=poisson_res,
+                         div_max=div_max, outlet_flux=outlet_flux)
 
 
 @dataclass
@@ -326,8 +338,10 @@ class FomResult:
     n_steps: int
     step_times: np.ndarray | None = None            # every step, for fine queries
     step_outlet_pressure: np.ndarray | None = None
-    poisson_iters: np.ndarray | None = None         # per step 1..n_steps: Poisson CG iterations
-    div_max: np.ndarray | None = None               # and max |div u| after the correction
+    poisson_iters: np.ndarray | None = None         # per step 1..n_steps: Poisson CG iterations,
+    poisson_residual: np.ndarray | None = None      # its relative residual ||rhs - A p||/||rhs||,
+    div_max: np.ndarray | None = None               # max |div u| after the correction
+    outlet_flux: np.ndarray | None = None           # and (n_steps, n_outlets) Windkessel inflow Q
 
 
 def fom_run(cfg: FomConfig) -> FomResult:

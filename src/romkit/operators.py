@@ -20,13 +20,15 @@ Poisson step, the lifting potentials, the supremizers).
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import dia_matvec
 
 from .errors import ConfigurationError
-from .grid import Grid
+from .grid import SIDES, Grid
 
 
 def _is_outlet(grid: Grid, side: str) -> bool:
@@ -167,13 +169,18 @@ def convection(grid: Grid, au: np.ndarray, av: np.ndarray,
 def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset()):
     """Assemble A = -div(grad(.)) for cell-centered scalars.
 
-    Returns (A, bc_vector) where A is SPD CSR (with at least one Dirichlet
-    side) and ``bc_vector(datums)`` builds the right-hand-side contribution of
-    the Dirichlet data: solving ``A p = bc_vector(datums) - div_rhs`` matches
+    Returns (A, bc_vector) where A is SPD (with at least one Dirichlet side)
+    and ``bc_vector(datums)`` builds the right-hand-side contribution of the
+    Dirichlet data: solving ``A p = bc_vector(datums) - div_rhs`` matches
     ``div(gradient(p, datums)) = div_rhs`` exactly.
 
     Dirichlet sides impose the datum on the boundary face via the linear
     ghost 2*d - p; all other sides are homogeneous Neumann.
+
+    A is stored as a DIA matrix with the strictly ascending offsets
+    (-nx, -1, 0, 1, nx), so ``A @ x`` sums each row in ascending column
+    order, the order of a sorted-column CSR row: both forms give the same
+    bits.  A neighbour that does not exist is a stored zero.
     """
     unknown_sides = set(dirichlet_sides) - set(grid.tags)
     if unknown_sides:
@@ -183,22 +190,20 @@ def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset())
     n = nx * ny
     idx = np.arange(n).reshape(ny, nx)
 
-    diag = np.zeros(n)
-    rows, cols, vals = [], [], []
+    # data[i, c] is the entry in column c of diagonal offsets[i]
+    offsets = np.array([-nx, -1, 0, 1, nx])
+    assert np.all(np.diff(offsets) > 0), "DIA offsets must be strictly ascending"
+    data = np.zeros((5, ny, nx))
+    data[0, :-1, :] = -1.0 / hy2       # A[c + nx, c]: cell above
+    data[1, :, :-1] = -1.0 / hx2       # A[c + 1, c]: cell to the right
+    data[3, :, 1:] = -1.0 / hx2        # A[c - 1, c]: cell to the left
+    data[4, 1:, :] = -1.0 / hy2        # A[c - nx, c]: cell below
 
-    a, b = idx[:, :-1].ravel(), idx[:, 1:].ravel()
-    rows += [a, b]
-    cols += [b, a]
-    vals += [np.full(a.size, -1.0 / hx2), np.full(a.size, -1.0 / hx2)]
-    np.add.at(diag, a, 1.0 / hx2)
-    np.add.at(diag, b, 1.0 / hx2)
-
-    a, b = idx[:-1, :].ravel(), idx[1:, :].ravel()
-    rows += [a, b]
-    cols += [b, a]
-    vals += [np.full(a.size, -1.0 / hy2), np.full(a.size, -1.0 / hy2)]
-    np.add.at(diag, a, 1.0 / hy2)
-    np.add.at(diag, b, 1.0 / hy2)
+    diag = data[2]
+    diag[:, :-1] += 1.0 / hx2
+    diag[:, 1:] += 1.0 / hx2
+    diag[:-1, :] += 1.0 / hy2
+    diag[1:, :] += 1.0 / hy2
 
     side_cells = {
         "left": idx[:, 0],
@@ -207,15 +212,12 @@ def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset())
         "top": idx[-1, :],
     }
     side_h2 = {"left": hx2, "right": hx2, "bottom": hy2, "top": hy2}
-    for side in dirichlet_sides:
+    diag = diag.reshape(n)
+    # a fixed side order: a corner cell's two terms would otherwise round in
+    # the set's hash order, which changes from one process to the next
+    for side in sorted(dirichlet_sides, key=SIDES.index):
         diag[side_cells[side]] += 2.0 / side_h2[side]
-
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
+    A = sp.dia_matrix((data.reshape(5, n), offsets), shape=(n, n))
 
     def bc_vector(datums: Mapping[str, float]) -> np.ndarray:
         out = np.zeros(n)
@@ -228,16 +230,37 @@ def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset())
     return A, bc_vector
 
 
+def _matvec(A):
+    """``p -> A @ p``.  For a float64 DIA matrix: the banded kernel, writing
+    into one buffer reused (and zeroed) on every call."""
+    if not (sp.issparse(A) and A.format == "dia" and A.dtype == np.float64):
+        return A.__matmul__
+    n_row, n_col = A.shape
+    n_diags, width = A.data.shape
+    offsets, data = A.offsets, A.data
+    y = np.empty(n_row)
+
+    def matvec(x):
+        y.fill(0.0)
+        dia_matvec(n_row, n_col, n_diags, width, offsets, data, x, y)
+        return y
+
+    return matvec
+
+
 def cg(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None, callback=None):
     """Conjugate gradients for a real SPD `A` (anything with ``A @ x``).
 
     Follows scipy.sparse.linalg.cg operation for operation with the identity
     preconditioner -- ``||r|| = sqrt(r.r)``, ``rho = r.r``, one ``A @ p`` per
     iteration -- so it returns the same bits, without wrapping `A` in a
-    LinearOperator on every call.  Same contract: stops once ``||r|| <
-    max(atol, rtol ||b||)``; returns ``(x, info)`` with info 0 on convergence
-    and `maxiter` (default 10 n) when it ran out; ``callback(x)`` runs after
-    every iteration; `x0` is copied, never modified.
+    LinearOperator on every call and without allocating in the loop (a DIA
+    `A` runs its banded kernel into a reused buffer).  Same contract: stops
+    once ``||r|| < max(atol, rtol ||b||)``; returns ``(x, info)`` with info 0
+    on convergence and `maxiter` (default 10 n) when it ran out;
+    ``callback(x)`` runs after every iteration; `x0` is copied, never
+    modified.  The dot products stay numpy float64 scalars, so a zero
+    curvature ``p.Ap`` gives inf/nan as in scipy rather than raising.
     """
     b = np.asarray(b, dtype=np.float64).ravel()
     bnrm2 = np.linalg.norm(b)
@@ -246,22 +269,24 @@ def cg(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None, callback=None):
         return b.copy(), 0
     if maxiter is None:
         maxiter = 10 * b.size
+    matvec = _matvec(A)
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=np.float64).ravel()
-    r = b - A @ x if x.any() else b.copy()
-    rho_prev = p = None
+    r = b - matvec(x) if x.any() else b.copy()
+    p, tmp = np.empty_like(r), np.empty_like(r)
+    rho_prev = None
     for iteration in range(maxiter):
         rho = np.dot(r, r)
-        if np.sqrt(rho) < atol:
+        if math.sqrt(rho) < atol:
             return x, 0
         if iteration > 0:
             p *= rho / rho_prev
             p += r
         else:
-            p = r.copy()
-        q = A @ p
+            np.copyto(p, r)
+        q = matvec(p)
         alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, q, out=tmp)
         rho_prev = rho
         if callback:
             callback(x)

@@ -611,16 +611,23 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     grid from the training-window start, where the stored initial state is;
     the coefficients at an instant between two steps are interpolated
     linearly from them, and only the query instants are reconstructed.
-    Query times must lie in [t_lo, t_hi + 10% of the window span].
+    Query times must be a non-empty 1-D array of finite instants in
+    [t_lo, t_hi + 10% of the window span].
     """
     train_times = bundle.train.times
     t_lo, t_hi = float(train_times[0]), float(train_times[-1])
+    t_end = t_hi + 0.1 * (t_hi - t_lo)      # the network's own extrapolation bound
     if query_times is None:
         query_times = train_times.copy()
     query_times = np.asarray(query_times, dtype=np.float64)
+    if query_times.ndim != 1 or query_times.size == 0:
+        raise ConfigurationError(
+            f"query times must be a non-empty 1-D array, got shape {query_times.shape}")
+    if not np.all(np.isfinite(query_times)):
+        raise ConfigurationError("query times must be finite")
     if query_times.min() < t_lo - 1e-9:
         raise ConfigurationError(f"query times start before the training window ({t_lo!r})")
-    if query_times.max() > t_hi + 0.1 * (t_hi - t_lo):
+    if query_times.max() > t_end:
         raise ConfigurationError("query times exceed the training window by more than 10%")
 
     if want_pressure is None:
@@ -650,12 +657,14 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
 
     p_d = bundle.outlet_pressure_fn() if bundle.lift_pressure else None
 
-    # the timed solve includes the network evaluation at the steps
+    # the timed solve includes the network evaluation at the steps; the last
+    # step may land up to one step past t_end, and the network is read at
+    # t_end there (the integration is causal: only that step sees it)
     solve_times = []
     traj = None
     for _ in range(max(1, timing_reps)):
         t0 = time.perf_counter()
-        q_steps = None if p_d is None else p_d(steps)
+        q_steps = None if p_d is None else p_d(np.minimum(steps, t_end))
         traj = integrate_rom(ops, a0, steps, bundle.waveform, q_steps, b0=b0)
         solve_times.append(time.perf_counter() - t0)
     t_solve = float(np.median(solve_times))
@@ -690,6 +699,7 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     report.extras = {
         "n_u": int(len(idx) - n_p), "n_p": int(n_p), "n_supremizer": int(n_p),
         "dt_r": substep, "velocity_only": bundle.velocity_only,
+        "saddle_cond": traj.saddle_cond,
         "windkessel_params": {k: str(v) for k, v in bundle.config.items()
                               if k.startswith("wk_")},
         "nn_hyperparameters": {k: bundle.config[k] for k in bundle.config

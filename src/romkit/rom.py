@@ -156,6 +156,8 @@ class ReducedTrajectory:
     times: np.ndarray
     a: np.ndarray          # (T, Nu)
     b: np.ndarray          # (T, Np)
+    saddle_cond: float | None = None   # 2-norm condition number of the saddle matrix
+                                       # integrate_rom inverted
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -290,6 +292,8 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
     inverse before the loop, so a step is one outer product and one matvec.
     The pressure multiplier only exists from the first step onward; ``b0``
     seeds the reported initial value (backfilled from step one when omitted).
+    The trajectory carries the saddle matrix's condition number as checked
+    against SADDLE_COND_LIMIT.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
@@ -345,7 +349,7 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
         if b0.shape != (n_p,):
             raise ShapeError(f"b0 must have length {n_p}")
         sol[0, n_u:] = b0
-    return ReducedTrajectory(times.copy(), sol[:, :n_u], sol[:, n_u:])
+    return ReducedTrajectory(times.copy(), sol[:, :n_u], sol[:, n_u:], saddle_cond=float(cond))
 
 
 def reconstruct(basis_u: ReducedBasis, basis_p: ReducedBasis | None,

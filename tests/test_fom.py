@@ -192,23 +192,34 @@ class TestRun:
         assert res.cycle_drift is not None and res.cycle_drift >= 0.0
 
     def test_step_diagnostics_recorded(self, monkeypatch):
-        calls = []
+        calls, residuals = [], []
 
-        def counting_cg(*args, callback, **kw):
+        def counting_cg(A, b, *args, callback, **kw):
             calls.append(0)
 
             def count(xk):
                 calls[-1] += 1
                 callback(xk)
 
-            return operators.cg(*args, callback=count, **kw)
+            x, info = operators.cg(A, b, *args, callback=count, **kw)
+            residuals.append(np.linalg.norm(b - A.tocsr() @ x) / np.linalg.norm(b))
+            return x, info
 
         monkeypatch.setattr(fom, "cg", counting_cg)
         cfg = channel_cfg(dt=0.01, t_end=0.1, stride=2)
         res = fom_run(cfg)
         assert res.poisson_iters.shape == res.div_max.shape == (res.n_steps,)
         assert res.poisson_iters.tolist() == calls
+        assert res.poisson_residual.tolist() == residuals
+        assert res.poisson_residual.max() < 1e-9
         g = cfg.grid
         last = res.snapshots.velocity[-1]
         assert res.snapshots.times[-1] == res.step_times[-1]
         assert res.div_max[-1] == np.abs(divergence(g, last.u, last.v)).max()
+        # step i+1 feeds the Windkessel the outward flux of the state at step i
+        assert res.outlet_flux.shape == (res.n_steps, 1)
+        for m, t in enumerate(res.snapshots.times[:-1]):
+            i = int(np.flatnonzero(res.step_times == t)[0])
+            snap = res.snapshots.velocity[m]
+            assert res.outlet_flux[i, 0] == fom._side_flux(g, snap.u, snap.v, "right")
+        assert np.all(res.outlet_flux[1:] > 0)

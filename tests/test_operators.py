@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
 
 from romkit import fom, lifting, rom
-from romkit.grid import Field, Grid, inner_product
+from romkit.grid import SIDES, Field, Grid, inner_product
 from romkit.operators import (
     advanced_masks,
     center_laplacian,
@@ -35,6 +37,71 @@ def test_divergence_of_gradient_matches_matrix(grid, rng):
     lhs = divergence(grid, gx, gy).ravel()
     rhs = -A @ p.ravel() + bc({grid.outlet_side(0): datum})
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12 * max(1.0, np.abs(lhs).max()))
+
+
+@st.composite
+def layouts(draw):
+    """A grid of 3..12 cells a side: inlet on any side, 1-3 outlets, walls elsewhere."""
+    sides = draw(st.permutations(SIDES))
+    n_out = draw(st.integers(1, 3))
+    tags = {side: "wall" for side in sides}
+    tags[sides[0]] = "inlet"
+    for k, side in enumerate(sides[1:1 + n_out]):
+        tags[side] = f"outlet_{k}"
+    return Grid(draw(st.integers(3, 12)), draw(st.integers(3, 12)),
+                draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0)), tags)
+
+
+class TestLayoutProperties:
+    """Identities of the Poisson operator on every legal boundary layout."""
+
+    @staticmethod
+    def _setup(grid, seed):
+        rng = np.random.default_rng(seed)
+        A, bc = center_laplacian(grid, frozenset(side for _, side in grid.outlets))
+        datums = {k: float(rng.uniform(-5.0, 5.0)) for k, _ in grid.outlets}
+        rhs_bc = bc({side: datums[k] for k, side in grid.outlets})
+        return rng, A, datums, rhs_bc
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts(), st.integers(0, 2**32 - 1))
+    def test_div_grad_is_bc_minus_laplacian(self, grid, seed):
+        rng, A, datums, rhs_bc = self._setup(grid, seed)
+        p = rng.standard_normal((grid.ny, grid.nx))
+        lhs = divergence(grid, *gradient(grid, p, datums)).ravel()
+        rhs = rhs_bc - A @ p.ravel()
+        scale = max(np.abs(lhs).max(), np.abs(rhs_bc).max())
+        assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts(), st.integers(0, 2**32 - 1))
+    def test_banded_matvec_equals_csr_bit_for_bit(self, grid, seed):
+        rng, A, _, _ = self._setup(grid, seed)
+        assert A.format == "dia" and np.all(np.diff(A.offsets) > 0)
+        csr = sp.csr_matrix(A.toarray())           # same entries, sorted columns
+        x = rng.standard_normal(grid.n_scalar)
+        assert (A @ x).tobytes() == (csr @ x).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(layouts(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_cg_on_banded_equals_scipy_on_csr(self, grid, seed, warm):
+        rng, A, _, rhs_bc = self._setup(grid, seed)
+        b = rhs_bc - rng.standard_normal(grid.n_scalar)
+        x0 = rng.standard_normal(grid.n_scalar) if warm else None
+        ours, ref = _cg_runs(A, b, ref_A=sp.csr_matrix(A.toarray()), x0=x0, rtol=1e-10,
+                             atol=0.0, maxiter=20 * grid.n_scalar)
+        assert ours[1] == 0
+        _assert_same_run(ours, ref)
+
+
+def test_center_laplacian_independent_of_dirichlet_side_order():
+    # at this spacing the corner cell's two Dirichlet terms round differently
+    # in the two orders; a set's order follows the per-process string hash
+    g = Grid(7, 5, 2.0, 0.5, {"left": "inlet", "right": "outlet_0", "top": "outlet_1",
+                              "bottom": "wall"})
+    a, _ = center_laplacian(g, ["right", "top"])
+    b, _ = center_laplacian(g, ["top", "right"])
+    assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_center_laplacian_spd(grid, rng):
@@ -141,12 +208,12 @@ def test_convection_skew_symmetry_divfree_advector(grid, rng):
     assert abs(s1 + s2) < 1e-8 * scale**2
 
 
-def _cg_runs(A, b, **kw):
-    """(x, info, iterates) of romkit's cg and of scipy's on the same system."""
+def _cg_runs(A, b, ref_A=None, **kw):
+    """(x, info, iterates) of romkit's cg on A and of scipy's on ref_A (default A)."""
     runs = []
-    for solver in (cg, scipy_cg):
+    for solver, op in ((cg, A), (scipy_cg, A if ref_A is None else ref_A)):
         iterates = []
-        x, info = solver(A, b, callback=lambda xk: iterates.append(xk.copy()), **kw)
+        x, info = solver(op, b, callback=lambda xk: iterates.append(xk.copy()), **kw)
         runs.append((x, info, iterates))
     return runs
 
@@ -198,6 +265,15 @@ class TestCg:
         _assert_same_run(ours, ref)
         x, info = cg(A, np.zeros(grid.n_scalar), x0=b)
         assert info == 0 and not x.any()
+
+    def test_zero_curvature_gives_nan_like_scipy(self):
+        # rtol 0 on the identity: the residual is exactly 0 after one step,
+        # so p.Ap = 0 next; scipy divides by it and carries nan to maxiter
+        A = sp.identity(5, format="dia")
+        with np.errstate(invalid="ignore"):
+            ours, ref = _cg_runs(A, np.ones(5), rtol=0.0, maxiter=3)
+        assert ours[1] == ref[1] == 3 and np.isnan(ours[0]).all() and np.isnan(ref[0]).all()
+        assert len(ours[2]) == len(ref[2]) == 3
 
     def test_every_solve_uses_it(self):
         assert fom.cg is cg and lifting.cg is cg and rom.cg is cg

@@ -1,13 +1,16 @@
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
+from romkit import pipeline, rom
 from romkit.cli import main as cli_main
 from romkit.errors import ConfigurationError, FormatError
 from romkit.fom import fom_run
 from romkit.grid import SnapshotSet
+from romkit.nn import ExtrapolationWarning
 from romkit.pipeline import (
     Bundle,
     DEFAULT_CONFIG,
@@ -227,6 +230,32 @@ class TestOnline:
         with pytest.raises(ConfigurationError):
             online(bundle, query_times=np.array([0.6, 1.2]))
 
+    @pytest.mark.parametrize("bad", [[], [[0.6, 0.7]], [np.nan], [0.7, np.inf], 0.7])
+    def test_bad_query_times_rejected_before_any_work(self, bundle, monkeypatch, bad):
+        def no_work(*args, **kw):
+            raise AssertionError("online() integrated an invalid query")
+
+        monkeypatch.setattr(pipeline, "integrate_rom", no_work)
+        with pytest.raises(ConfigurationError, match="query times"):
+            online(bundle, query_times=bad, timing_reps=1)
+
+    @pytest.mark.parametrize("dt_mult", [1, 2])
+    def test_window_end_does_not_extrapolate(self, bundle, dt_mult):
+        times = bundle.train.times
+        t_end = times[-1] + 0.1 * (times[-1] - times[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExtrapolationWarning)
+            rec, _ = online(bundle, query_times=np.array([times[3], t_end]),
+                            dt_r=dt_mult * bundle.dt_fom, timing_reps=1)
+        assert np.all(np.isfinite(rec.velocity.values)) and np.all(np.isfinite(rec.pressure.values))
+
+    def test_saddle_condition_reported(self, bundle, tmp_path):
+        _, report = online(bundle, timing_reps=1)
+        cond = report.extras["saddle_cond"]
+        assert 1.0 <= cond < rom.SADDLE_COND_LIMIT
+        report.write(tmp_path)
+        assert json.loads((tmp_path / "report.json").read_text())["saddle_cond"] == cond
+
     def test_instant_before_window_rejected(self, bundle):
         t_lo = float(bundle.train.times[0])
         with pytest.raises(ConfigurationError, match="before the training window"):
@@ -323,13 +352,15 @@ class TestCli:
         loaded = SnapshotSet.load(tmp_path / "snaps")
         assert len(loaded) > 1
         rows = (tmp_path / "snaps" / "diagnostics.csv").read_text().splitlines()
-        assert rows[0] == "step,t,poisson_iters,div_max"
+        assert rows[0] == "step,t,poisson_iters,poisson_residual,div_max,Q_0"
         fom_result = fom_run(build_fom_config(parse_config(cfg)))
         assert len(rows) == fom_result.n_steps + 1
-        step, t, iters, div = rows[-1].split(",")
+        step, t, iters, res, div, q = rows[-1].split(",")
         assert int(step) == fom_result.n_steps and float(t) == fom_result.step_times[-1]
         assert int(iters) == fom_result.poisson_iters[-1] > 0
+        assert float(res) == fom_result.poisson_residual[-1] < 1e-9
         assert float(div) == fom_result.div_max[-1]
+        assert float(q) == fom_result.outlet_flux[-1, 0]
 
     def test_offline_online_compare_roundtrip(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -328,6 +328,9 @@ class TestIntegrate:
         traj = integrate_rom(ops, a0, times, wf, q)
         assert np.abs(traj.a - a_ref).max() <= 1e-10 * np.abs(a_ref).max()
         assert traj.b.shape == (times.size, n_p)
+        M = np.block([[np.eye(n_u) / (times[1] - times[0]) - ops.nu * ops.B, K],
+                      [ops.P, np.zeros((n_p, n_p))]])
+        assert traj.saddle_cond == pytest.approx(np.linalg.cond(M), rel=1e-9)
         if n_p:
             assert np.abs(traj.b[1:] - b_ref[1:]).max() <= 1e-10 * np.abs(b_ref).max()
             assert np.array_equal(traj.b[0], traj.b[1])
