@@ -1,6 +1,6 @@
 """Method-of-snapshots POD on channel snapshots.
 
-Builds the correlation matrix, diagonalizes it with the Jacobi sweep, and
+Builds the correlation matrix, diagonalizes it with LAPACK (symmetric_eig), and
 tabulates the eigenvalue tail against the directly computed mean squared
 projection residual -- the two must agree, and the cumulative energy shows
 how few modes the pulsatile channel really needs.

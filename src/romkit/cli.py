@@ -100,14 +100,14 @@ def _cmd_online(args):
 def _cmd_compare(args):
     fom_set = SnapshotSet.load(args.fom)
     rom_set = SnapshotSet.load(args.rom)
-    basis_u = basis_p = lift = None
-    if args.bundle is not None:
+    if args.bundle is None:
+        report = pipeline.compare(fom_set, rom_set)
+    else:
         bundle = pipeline.Bundle.load(args.bundle)
         idx, n_p = bundle.mode_selection()
-        basis_u = bundle.sliced_basis_u(idx)
-        basis_p = bundle.sliced_basis_p(n_p)
-        lift = bundle.lifting
-    report = pipeline.compare(fom_set, rom_set, basis_u, basis_p, lift)
+        report = pipeline.compare(fom_set, rom_set, bundle.sliced_basis_u(idx),
+                                  bundle.sliced_basis_p(n_p), bundle.lifting,
+                                  bundle.lift_pressure)
     report.write(args.out)
     print(f"compare: time-avg err_u {report.time_avg('err_u'):.3e}, "
           f"err_p {report.time_avg('err_p'):.3e} -> {args.out}")

@@ -60,7 +60,7 @@ DEFAULT_CONFIG = {
     "include_convection": "true",
     # reduction
     "n_u": "6", "n_p": "6", "n_u_max": "16", "n_p_max": "8",
-    "energy": "0.9999", "lift_pressure": "true",
+    "lift_pressure": "true",
     # outflow-pressure network (desk-scale hyperparameters; the reference
     # defaults of nn.REFERENCE_NN_DEFAULTS are echoed in the report)
     "nn_hidden": "32", "nn_layers": "2", "nn_activation": "tanh",
@@ -115,8 +115,15 @@ def _i(cfg, key) -> int:
         raise ConfigurationError(f"config key {key!r}: {exc}")
 
 
+def _s(cfg, key) -> str:
+    try:
+        return str(cfg[key])
+    except KeyError:
+        raise ConfigurationError(f"config key {key!r} is missing") from None
+
+
 def _b(cfg, key) -> bool:
-    val = str(cfg.get(key, "false")).lower()
+    val = _s(cfg, key).lower()
     if val in ("true", "1", "yes"):
         return True
     if val in ("false", "0", "no"):
@@ -125,19 +132,18 @@ def _b(cfg, key) -> bool:
 
 
 def build_grid_from_config(cfg: dict) -> Grid:
-    tags = {side: cfg[f"tag_{side}"] for side in ("left", "right", "bottom", "top")
-            if f"tag_{side}" in cfg}
+    tags = {side: _s(cfg, f"tag_{side}") for side in ("left", "right", "bottom", "top")}
     return Grid(_i(cfg, "nx"), _i(cfg, "ny"), _f(cfg, "lx"), _f(cfg, "ly"), tags)
 
 
 def build_fom_config(cfg: dict) -> FomConfig:
     grid = build_grid_from_config(cfg)
     waveform = Waveform(
-        kind=cfg.get("waveform", "pulse"),
+        kind=_s(cfg, "waveform"),
         u_sys=_f(cfg, "u_sys"),
         t_cycle=_f(cfg, "t_cycle"),
         systole_frac=_f(cfg, "systole_frac"),
-        shape=cfg.get("inlet_shape", "plug"),
+        shape=_s(cfg, "inlet_shape"),
     )
     if "wk_file" in cfg:
         from .windkessel import load_params_csv
@@ -153,7 +159,7 @@ def build_fom_config(cfg: dict) -> FomConfig:
             if len(parts) != 3:
                 raise ConfigurationError(f"{key!r} must be 'Rp,Rd,C'")
             wk[k] = WindkesselParams(*(float(p) for p in parts))
-    stride = cfg.get("snap_stride", "1")
+    stride = _s(cfg, "snap_stride")
     return FomConfig(
         grid=grid,
         nu=_f(cfg, "nu"),
@@ -162,9 +168,9 @@ def build_fom_config(cfg: dict) -> FomConfig:
         t_end=_f(cfg, "t_end"),
         waveform=waveform,
         windkessel=wk,
-        snap_stride=None if str(stride).lower() in ("none", "inf") else int(stride),
-        snap_start=_f(cfg, "snap_start") if "snap_start" in cfg else None,
-        include_convection=_b(cfg, "include_convection") if "include_convection" in cfg else True,
+        snap_stride=None if stride.lower() in ("none", "inf") else _i(cfg, "snap_stride"),
+        snap_start=_f(cfg, "snap_start"),
+        include_convection=_b(cfg, "include_convection"),
     )
 
 
@@ -332,6 +338,15 @@ class Bundle:
         )
 
 
+def _homogenized(snaps: SnapshotSet, waveform: Waveform, lift: LiftingPair,
+                lift_pressure: bool) -> SnapshotSet:
+    """The snapshots minus their lifting, the outlet-pressure part only when
+    ``lift_pressure`` (false is the ablation).  offline, online and compare
+    all homogenize here, so they agree on which pressure lifting applies."""
+    p_d = snaps.outlet_pressure if lift_pressure else None
+    return homogenize(snaps, waveform.magnitude(snaps.times), p_d, lift)
+
+
 class _StageFailure(Exception):
     """Internal wrapper used to tag which offline stage failed."""
 
@@ -359,13 +374,15 @@ def offline(config: dict | Path | str, out_dir=None, fom_result: FomResult | Non
     ``config`` is a dict of config keys, or a file Path or config text as
     parse_config reads them.  ``fom_result`` short-circuits the snapshot
     generation (used by ablation studies that share one full-order run).  Any
-    stage failure is re-raised with the stage name attached and partial bundle
-    output is removed.
+    stage failure is re-raised with the stage name attached.  An ``out_dir``
+    this call created is removed with its partial output; one that existed
+    before the call is left in place.
     """
+    created = out_dir is not None and not Path(out_dir).exists()
     try:
         return _offline_stages(config, out_dir, fom_result)
     except _StageFailure as failure:
-        if out_dir is not None and Path(out_dir).exists():
+        if created:
             import shutil
 
             shutil.rmtree(out_dir, ignore_errors=True)
@@ -393,7 +410,7 @@ def _offline_stages(config, out_dir, fom_result):
             fom_result = fom_run(fom_cfg)
         timings["fom"] = fom_result.wall_time
         fine = fom_result.snapshots
-        sub = _i(cfg, "train_subsample") if "train_subsample" in cfg else 1
+        sub = _i(cfg, "train_subsample")
         train = fine.take(slice(0, None, sub)) if sub > 1 else fine
 
     with _stage("lifting"):
@@ -402,10 +419,8 @@ def _offline_stages(config, out_dir, fom_result):
         timings["lifting"] = time.perf_counter() - t0
 
     with _stage("homogenize"):
-        lift_pressure = _b(cfg, "lift_pressure") if "lift_pressure" in cfg else True
-        u_d = fom_cfg.waveform.magnitude(train.times)
-        p_d_series = train.outlet_pressure if lift_pressure else None
-        hom = homogenize(train, u_d, p_d_series, lifting)
+        lift_pressure = _b(cfg, "lift_pressure")
+        hom = _homogenized(train, fom_cfg.waveform, lifting, lift_pressure)
 
     with _stage("pod"):
         t0 = time.perf_counter()
@@ -437,7 +452,7 @@ def _offline_stages(config, out_dir, fom_result):
         for j, (k, _) in enumerate(fom_cfg.grid.outlets):
             model = init_model(hidden_neurons=_i(cfg, "nn_hidden"),
                                hidden_layers=_i(cfg, "nn_layers"),
-                               activation=cfg.get("nn_activation", "softplus"), seed=seed + j)
+                               activation=_s(cfg, "nn_activation"), seed=seed + j)
             trained, hist = nn_train(model, train.times, train.outlet_pressure[:, j], nn_cfg)
             nn_models[k] = trained
             histories[k] = hist
@@ -574,8 +589,13 @@ def projection_errors(snaps: SnapshotSet, hom: SnapshotSet, basis_u: ReducedBasi
 
 
 def compare(fom_set: SnapshotSet, rom_set: SnapshotSet, basis_u: ReducedBasis | None = None,
-            basis_p: ReducedBasis | None = None, lift: LiftingPair | None = None) -> RunReport:
-    """Absolute per-time L2 errors plus projection errors when a basis is given."""
+            basis_p: ReducedBasis | None = None, lift: LiftingPair | None = None,
+            lift_pressure: bool = True) -> RunReport:
+    """Absolute per-time L2 errors plus projection errors when a basis is given.
+
+    ``lift_pressure`` is the bundle's: the projection floor is measured on
+    the snapshots homogenized the way its bases were built.
+    """
     if len(fom_set) != len(rom_set) or np.abs(fom_set.times - rom_set.times).max() > 1e-9:
         raise ShapeError("snapshot sets must share their time grid")
     if fom_set.grid != rom_set.grid:
@@ -587,8 +607,7 @@ def compare(fom_set: SnapshotSet, rom_set: SnapshotSet, basis_u: ReducedBasis | 
     if basis_u is not None and lift is not None:
         if fom_set.waveform is None:
             raise ConfigurationError("projection errors need the waveform metadata")
-        u_d = Waveform.from_dict(fom_set.waveform).magnitude(fom_set.times)
-        hom = homogenize(fom_set, u_d, fom_set.outlet_pressure, lift)
+        hom = _homogenized(fom_set, Waveform.from_dict(fom_set.waveform), lift, lift_pressure)
         proj_u, proj_p = projection_errors(fom_set, hom, basis_u, basis_p)
     return RunReport(times=fom_set.times.copy(), err_u=err_u, err_p=err_p,
                      proj_u=proj_u, proj_p=proj_p)
@@ -650,8 +669,7 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     steps = t_lo + substep * np.arange(k_hi + 1)
 
     first = bundle.train.take(slice(0, 1))
-    hom0 = homogenize(first, bundle.waveform.magnitude(first.times),
-                      first.outlet_pressure if bundle.lift_pressure else None, bundle.lifting)
+    hom0 = _homogenized(first, bundle.waveform, bundle.lifting, bundle.lift_pressure)
     a0 = project_coefficients(hom0.velocity, bu)[0]
     b0 = None if bp is None else project_coefficients(hom0.pressure, bp)[0]
 
@@ -683,7 +701,7 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     for ref in (bundle.train, bundle.fine):
         at = _match_indices(query_times, ref.times)
         if at is not None:
-            cmp = compare(ref.take(at), rec, bu, bp, bundle.lifting)
+            cmp = compare(ref.take(at), rec, bu, bp, bundle.lifting, bundle.lift_pressure)
             report.err_u, report.err_p = cmp.err_u, cmp.err_p
             report.proj_u, report.proj_p = cmp.proj_u, cmp.proj_p
             break

@@ -1,7 +1,7 @@
 """Proper orthogonal decomposition by the method of snapshots.
 
 The M x M correlation matrix C[m, q] = (1/M)(psi_m, psi_q) is diagonalized
-with a cyclic Jacobi sweep (threshold variant), the basis is assembled as
+with LAPACK's symmetric eigensolver (np.linalg.eigh), the basis is assembled as
 
     xi_i = sum_m (v_i)_m psi_m / sqrt(M lambda_i),
 
@@ -28,8 +28,6 @@ from .errors import FormatError, NumericalError, RankError, ShapeError
 from .grid import Field, FieldRows, Grid, _load_rows, field_rows, snapshot_matrix  # noqa: F401
 
 RANK_CUTOFF = 1e-13
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 
 
 def correlation_matrix(fields: FieldRows | Sequence[Field]) -> np.ndarray:
@@ -41,70 +39,31 @@ def correlation_matrix(fields: FieldRows | Sequence[Field]) -> np.ndarray:
     return 0.5 * (C + C.T)  # exact symmetry regardless of GEMM blocking
 
 
-def _off_norm(A: np.ndarray) -> float:
-    # summed directly over off-diagonal entries: the ||A||_F^2 - ||diag||^2
-    # shortcut cancels catastrophically once the off-diagonal is tiny
-    B = A.copy()
-    np.fill_diagonal(B, 0.0)
-    return float(np.linalg.norm(B, "fro"))
-
-
 def symmetric_eig(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of a symmetric matrix via cyclic Jacobi rotations.
+    """Full spectrum of a symmetric matrix (LAPACK, via np.linalg.eigh).
 
     Returns eigenvalues sorted non-increasing and the matching orthonormal
-    eigenvector columns.  Convergence: off-diagonal Frobenius norm below
-    1e-14 ||C||_F within 100 sweeps, else NumericalError.
+    eigenvector columns, each signed so that its largest-magnitude entry is
+    positive (the first such entry on a tie), which keeps the modes built
+    from them deterministic.  A matrix that is not square, not finite or not
+    symmetric to 1e-13 ||C||_F raises ShapeError; a LAPACK failure raises
+    NumericalError.
     """
     A = np.asarray(C, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"need a square matrix, got {A.shape}")
-    n = A.shape[0]
+    if not np.all(np.isfinite(A)):
+        raise ShapeError("matrix has non-finite entries")
     norm = float(np.linalg.norm(A, "fro"))
     if np.abs(A - A.T).max() > max(1e-13 * norm, 1e-300):
         raise ShapeError("matrix is not symmetric")
-    if n == 1:
-        return A.copy().reshape(1), np.ones((1, 1))
-
-    A = A.copy()
-    V = np.eye(n)
-    tol = JACOBI_TOL * norm
-    if norm == 0.0:
-        return np.zeros(n), V
-    skip = tol / n
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_norm(A) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal {_off_norm(A):.3e} vs tolerance {tol:.3e})"
-        )
-
-    w = np.diag(A).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
+    try:
+        w, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+    w, V = w[::-1], V[:, ::-1]
+    lead = V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])]
+    return w.copy(), V * np.where(lead < 0, -1.0, 1.0)
 
 
 @dataclass(eq=False)

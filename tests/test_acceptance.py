@@ -102,7 +102,7 @@ def test_criterion_3_eigensolver_oracle(rng):
         err = np.linalg.norm(V @ np.diag(w) @ V.T - C, "fro") / np.linalg.norm(C, "fro")
         worst = max(worst, err)
         assert err <= 1e-12
-    _report("3 (Jacobi eigensolver)", f"worst reconstruction {worst:.2e} over 50 matrices")
+    _report("3 (symmetric eigensolver)", f"worst reconstruction {worst:.2e} over 50 matrices")
 
 
 def test_criterion_4_windkessel_steady_and_order(rng):

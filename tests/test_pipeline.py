@@ -47,6 +47,13 @@ def bundle(bundle_dir):
     return Bundle.load(bundle_dir)
 
 
+@pytest.fixture(scope="module")
+def ablation_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bundles") / "no_pressure_lift"
+    offline({**SMALL_CONFIG, "lift_pressure": "false"}, out_dir=d)
+    return d
+
+
 class TestConfig:
     def test_defaults_plus_overrides(self, tmp_path):
         f = tmp_path / "cfg.txt"
@@ -105,6 +112,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="expected key = value"):
             parse_config(str(f))
 
+    @pytest.mark.parametrize("key", ["tag_top", "waveform", "inlet_shape", "snap_stride",
+                                     "snap_start", "include_convection"])
+    def test_missing_key_named(self, key):
+        cfg = dict(DEFAULT_CONFIG)
+        del cfg[key]
+        with pytest.raises(ConfigurationError, match=key):
+            build_fom_config(cfg)
+
+    def test_energy_key_retired(self):
+        assert "energy" not in DEFAULT_CONFIG
+        with pytest.raises(ConfigurationError, match="energy"):
+            parse_config("energy = 0.9999\n")
+
     def test_windkessel_keys_accepted(self):
         cfg = parse_config("wk_0 = 35.0,590.0,8e-4\nwk_1 = 1,2,3\nwk_file = wk.csv\n")
         assert cfg["wk_1"] == "1,2,3" and cfg["wk_file"] == "wk.csv"
@@ -156,6 +176,18 @@ class TestOffline:
         (missing / "nn_0.json").unlink()
         with pytest.raises(FormatError, match="missing"):
             Bundle.load(missing)
+
+    def test_stored_config_not_rechecked(self, bundle, bundle_dir, tmp_path):
+        """A bundle written while ``energy`` was a config key still loads."""
+        old = tmp_path / "old"
+        shutil.copytree(bundle_dir, old)
+        rom_json = json.loads((old / "rom.json").read_text())
+        rom_json["config"]["energy"] = "0.9999"
+        (old / "rom.json").write_text(json.dumps(rom_json, indent=1))
+        bundle._write_manifest(old)
+        loaded = Bundle.load(old)
+        assert loaded.config["energy"] == "0.9999"
+        assert online(loaded, timing_reps=1)[1].err_u is not None
 
     def test_velocity_only_flagged(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
@@ -337,6 +369,72 @@ class TestCompare:
                               bundle.train.outlet_pressure)
         with pytest.raises(Exception):
             compare(bundle.train, shifted)
+
+
+class TestPressureLiftAblation:
+    """A lift_pressure = false bundle measures its projection floor on the
+    snapshots homogenized as its bases were built: without the outlet-pressure
+    shift."""
+
+    @staticmethod
+    def _floor(b):
+        from romkit.lifting import homogenize
+
+        hom = homogenize(b.train, b.waveform.magnitude(b.train.times), None, b.lifting)
+        P, Psi, area = hom.pressure.values, b.sliced_basis_p(b.n_p).modes.values, b.grid.cell_area
+        R = P - ((P @ Psi.T) * area) @ Psi
+        return np.sqrt(np.sum(R * R, axis=1) * area)
+
+    def test_online_projection_floor(self, ablation_dir):
+        b = Bundle.load(ablation_dir)
+        assert not b.lift_pressure
+        _, report = online(b, timing_reps=1)
+        np.testing.assert_allclose(report.proj_p, self._floor(b), rtol=1e-12)
+
+    def test_cli_compare_projection_floor(self, ablation_dir, tmp_path):
+        b = Bundle.load(ablation_dir)
+        rec, _ = online(b, timing_reps=1)
+        rec.save(tmp_path / "rec")
+        assert cli_main(["compare", "--fom", str(ablation_dir / "snapshots_train"),
+                         "--rom", str(tmp_path / "rec"), "--bundle", str(ablation_dir),
+                         "--out", str(tmp_path / "cmp")]) == 0
+        rows = (tmp_path / "cmp" / "errors.csv").read_text().splitlines()
+        assert rows[0] == "t,err_u,err_p,proj_u,proj_p"
+        proj_p = np.array([float(r.split(",")[4]) for r in rows[1:]])
+        np.testing.assert_allclose(proj_p, self._floor(b), rtol=1e-12)
+
+
+class TestFailedOffline:
+    """A failed offline call removes the output directory it created, and
+    leaves one that existed before it in place."""
+
+    def test_existing_out_dir_survives(self, tmp_path):
+        cfg = tmp_path / "diverging.txt"
+        cfg.write_text("nx = 16\nny = 4\nnn_epochs = 50\nnn_lr = 1e9\n")
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        (existing / "notes.txt").write_text("keep\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the diverging loss
+            assert cli_main(["offline", "--config", str(cfg), "--out", str(existing)]) == 3
+            assert cli_main(["offline", "--config", str(cfg),
+                             "--out", str(tmp_path / "fresh")]) == 3
+        assert (existing / "notes.txt").read_text() == "keep\n"
+        assert not (tmp_path / "fresh").exists()
+        with pytest.raises(ConfigurationError, match="nn_epoch"):
+            offline({"nn_epoch": "5"}, out_dir=existing)
+        assert (existing / "notes.txt").read_text() == "keep\n"
+
+    def test_partial_output_removed(self, tmp_path, monkeypatch):
+        def fail(path, timings):
+            raise OSError("disk full")
+
+        # the bundle is written by then; only the timings file is missing
+        monkeypatch.setattr(pipeline, "_write_timings", fail)
+        fresh = tmp_path / "fresh"
+        with pytest.raises(OSError, match="offline stage 'save'.*disk full"):
+            offline({**SMALL_CONFIG, "nn_epochs": "50"}, out_dir=fresh)
+        assert not fresh.exists()
 
 
 class TestCli:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from romkit.errors import RankError, ShapeError
+from romkit import pod
+from romkit.errors import NumericalError, RankError, ShapeError
 from romkit.grid import Field, Grid, inner_product
 from romkit.pod import (
     ReducedBasis,
@@ -109,6 +111,47 @@ class TestSymmetricEig:
     def test_size_one(self):
         w, V = symmetric_eig(np.array([[4.0]]))
         assert w[0] == 4.0 and V[0, 0] == 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from(["symmetric", "gram", "repeated"]),
+           st.integers(0, 2**32 - 1))
+    def test_contract(self, n, kind, seed):
+        """Order, orthonormality, reconstruction, sign rule and determinism on
+        general symmetric, rank-deficient PSD and repeated-eigenvalue input."""
+        rng = np.random.default_rng(seed)
+        if kind == "symmetric":
+            A = rng.standard_normal((n, n))
+            C = A + A.T
+        elif kind == "gram":
+            B = rng.standard_normal((n, int(rng.integers(1, max(2, n)))))  # rank < n for n > 1
+            C = B @ B.T
+        else:
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = rng.choice([3.0, 1.0, 0.0, -2.0], size=n)
+            C = (Q * lam) @ Q.T
+        C = 0.5 * (C + C.T)
+        w, V = symmetric_eig(C)
+        assert w.shape == (n,) and V.shape == (n, n)
+        assert np.all(np.diff(w) <= 0)
+        assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-13
+        norm = np.linalg.norm(C, "fro")
+        assert np.linalg.norm((V * w) @ V.T - C, "fro") <= 1e-12 * max(norm, 1e-300)
+        assert np.all(V[np.abs(V).argmax(axis=0), np.arange(n)] > 0)
+        w2, V2 = symmetric_eig(C.copy())
+        assert np.array_equal(w, w2) and np.array_equal(V, V2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ShapeError, match="non-finite"):
+            symmetric_eig(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def fail(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(pod.np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            symmetric_eig(np.eye(3))
 
 
 class TestBuildBasis:
