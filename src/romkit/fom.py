@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .grid import FieldRows, Grid, SnapshotSet
-from .operators import (advanced_masks, center_laplacian, cg, convection, divergence, gradient,
-                        vec_laplacian)
+from .grid import (SIDE_INDEX, FieldRows, Grid, SnapshotSet, normal_faces, normal_flux,
+                   set_inward)
+from .operators import center_laplacian, cg, convection, divergence, gradient, vec_laplacian
 from .windkessel import WindkesselParams, WindkesselState, wk_step
 
 POISSON_RTOL = 1e-10
@@ -77,8 +77,7 @@ class Waveform:
 
     def profile(self, grid: Grid) -> np.ndarray:
         """Spatial inlet shape over the inlet faces, normalized to mean 1."""
-        side = grid.inlet_side
-        n = grid.ny if side in ("left", "right") else grid.nx
+        n = np.zeros((grid.ny, grid.nx))[SIDE_INDEX[grid.inlet_side]].size  # inlet faces
         if self.shape == "plug":
             return np.ones(n)
         xi = (np.arange(n) + 0.5) / n
@@ -150,23 +149,13 @@ class FomState:
     u: np.ndarray
     v: np.ndarray
     p: np.ndarray
-    wk: dict
+    wk: tuple                       # WindkesselState per outlet, grid.outlets order
     t: float
     poisson_iters: int = 0          # CG iterations of the step that produced this state
     poisson_residual: float = 0.0   # its true relative residual ||rhs - A p|| / ||rhs||
     div_max: float = 0.0            # max |div u| after its pressure correction
     outlet_flux: tuple = ()         # outward flux Q per outlet (grid.outlets order)
                                     # that its Windkessel integrated in that step
-
-
-def _side_flux(grid: Grid, u: np.ndarray, v: np.ndarray, side: str) -> float:
-    if side == "left":
-        return -float(np.sum(u[:, 0])) * grid.hy
-    if side == "right":
-        return float(np.sum(u[:, -1])) * grid.hy
-    if side == "bottom":
-        return -float(np.sum(v[0, :])) * grid.hx
-    return float(np.sum(v[-1, :])) * grid.hx
 
 
 class FomSolver:
@@ -177,7 +166,6 @@ class FomSolver:
         self.grid = cfg.grid
         outlet_sides = frozenset(side for _, side in self.grid.outlets)
         self._A, self._bc = center_laplacian(self.grid, outlet_sides)
-        self._masks = advanced_masks(self.grid)
         self._profile = cfg.waveform.profile(self.grid)
         self._prev_p = np.zeros(self.grid.n_scalar)
 
@@ -188,32 +176,9 @@ class FomSolver:
             u=np.zeros((g.ny, g.nx + 1)),
             v=np.zeros((g.ny + 1, g.nx)),
             p=np.zeros((g.ny, g.nx)),
-            wk={k: WindkesselState(t=self.cfg.t0) for k, _ in g.outlets},
+            wk=tuple(WindkesselState(t=self.cfg.t0) for _ in g.outlets),
             t=self.cfg.t0,
         )
-
-    def _apply_inlet(self, u: np.ndarray, v: np.ndarray, g_val: float) -> None:
-        side = self.grid.inlet_side
-        vals = g_val * self._profile
-        if side == "left":
-            u[:, 0] = vals
-        elif side == "right":
-            u[:, -1] = -vals
-        elif side == "bottom":
-            v[0, :] = vals
-        else:
-            v[-1, :] = -vals
-
-    def _apply_walls(self, u: np.ndarray, v: np.ndarray) -> None:
-        g = self.grid
-        if g.tags["left"] == "wall":
-            u[:, 0] = 0.0
-        if g.tags["right"] == "wall":
-            u[:, -1] = 0.0
-        if g.tags["bottom"] == "wall":
-            v[0, :] = 0.0
-        if g.tags["top"] == "wall":
-            v[-1, :] = 0.0
 
     def advance(self, state: FomState) -> FomState:
         cfg, g = self.cfg, self.grid
@@ -227,18 +192,16 @@ class FomSolver:
             cu = cv = 0.0
         us = state.u + dt * (nu * lu - cu)
         vs = state.v + dt * (nu * lv - cv)
-        self._apply_inlet(us, vs, cfg.waveform.magnitude(t_new))
-        self._apply_walls(us, vs)
+        set_inward(us, vs, g.inlet_side, cfg.waveform.magnitude(t_new) * self._profile)
+        for side in g.sides_with("wall"):  # +0.0: set_inward would store -0.0 on right/top
+            normal_faces(us, vs, side)[SIDE_INDEX[side]] = 0.0
 
-        wk_new, datums, outlet_vals, fluxes = {}, {}, {}, []
-        for k, side in g.outlets:
-            Q = _side_flux(g, state.u, state.v, side)
-            fluxes.append(Q)
-            wk_new[k] = wk_step(state.wk[k], Q, dt, cfg.windkessel[k])
-            datums[side] = wk_new[k].p
-            outlet_vals[k] = wk_new[k].p
+        fluxes = [normal_flux(g, state.u, state.v, side) for _, side in g.outlets]
+        wk_new = tuple(wk_step(wk, Q, dt, cfg.windkessel[k])
+                       for (k, _), wk, Q in zip(g.outlets, state.wk, fluxes))
+        q = [wk.p for wk in wk_new]
 
-        rhs = self._bc(datums) - divergence(g, us, vs).ravel() / dt
+        rhs = self._bc(q) - divergence(g, us, vs).ravel() / dt
         n_iter = [0]
 
         def count(_):
@@ -257,7 +220,7 @@ class FomSolver:
         res = float(res / rhs_norm) if rhs_norm > 0 else 0.0
         p_new = p_flat.reshape(g.ny, g.nx)
 
-        gx, gy = gradient(g, p_new, outlet_vals)
+        gx, gy = gradient(g, p_new, q)
         u_new = us - dt * gx
         v_new = vs - dt * gy
 
@@ -280,7 +243,6 @@ class FomSolver:
         i_start = int(np.ceil((snap_start - cfg.t0) / cfg.dt - 1e-9))
         stride = cfg.snap_stride
 
-        outlet_ids = [k for k, _ in g.outlets]
         recorded = list(range(i_start, n_steps + 1, stride or n_steps + 1))  # None: i_start only
         row = {i: m for m, i in enumerate(recorded)}
         vels = np.empty((len(row), g.n_vector))
@@ -289,11 +251,11 @@ class FomSolver:
         poisson_iters = np.zeros(n_steps, dtype=np.int64)
         poisson_res = np.zeros(n_steps)
         div_max = np.zeros(n_steps)
-        outlet_flux = np.zeros((n_steps, len(outlet_ids)))
+        outlet_flux = np.zeros((n_steps, len(g.outlets)))
 
         def record(i: int, state: FomState):
             times_full.append(state.t)
-            pouts_full.append([state.wk[k].p for k in outlet_ids])
+            pouts_full.append([wk.p for wk in state.wk])
             if i in row:
                 vels[row[i]] = np.concatenate([state.u.ravel(), state.v.ravel()])
                 pres[row[i]] = state.p.ravel()

@@ -30,6 +30,13 @@ import numpy as np
 from .errors import ConfigurationError, FormatError, ShapeError
 
 SIDES = ("left", "right", "bottom", "top")
+# The boundary geometry, in one place.  SIDE_INDEX[side] picks the side's
+# boundary column (left/right) or row (bottom/top) of any cell or face array;
+# OUTWARD[side] is the sign of the outward normal along the face-normal axis.
+SIDE_INDEX = {"left": np.s_[:, 0], "right": np.s_[:, -1],
+              "bottom": np.s_[0, :], "top": np.s_[-1, :]}
+OUTWARD = {"left": -1.0, "right": 1.0, "bottom": -1.0, "top": 1.0}
+_X_NORMAL = ("left", "right")   # sides whose normal faces are x-faces (the u array)
 _OUTLET_RE = re.compile(r"^outlet_(\d+)$")
 
 
@@ -132,10 +139,14 @@ class Grid:
 
     def side_measure(self, side: str) -> float:
         """Face length along the given side (hy for left/right, hx otherwise)."""
-        return self.hy if side in ("left", "right") else self.hx
+        return self.hy if side in _X_NORMAL else self.hx
 
     def side_area(self, side: str) -> float:
-        return self.ly if side in ("left", "right") else self.lx
+        return self.ly if side in _X_NORMAL else self.lx
+
+    def normal_spacing(self, side: str) -> float:
+        """Cell width across the given side (hx for left/right, hy otherwise)."""
+        return self.hx if side in _X_NORMAL else self.hy
 
     def _key(self) -> tuple:
         return (self.nx, self.ny, self.lx, self.ly, tuple(sorted(self.tags.items())))
@@ -261,33 +272,31 @@ def l2_norm(f: Field) -> float:
 
 # -- boundary traces and fluxes ----------------------------------------------
 
-def normal_values(f: Field, side: str) -> np.ndarray:
-    """Boundary-normal velocity values stored on the faces of `side`."""
-    if f.kind != "vector2":
-        raise ShapeError("normal_values needs a vector2 field")
-    if side == "left":
-        return f.u[:, 0].copy()
-    if side == "right":
-        return f.u[:, -1].copy()
-    if side == "bottom":
-        return f.v[0, :].copy()
-    if side == "top":
-        return f.v[-1, :].copy()
-    raise ConfigurationError(f"unknown side {side!r}")
+def normal_faces(u: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+    """The face array normal to `side`: u for left/right, v for bottom/top."""
+    return u if side in _X_NORMAL else v
+
+
+def set_inward(u: np.ndarray, v: np.ndarray, side: str, values) -> None:
+    """Write inward-positive normal velocities onto the faces of `side`, in place."""
+    normal_faces(u, v, side)[SIDE_INDEX[side]] = -OUTWARD[side] * values
+
+
+def normal_flux(grid: Grid, u: np.ndarray, v: np.ndarray, side: str) -> float:
+    """Outward volume flux of the face arrays (u, v) through `side`."""
+    vals = normal_faces(u, v, side)[SIDE_INDEX[side]]
+    return OUTWARD[side] * float(np.sum(vals)) * grid.side_measure(side)
 
 
 def side_flux(f: Field, side: str) -> float:
     """Outward volume flux through a side (sum of normal values times face length)."""
-    vals = normal_values(f, side)
-    sign = -1.0 if side in ("left", "bottom") else 1.0
-    return sign * float(np.sum(vals)) * f.grid.side_measure(side)
+    return normal_flux(f.grid, f.u, f.v, side)
 
 
 def inlet_trace(f: Field) -> np.ndarray:
     """Inward-positive normal values on the (single) inlet side."""
     side = f.grid.inlet_side
-    vals = normal_values(f, side)
-    return vals if side in ("left", "bottom") else -vals
+    return -OUTWARD[side] * normal_faces(f.u, f.v, side)[SIDE_INDEX[side]]
 
 
 def inlet_flux(f: Field) -> float:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, NumericalError, ShapeError
-from .grid import Field, FieldRows, Grid, SnapshotSet
+from .grid import SIDE_INDEX, Field, FieldRows, Grid, SnapshotSet, inlet_flux, set_inward
 from .operators import center_laplacian, cg, divergence
 
 LIFT_RTOL = 1e-12
@@ -91,28 +91,16 @@ def _velocity_lifting(grid: Grid) -> Field:
 
     ub = np.zeros((grid.ny, grid.nx + 1))
     vb = np.zeros((grid.ny + 1, grid.nx))
-
-    def set_normal(side, inward):
-        # inward > 0 points into the domain on the given side
-        if side == "left":
-            ub[:, 0] = inward
-        elif side == "right":
-            ub[:, -1] = -inward
-        elif side == "bottom":
-            vb[0, :] = inward
-        else:
-            vb[-1, :] = -inward
-
-    set_normal(inlet, 1.0)
+    set_inward(ub, vb, inlet, 1.0)
     for _, side in grid.outlets:
-        set_normal(side, -q_out)
+        set_inward(ub, vb, side, -q_out)
 
     known_div = divergence(grid, ub, vb).ravel()
     A, _ = center_laplacian(grid, frozenset())
     b = known_div - known_div.mean()  # project onto range of the Neumann operator
-    A = A.tolil()
-    A[0, 0] += A.diagonal().mean()  # pins the constant mode; solution has phi[0] = 0
-    A = A.tocsr()
+    # pins the constant mode on the stored main diagonal (column 0 of the
+    # offset-0 row); the solution has phi[0] = 0
+    A.data[A.offsets == 0, 0] += A.diagonal().mean()
     phi = _cg_solve(A, b, label="velocity-lifting potential").reshape(grid.ny, grid.nx)
 
     u = ub.copy()
@@ -131,9 +119,7 @@ def _velocity_lifting(grid: Grid) -> Field:
 def _pressure_lifting(grid: Grid, k: int) -> Field:
     dirichlet = {grid.inlet_side} | {side for _, side in grid.outlets}
     A, bc = center_laplacian(grid, frozenset(dirichlet))
-    datums = {side: (1.0 if kk == k else 0.0) for kk, side in grid.outlets}
-    datums[grid.inlet_side] = 0.0
-    b = bc(datums)
+    b = bc([float(kk == k) for kk, _ in grid.outlets])
     x = _cg_solve(A, b, label=f"pressure-lifting outlet {k}")
     resid = np.abs(A @ x - b).max()
     if resid > LIFT_RESIDUAL_TOL * max(np.abs(b).max(), 1.0):
@@ -147,18 +133,11 @@ def compute_lifting(grid: Grid) -> LiftingPair:
         raise ConfigurationError("lifting needs at least one outlet")
     chi_u = _velocity_lifting(grid)
     chi_p = tuple(_pressure_lifting(grid, k) for k, _ in grid.outlets)
-
-    from .grid import inlet_flux  # local import to avoid cycle at module load
-
-    adj_means = []
-    for (k, side), f in zip(grid.outlets, chi_p):
-        c = f.c
-        cells = {"left": c[:, 0], "right": c[:, -1], "bottom": c[0, :], "top": c[-1, :]}[side]
-        adj_means.append(float(cells.mean()))
     records = {
         "chi_u_inlet_flux": inlet_flux(chi_u),
         "chi_p_outlet_datum": [1.0] * len(chi_p),
-        "chi_p_adjacent_cell_mean": adj_means,
+        "chi_p_adjacent_cell_mean": [float(f.c[SIDE_INDEX[side]].mean())
+                                     for (_, side), f in zip(grid.outlets, chi_p)],
     }
     return LiftingPair(chi_u, chi_p, records)
 

@@ -21,14 +21,13 @@ Poisson step, the lifting potentials, the supremizers).
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import dia_matvec
 
-from .errors import ConfigurationError
-from .grid import SIDES, Grid
+from .errors import ConfigurationError, ShapeError
+from .grid import OUTWARD, SIDE_INDEX, SIDES, Grid, normal_faces
 
 
 def _is_outlet(grid: Grid, side: str) -> bool:
@@ -44,14 +43,9 @@ def advanced_masks(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks of the u/v faces the momentum equation advances."""
     mu = np.ones((grid.ny, grid.nx + 1), dtype=bool)
     mv = np.ones((grid.ny + 1, grid.nx), dtype=bool)
-    if not _is_outlet(grid, "left"):
-        mu[:, 0] = False
-    if not _is_outlet(grid, "right"):
-        mu[:, -1] = False
-    if not _is_outlet(grid, "bottom"):
-        mv[0, :] = False
-    if not _is_outlet(grid, "top"):
-        mv[-1, :] = False
+    for side in SIDES:
+        if not _is_outlet(grid, side):
+            normal_faces(mu, mv, side)[SIDE_INDEX[side]] = False
     return mu, mv
 
 
@@ -102,29 +96,35 @@ def divergence(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, 1:] - u[:, :-1]) / grid.hx + (v[1:, :] - v[:-1, :]) / grid.hy
 
 
-def gradient(grid: Grid, p: np.ndarray, outlet_values: Mapping[int, float] | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
+def _outlet_data(grid: Grid, q) -> np.ndarray:
+    """Outlet data as one float array in ``grid.outlets`` order; None is all zeros."""
+    n = len(grid.outlets)
+    if q is None:
+        return np.zeros(n)
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (n,):
+        raise ShapeError(f"outlet data needs one value per outlet ({n}), got shape {q.shape}")
+    return q
+
+
+def gradient(grid: Grid, p: np.ndarray, q=None) -> tuple[np.ndarray, np.ndarray]:
     """Pressure gradient at faces; outlet faces use the Dirichlet datum ghost.
 
     Non-outlet boundary faces get gradient zero (their velocities are data and
-    are never corrected).  `outlet_values[k]` is the boundary value of p on
-    outlet k; missing entries default to 0.
+    are never corrected).  `q` holds the boundary value of p on each outlet,
+    in ``grid.outlets`` order; None means 0 on every outlet.
     """
-    outlet_values = outlet_values or {}
+    q = _outlet_data(grid, q)
     gx = np.zeros((grid.ny, grid.nx + 1))
     gy = np.zeros((grid.ny + 1, grid.nx))
     gx[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / grid.hx
     gy[1:-1, :] = (p[1:, :] - p[:-1, :]) / grid.hy
-    for k, side in grid.outlets:
-        val = float(outlet_values.get(k, 0.0))
-        if side == "right":
-            gx[:, -1] = 2.0 * (val - p[:, -1]) / grid.hx
-        elif side == "left":
-            gx[:, 0] = 2.0 * (p[:, 0] - val) / grid.hx
-        elif side == "top":
-            gy[-1, :] = 2.0 * (val - p[-1, :]) / grid.hy
-        elif side == "bottom":
-            gy[0, :] = 2.0 * (p[0, :] - val) / grid.hy
+    for (_, side), val in zip(grid.outlets, q):
+        cells = p[SIDE_INDEX[side]]
+        # datum minus cell along the axis; both operand orders are written out
+        # so an equal datum and cell give +0.0 on every side
+        diff = val - cells if OUTWARD[side] > 0 else cells - val
+        normal_faces(gx, gy, side)[SIDE_INDEX[side]] = 2.0 * diff / grid.normal_spacing(side)
     return gx, gy
 
 
@@ -170,12 +170,14 @@ def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset())
     """Assemble A = -div(grad(.)) for cell-centered scalars.
 
     Returns (A, bc_vector) where A is SPD (with at least one Dirichlet side)
-    and ``bc_vector(datums)`` builds the right-hand-side contribution of the
-    Dirichlet data: solving ``A p = bc_vector(datums) - div_rhs`` matches
-    ``div(gradient(p, datums)) = div_rhs`` exactly.
+    and ``bc_vector(q)`` builds the right-hand-side contribution of the outlet
+    data ``q`` (one value per outlet, in ``grid.outlets`` order): solving
+    ``A p = bc_vector(q) - div_rhs`` matches ``div(gradient(grid, p, q)) =
+    div_rhs`` exactly.  Every outlet side must then be a Dirichlet side.
 
     Dirichlet sides impose the datum on the boundary face via the linear
-    ghost 2*d - p; all other sides are homogeneous Neumann.
+    ghost 2*d - p; all other sides are homogeneous Neumann.  A Dirichlet side
+    that is not an outlet (the inlet of a pressure lifting) has datum 0.
 
     A is stored as a DIA matrix with the strictly ascending offsets
     (-nx, -1, 0, 1, nx), so ``A @ x`` sums each row in ascending column
@@ -205,26 +207,19 @@ def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset())
     diag[:-1, :] += 1.0 / hy2
     diag[1:, :] += 1.0 / hy2
 
-    side_cells = {
-        "left": idx[:, 0],
-        "right": idx[:, -1],
-        "bottom": idx[0, :],
-        "top": idx[-1, :],
-    }
-    side_h2 = {"left": hx2, "right": hx2, "bottom": hy2, "top": hy2}
     diag = diag.reshape(n)
     # a fixed side order: a corner cell's two terms would otherwise round in
     # the set's hash order, which changes from one process to the next
     for side in sorted(dirichlet_sides, key=SIDES.index):
-        diag[side_cells[side]] += 2.0 / side_h2[side]
+        diag[idx[SIDE_INDEX[side]]] += 2.0 / grid.normal_spacing(side)**2
     A = sp.dia_matrix((data.reshape(5, n), offsets), shape=(n, n))
 
-    def bc_vector(datums: Mapping[str, float]) -> np.ndarray:
+    def bc_vector(q) -> np.ndarray:
         out = np.zeros(n)
-        for side, d in datums.items():
+        for (_, side), d in zip(grid.outlets, _outlet_data(grid, q)):
             if side not in dirichlet_sides:
                 raise ConfigurationError(f"side {side!r} was not assembled as Dirichlet")
-            out[side_cells[side]] += 2.0 * float(d) / side_h2[side]
+            out[idx[SIDE_INDEX[side]]] += 2.0 * float(d) / grid.normal_spacing(side)**2
         return out
 
     return A, bc_vector

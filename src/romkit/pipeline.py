@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, ShapeError
 from .fom import FomConfig, FomResult, Waveform, fom_run
-from .grid import Grid, SnapshotSet
+from .grid import SIDES, Grid, SnapshotSet
 from .lifting import LiftingPair, compute_lifting, homogenize
 from .nn import (
     NNModel,
@@ -132,7 +132,7 @@ def _b(cfg, key) -> bool:
 
 
 def build_grid_from_config(cfg: dict) -> Grid:
-    tags = {side: _s(cfg, f"tag_{side}") for side in ("left", "right", "bottom", "top")}
+    tags = {side: _s(cfg, f"tag_{side}") for side in SIDES}
     return Grid(_i(cfg, "nx"), _i(cfg, "ny"), _f(cfg, "lx"), _f(cfg, "ly"), tags)
 
 

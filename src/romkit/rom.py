@@ -203,7 +203,7 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
 
     sup = np.zeros((basis_p.n_modes, grid.n_vector))
     for j, psi in enumerate(basis_p.modes):
-        rhs = -_flat(gradient(grid, psi.c, {}))[unknown]
+        rhs = -_flat(gradient(grid, psi.c))[unknown]
         n_iter = [0]
 
         def count(_):
@@ -255,7 +255,7 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
             Ct[:, j, k] = proj(convection(grid, au, av, bu, bv))
     K = np.zeros((n_u, n_p))
     for j in range(n_p):
-        K[:, j] = proj(gradient(grid, Psi[j].reshape(grid.ny, grid.nx), {}))
+        K[:, j] = proj(gradient(grid, Psi[j].reshape(grid.ny, grid.nx)))
     P = area * (Psi @ np.array([divergence(grid, u, v).ravel() for u, v in umodes]).T)
     d7 = area * (Psi @ divergence(grid, cu_u, cu_v).ravel())
 
@@ -264,9 +264,8 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     d3 = np.column_stack([proj(convection(grid, cu_u, cu_v, u, v)) for u, v in umodes])
     d4 = proj(convection(grid, cu_u, cu_v, cu_u, cu_v))
     d6 = proj((cu_u, cu_v))
-    outlets = [kk for kk, _ in grid.outlets]
-    d5 = np.array([proj(gradient(grid, chi.c, {kk: float(kk == k) for kk in outlets}))
-                   for k, chi in zip(outlets, lift.chi_p)])
+    unit = np.eye(len(lift.chi_p))
+    d5 = np.array([proj(gradient(grid, chi.c, unit[k])) for k, chi in enumerate(lift.chi_p)])
 
     return ReducedOperators(B=B, Ct=Ct, K=K, P=P, d1=d1, d2=d2, d3=d3, d4=d4,
                             d5=d5, d6=d6, d7=d7, nu=float(nu))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from romkit.grid import Field, Grid
+from romkit.grid import SIDES, Field, Grid
 
 CHANNEL_TAGS = {"left": "inlet", "right": "outlet_0", "top": "wall", "bottom": "wall"}
 
@@ -31,3 +32,16 @@ def random_vector(grid, rng):
         rng.standard_normal((grid.ny, grid.nx + 1)),
         rng.standard_normal((grid.ny + 1, grid.nx)),
     )
+
+
+@st.composite
+def layouts(draw):
+    """A grid of 3..12 cells a side: inlet on any side, 1-3 outlets, walls elsewhere."""
+    sides = draw(st.permutations(SIDES))
+    n_out = draw(st.integers(1, 3))
+    tags = {side: "wall" for side in sides}
+    tags[sides[0]] = "inlet"
+    for k, side in enumerate(sides[1:1 + n_out]):
+        tags[side] = f"outlet_{k}"
+    return Grid(draw(st.integers(3, 12)), draw(st.integers(3, 12)),
+                draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0)), tags)

@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romkit import fom, operators
 from romkit.errors import ConfigurationError, NumericalError
 from romkit.fom import FomConfig, FomSolver, Waveform, fom_run
-from romkit.grid import Grid
+from romkit.grid import Grid, side_flux
 from romkit.operators import advanced_masks, divergence
 from romkit.windkessel import WindkesselParams
 
-from conftest import CHANNEL_TAGS
+from conftest import CHANNEL_TAGS, layouts
 
 
 def channel_cfg(nx=16, ny=8, lx=2.0, ly=0.5, nu=5e-3, dt=0.01, t_end=0.1,
@@ -221,5 +224,33 @@ class TestRun:
         for m, t in enumerate(res.snapshots.times[:-1]):
             i = int(np.flatnonzero(res.step_times == t)[0])
             snap = res.snapshots.velocity[m]
-            assert res.outlet_flux[i, 0] == fom._side_flux(g, snap.u, snap.v, "right")
+            assert res.outlet_flux[i, 0] == side_flux(snap, "right")
         assert np.all(res.outlet_flux[1:] > 0)
+
+
+class TestLayouts:
+    @settings(max_examples=40, deadline=None)
+    @given(layouts(), st.floats(0.0, 0.2), st.sampled_from(["plug", "parabola"]),
+           st.none() | st.integers(0, 2**32 - 1))
+    def test_step_sets_inlet_and_walls(self, grid, t0, shape, seed):
+        """After one step, from rest or (given a seed) from a random state, the
+        inlet faces carry the inward g(t) profile and the wall faces zero normal
+        velocity, whatever side either lies on."""
+        wf = Waveform(kind="pulse", u_sys=1.0, t_cycle=0.6, systole_frac=0.4, shape=shape)
+        nu = 0.04
+        dt = 0.5 * min(min(grid.hx, grid.hy) / wf.u_sys,
+                       1.0 / (3.0 * nu * (1.0 / grid.hx**2 + 1.0 / grid.hy**2)))
+        wk = {k: WindkesselParams(Rp=1.0, Rd=10.0, C=0.1) for k, _ in grid.outlets}
+        solver = FomSolver(FomConfig(grid=grid, nu=nu, dt=dt, t0=t0, t_end=t0 + 10 * dt,
+                                     waveform=wf, windkessel=wk))
+        s = solver.initial_state()
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            s = dataclasses.replace(s, u=rng.uniform(-1, 1, s.u.shape),
+                                    v=rng.uniform(-1, 1, s.v.shape))
+        s = solver.advance(s)
+        inward = {"left": s.u[:, 0], "right": -s.u[:, -1],
+                  "bottom": s.v[0, :], "top": -s.v[-1, :]}
+        assert np.array_equal(inward[grid.inlet_side], wf.magnitude(s.t) * wf.profile(grid))
+        for side in grid.sides_with("wall"):
+            assert not inward[side].any()

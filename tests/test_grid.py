@@ -14,7 +14,10 @@ from romkit.grid import (
     inlet_trace,
     inner_product,
     l2_norm,
+    normal_flux,
     outlet_flux,
+    set_inward,
+    side_flux,
 )
 
 from conftest import CHANNEL_TAGS, random_scalar, random_vector
@@ -163,6 +166,30 @@ class TestField:
         assert inlet_flux(f) == pytest.approx(g.ly, rel=1e-14)
         assert outlet_flux(f, 0) == pytest.approx(g.ly, rel=1e-14)
         assert np.allclose(inlet_trace(f), 1.0)
+
+
+# each side's normal faces and outward sign, written out by hand
+SIDE_CASES = [
+    ("left", lambda u, v: u[:, 0], -1.0, "hy", "hx"),
+    ("right", lambda u, v: u[:, -1], 1.0, "hy", "hx"),
+    ("bottom", lambda u, v: v[0, :], -1.0, "hx", "hy"),
+    ("top", lambda u, v: v[-1, :], 1.0, "hx", "hy"),
+]
+
+
+@pytest.mark.parametrize("side, faces, outward, measure, spacing", SIDE_CASES)
+def test_side_table(side, faces, outward, measure, spacing, rng):
+    g = Grid(5, 4, 1.5, 0.7, CHANNEL_TAGS)
+    u, v = np.zeros((g.ny, g.nx + 1)), np.zeros((g.ny + 1, g.nx))
+    vals = rng.standard_normal(faces(u, v).size)
+    set_inward(u, v, side, vals)
+    assert np.array_equal(faces(u, v), -outward * vals)
+    assert np.count_nonzero(u) + np.count_nonzero(v) == vals.size
+    assert g.side_measure(side) == getattr(g, measure)
+    assert g.normal_spacing(side) == getattr(g, spacing)
+    inflow = float(np.sum(vals)) * g.side_measure(side)
+    assert normal_flux(g, u, v, side) == pytest.approx(-inflow, rel=1e-14)
+    assert side_flux(Field.vector2(g, u, v), side) == normal_flux(g, u, v, side)
 
 
 class TestSnapshotSet:

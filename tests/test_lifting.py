@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from romkit.fom import FomConfig, Waveform, fom_run
-from romkit.grid import Field, Grid, inlet_flux, inlet_trace, l2_norm, outlet_flux
+from romkit.grid import SIDE_INDEX, Field, Grid, inlet_flux, inlet_trace, l2_norm, outlet_flux
 from romkit.errors import ShapeError
 from romkit.lifting import LiftingPair, compute_lifting, dehomogenize, homogenize
-from romkit.operators import divergence
+from romkit.operators import divergence, gradient
 from romkit.windkessel import WindkesselParams
 
-from conftest import CHANNEL_TAGS, random_scalar, random_vector
+from conftest import CHANNEL_TAGS, layouts, random_scalar, random_vector
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,35 @@ class TestComputeLifting:
         assert np.array_equal(back.chi_u.values, lift.chi_u.values)
         assert np.array_equal(back.chi_p[0].values, lift.chi_p[0].values)
         assert back.records["chi_u_inlet_flux"] == lift.records["chi_u_inlet_flux"]
+
+
+class TestLayouts:
+    """The lifting's defining properties on every legal boundary layout."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(layouts())
+    def test_chi_u(self, grid):
+        chi = compute_lifting(grid).chi_u
+        div = divergence(grid, chi.u, chi.v)
+        assert np.abs(div).max() <= 1e-9 * np.abs(chi.values).max() / min(grid.hx, grid.hy)
+        fin = inlet_flux(chi)
+        assert fin == pytest.approx(grid.side_area(grid.inlet_side), rel=1e-12)
+        fout = sum(outlet_flux(chi, k) for k, _ in grid.outlets)
+        assert fout == pytest.approx(fin, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(layouts())
+    def test_chi_p_harmonic_with_unit_datum(self, grid):
+        """div(gradient(chi_p_k, e_k)) vanishes in every cell.  `gradient` is zero
+        on the inlet faces (their velocity is data), so the cells next to the
+        inlet get the datum-0 ghost term 2 chi / h^2 added back first."""
+        unit = np.eye(len(grid.outlets))
+        inlet = SIDE_INDEX[grid.inlet_side]
+        scale = 2.0 / min(grid.hx, grid.hy)**2
+        for e_k, chi in zip(unit, compute_lifting(grid).chi_p):
+            r = divergence(grid, *gradient(grid, chi.c, e_k))
+            r[inlet] -= 2.0 * chi.c[inlet] / grid.normal_spacing(grid.inlet_side)**2
+            assert np.abs(r).max() <= 1e-10 * scale
 
 
 def _toy_set(grid, rng, m=4):

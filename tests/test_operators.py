@@ -8,7 +8,8 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
 
 from romkit import fom, lifting, rom
-from romkit.grid import SIDES, Field, Grid, inner_product
+from romkit.errors import ConfigurationError, ShapeError
+from romkit.grid import SIDES, Field, Grid, inner_product, side_flux
 from romkit.operators import (
     advanced_masks,
     center_laplacian,
@@ -19,7 +20,7 @@ from romkit.operators import (
     vec_laplacian,
 )
 
-from conftest import CHANNEL_TAGS
+from conftest import CHANNEL_TAGS, layouts, random_vector
 
 
 @pytest.fixture
@@ -33,23 +34,10 @@ def test_divergence_of_gradient_matches_matrix(grid, rng):
     A, bc = center_laplacian(grid, frozenset(outlet_sides))
     p = rng.standard_normal((grid.ny, grid.nx))
     datum = 0.731
-    gx, gy = gradient(grid, p, {0: datum})
+    gx, gy = gradient(grid, p, [datum])
     lhs = divergence(grid, gx, gy).ravel()
-    rhs = -A @ p.ravel() + bc({grid.outlet_side(0): datum})
+    rhs = -A @ p.ravel() + bc([datum])
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12 * max(1.0, np.abs(lhs).max()))
-
-
-@st.composite
-def layouts(draw):
-    """A grid of 3..12 cells a side: inlet on any side, 1-3 outlets, walls elsewhere."""
-    sides = draw(st.permutations(SIDES))
-    n_out = draw(st.integers(1, 3))
-    tags = {side: "wall" for side in sides}
-    tags[sides[0]] = "inlet"
-    for k, side in enumerate(sides[1:1 + n_out]):
-        tags[side] = f"outlet_{k}"
-    return Grid(draw(st.integers(3, 12)), draw(st.integers(3, 12)),
-                draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0)), tags)
 
 
 class TestLayoutProperties:
@@ -59,8 +47,8 @@ class TestLayoutProperties:
     def _setup(grid, seed):
         rng = np.random.default_rng(seed)
         A, bc = center_laplacian(grid, frozenset(side for _, side in grid.outlets))
-        datums = {k: float(rng.uniform(-5.0, 5.0)) for k, _ in grid.outlets}
-        rhs_bc = bc({side: datums[k] for k, side in grid.outlets})
+        datums = rng.uniform(-5.0, 5.0, len(grid.outlets))
+        rhs_bc = bc(datums)
         return rng, A, datums, rhs_bc
 
     @settings(max_examples=60, deadline=None)
@@ -72,6 +60,16 @@ class TestLayoutProperties:
         rhs = rhs_bc - A @ p.ravel()
         scale = max(np.abs(lhs).max(), np.abs(rhs_bc).max())
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts(), st.integers(0, 2**32 - 1))
+    def test_gauss_identity(self, grid, seed):
+        """sum(div u) * cell area equals the outward flux through the four sides."""
+        f = random_vector(grid, np.random.default_rng(seed))
+        cells = divergence(grid, f.u, f.v) * grid.cell_area
+        fluxes = [side_flux(f, side) for side in SIDES]
+        scale = np.abs(cells).sum() + np.abs(fluxes).sum()
+        assert abs(cells.sum() - sum(fluxes)) <= 1e-13 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(layouts(), st.integers(0, 2**32 - 1))
@@ -92,6 +90,21 @@ class TestLayoutProperties:
                              atol=0.0, maxiter=20 * grid.n_scalar)
         assert ours[1] == 0
         _assert_same_run(ours, ref)
+
+
+def test_outlet_data_keying(grid, rng):
+    """Outlet data is one value per outlet; the outlet must be a Dirichlet side."""
+    p = rng.standard_normal((grid.ny, grid.nx))
+    A, bc = center_laplacian(grid, frozenset({"right"}))
+    for bad in ([], [1.0, 2.0], [[1.0]]):
+        with pytest.raises(ShapeError):
+            gradient(grid, p, bad)
+        with pytest.raises(ShapeError):
+            bc(bad)
+    assert all(np.array_equal(a, b) for a, b in zip(gradient(grid, p), gradient(grid, p, [0.0])))
+    _, neumann_bc = center_laplacian(grid, frozenset())
+    with pytest.raises(ConfigurationError, match="not assembled as Dirichlet"):
+        neumann_bc([1.0])
 
 
 def test_center_laplacian_independent_of_dirichlet_side_order():
@@ -149,7 +162,7 @@ def test_gradient_divergence_adjoint_interior(grid, rng):
     u[2:-2, 3:-3] = rng.standard_normal(u[2:-2, 3:-3].shape)
     v[3:-3, 2:-2] = rng.standard_normal(v[3:-3, 2:-2].shape)
 
-    gx, gy = gradient(grid, p, {})
+    gx, gy = gradient(grid, p)
     lhs = (np.sum(gx * u) + np.sum(gy * v)) * grid.cell_area
     rhs = -np.sum(p * divergence(grid, u, v)) * grid.cell_area
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
@@ -229,7 +242,7 @@ class TestCg:
     def test_bit_identical_to_scipy_on_poisson_matrix(self, rng):
         g = Grid(24, 12, 2.0, 0.5, CHANNEL_TAGS)
         A, bc = center_laplacian(g, frozenset({"right"}))
-        b = bc({"right": 3.5}) - rng.standard_normal(g.n_scalar)
+        b = bc([3.5]) - rng.standard_normal(g.n_scalar)
         x0 = rng.standard_normal(g.n_scalar)             # a previous step's pressure
         kept = x0.copy()
         ours, ref = _cg_runs(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=20 * g.n_scalar)
@@ -251,7 +264,7 @@ class TestCg:
 
         n = int(unknown.sum())
         A = LinearOperator((n, n), matvec=matvec)
-        gx, gy = gradient(grid, rng.standard_normal((grid.ny, grid.nx)), {})
+        gx, gy = gradient(grid, rng.standard_normal((grid.ny, grid.nx)))
         b = -np.concatenate([gx.ravel(), gy.ravel()])[unknown]
         ours, ref = _cg_runs(A, b, rtol=1e-10, atol=0.0, maxiter=50 * n)
         assert ours[1] == 0

@@ -199,7 +199,7 @@ class TestAssemble:
 
         lu, lv = vec_laplacian(grid, field_u.u, field_u.v)
         cu, cv = convection(grid, field_u.u, field_u.v, field_u.u, field_u.v)
-        gx, gy = gradient(grid, p2, {0: q})
+        gx, gy = gradient(grid, p2, [q])
         full_rhs = nu * np.concatenate([lu.ravel(), lv.ravel()])
         full_rhs -= np.concatenate([cu.ravel(), cv.ravel()])
         full_rhs -= np.concatenate([gx.ravel(), gy.ravel()])
