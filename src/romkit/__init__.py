@@ -34,6 +34,7 @@ from .pod import (
 from .nn import (
     NNModel,
     TrainConfig,
+    fit_outflow,
     init_model,
     nn_backprop,
     nn_forward,
@@ -61,7 +62,7 @@ __all__ = [
     "StabilityError", "TrainConfig", "TrainingError", "Waveform", "WindkesselParams",
     "WindkesselState", "assemble_operators", "build_basis", "build_grid", "compare",
     "compute_lifting", "correlation_matrix", "dehomogenize", "demo_problem",
-    "error_vs_n", "fom_run", "fom_solve", "homogenize",
+    "error_vs_n", "fit_outflow", "fom_run", "fom_solve", "homogenize",
     "init_model", "inner_product", "integrate_rom", "l2_norm",
     "nn_backprop", "nn_forward", "nn_train", "offline", "online", "parse_config",
     "pod_basis", "predict_outflow", "project_coefficients", "projection_error",

@@ -2,18 +2,25 @@
 
 Layout is [1, H, ..., H, 1]: scalar time in, scalar pressure out.  Each
 neuron applies the affine propagation u = W y + b followed by the activation;
-the output layer is linear.  Training minimizes the mean squared error with
-full-batch gradient descent,
+the output layer is linear.  Inputs and targets are min-max normalized to
+[0, 1]; predictions are mapped back before they leave the model.
 
-    w <- w - eta dL/dw,     b <- b - eta dL/db,
+Two ways to fit it share one seeded train/test split:
 
-the gradients coming from reverse-mode accumulation of the layer chain.
-Inputs and targets are min-max normalized to [0, 1]; predictions are mapped
-back before they leave the model.
+* ``fit_outflow`` (the pipeline default) fixes the hidden layer to a Fourier
+  encoding of the cardiac cycle -- [1, 2K, 1] with activation cos, neurons
+  reading cos and sin of 2 pi k t / T_c -- and fits the linear output layer
+  by one least-squares solve.  The fit is convex and the curve periodic.
+* ``nn_train`` is the paper's training: full-batch gradient descent on the
+  mean squared error,
 
-Default hyperparameters (150 neurons per layer, two hidden layers, softplus,
-50000 epochs, learning rate 5e-6) reproduce the reference setup; desk-scale
-runs override them in their config and report the values actually used.
+      w <- w - eta dL/dw,     b <- b - eta dL/db,
+
+  the gradients coming from reverse-mode accumulation of the layer chain.
+  Default hyperparameters (150 neurons per layer, two hidden layers,
+  softplus, 50000 epochs, learning rate 5e-6) reproduce the reference
+  setup; desk-scale runs override them in their config and report the
+  values actually used.
 """
 
 from __future__ import annotations
@@ -73,6 +80,11 @@ def _one(u, out):
     return out
 
 
+def _cos_d(u, out):
+    np.sin(u, out=out)
+    return np.negative(out, out=out)
+
+
 # name: (activation(u, out), derivative(u, out)); each writes into `out` the
 # same bits as its allocating form
 ACTIVATIONS = {
@@ -80,7 +92,12 @@ ACTIVATIONS = {
     "tanh": (np.tanh, _tanh_d),
     "relu": (_relu, _relu_d),
     "identity": (np.positive, _one),
+    "cos": (np.cos, _cos_d),
 }
+
+
+# the most harmonics fit_outflow uses
+FOURIER_HARMONICS = 12
 
 
 class ExtrapolationWarning(UserWarning):
@@ -246,6 +263,29 @@ class TrainConfig:
             raise ConfigurationError("train fraction must be in (0, 1)")
 
 
+def _samples(t, p):
+    ta = np.asarray(t, dtype=np.float64).ravel()
+    pa = np.asarray(p, dtype=np.float64).ravel()
+    if ta.size < 2 or ta.size != pa.size:
+        raise ShapeError("training needs >= 2 aligned (t, p) samples")
+    return ta, pa
+
+
+def _split(n: int, train_fraction: float, seed: int):
+    """Seeded (train, test) index arrays over n samples, neither empty."""
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train = max(1, int(round(train_fraction * n)))
+    if n_train == n:
+        n_train = n - 1
+    return perm[:n_train], perm[n_train:]
+
+
+def _batches(model: NNModel, ta, pa, split):
+    """The (train, test) batches of a split, normalized by the model's ranges."""
+    return tuple(_Batch(model.layer_sizes, _normalize(ta[idx], model.x_range),
+                        _normalize(pa[idx], model.y_range)) for idx in split)
+
+
 def nn_train(model: NNModel, t, p, cfg: TrainConfig):
     """Full-batch gradient descent on (t, p) samples.
 
@@ -253,27 +293,13 @@ def nn_train(model: NNModel, t, p, cfg: TrainConfig):
     trained model and the loss history array with columns
     (epoch, train_mse, test_mse); MSE values are in normalized units.
     """
-    ta = np.asarray(t, dtype=np.float64).ravel()
-    pa = np.asarray(p, dtype=np.float64).ravel()
-    if ta.size < 2 or ta.size != pa.size:
-        raise ShapeError("training needs >= 2 aligned (t, p) samples")
-
+    ta, pa = _samples(t, p)
     model = replace(model,
                     x_range=(float(ta.min()), float(ta.max())),
                     y_range=(float(pa.min()), float(pa.max())))
 
-    rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(ta.size)
-    n_train = max(1, int(round(cfg.train_fraction * ta.size)))
-    if n_train == ta.size:
-        n_train = ta.size - 1
-    idx_train, idx_test = perm[:n_train], perm[n_train:]
-    t_train, p_train = ta[idx_train], pa[idx_train]
-    t_test, p_test = ta[idx_test], pa[idx_test]
-
     sizes = model.layer_sizes
-    train = _Batch(sizes, _normalize(t_train, model.x_range), _normalize(p_train, model.y_range))
-    test = _Batch(sizes, _normalize(t_test, model.x_range), _normalize(p_test, model.y_range))
+    train, test = _batches(model, ta, pa, _split(ta.size, cfg.train_fraction, cfg.seed))
     # one flat parameter array and its gradient, so that a step is one update
     theta = np.concatenate([a.ravel() for wb in zip(model.weights, model.biases) for a in wb])
     grad = np.empty_like(theta)
@@ -296,6 +322,49 @@ def nn_train(model: NNModel, t, p, cfg: TrainConfig):
     trained = replace(model, weights=tuple(w.copy() for w, _ in layers),
                       biases=tuple(b.copy() for _, b in layers))
     return trained, history
+
+
+def fit_outflow(t, p, t_cycle: float,
+                train_fraction: float = REFERENCE_NN_DEFAULTS["train_fraction"],
+                seed: int = 0):
+    """Least-squares fit of a cycle-periodic curve to (t, p) samples.
+
+    The model is a [1, 2K, 1] network whose hidden layer is a fixed Fourier
+    encoding: with the activation cos, neuron k reads cos(2 pi k t / T_c) and
+    neuron K + k reads sin(2 pi k t / T_c) (a -pi/2 bias shift), k = 1..K.
+    Only the linear output layer is fitted, by one least-squares solve in
+    normalized units over the seeded training split nn_train uses, so the fit
+    is convex and the curve periodic in t_cycle.  K = min(FOURIER_HARMONICS,
+    n_train // 4) keeps the system well overdetermined.  Returns the model
+    and a one-row loss history (0, train_mse, test_mse), as nn_train's.
+    """
+    ta, pa = _samples(t, p)
+    if not t_cycle > 0:
+        raise ConfigurationError(f"cycle length must be positive, got {t_cycle!r}")
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigurationError("train fraction must be in (0, 1)")
+    split = _split(ta.size, train_fraction, seed)
+    n_harm = min(FOURIER_HARMONICS, split[0].size // 4)
+    if n_harm < 1:
+        raise ShapeError("the Fourier fit needs >= 4 training samples")
+    x_range = (float(ta.min()), float(ta.max()))
+    omega = np.tile(2.0 * np.pi * np.arange(1, n_harm + 1) / t_cycle, 2)
+    phase = np.repeat([0.0, -0.5 * np.pi], n_harm)
+    model = NNModel((1, 2 * n_harm, 1),
+                    ((omega * _span(*x_range))[:, None], np.zeros((1, 2 * n_harm))),
+                    (omega * x_range[0] + phase, np.zeros(1)), "cos",
+                    x_range, (float(pa.min()), float(pa.max())))
+    train, test = _batches(model, ta, pa, split)
+    layers = list(zip(model.weights, model.biases))
+    _forward(layers, np.cos, train)
+    design = np.hstack([train.post[1].T, np.ones((train.yn.size, 1))])
+    coef = np.linalg.lstsq(design, train.yn, rcond=None)[0]
+    model = replace(model, weights=(model.weights[0], coef[None, :-1]),
+                    biases=(model.biases[0], coef[-1:]))
+    layers = list(zip(model.weights, model.biases))
+    history = np.array([[0.0] + [_mse(_forward(layers, np.cos, b) - b.yn)
+                                 for b in (train, test)]])
+    return model, history
 
 
 def predict_outflow(model: NNModel, t) -> np.ndarray | float:

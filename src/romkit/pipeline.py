@@ -31,6 +31,7 @@ from .lifting import LiftingPair, compute_lifting, homogenize
 from .nn import (
     NNModel,
     TrainConfig,
+    fit_outflow,
     init_model,
     load_model,
     nn_train,
@@ -45,6 +46,7 @@ from .rom import (ReducedOperators, ReducedTrajectory, assemble_operators, integ
 from .windkessel import WindkesselParams
 
 BUNDLE_FORMAT = "romkit-bundle-1"
+NN_MODELS = ("fourier", "mlp")
 
 DEFAULT_CONFIG = {
     # grid and tags
@@ -61,8 +63,11 @@ DEFAULT_CONFIG = {
     # reduction
     "n_u": "6", "n_p": "6", "n_u_max": "16", "n_p_max": "8",
     "lift_pressure": "true",
-    # outflow-pressure network (desk-scale hyperparameters; the reference
-    # defaults of nn.REFERENCE_NN_DEFAULTS are echoed in the report)
+    # outflow-pressure network: "fourier" is the least-squares Fourier fit
+    # (nn.fit_outflow), "mlp" the paper's GD-trained network, with these
+    # desk-scale hyperparameters (the reference defaults of
+    # nn.REFERENCE_NN_DEFAULTS are echoed in the report)
+    "nn_model": "fourier",
     "nn_hidden": "32", "nn_layers": "2", "nn_activation": "tanh",
     "nn_epochs": "30000", "nn_lr": "0.25", "nn_split": "0.8",
     "seed": "0",
@@ -403,6 +408,10 @@ def _offline_stages(config, out_dir, fom_result):
             raise ConfigurationError("the reduced pipeline requires the plug inlet shape "
                                      "(the velocity lifting carries a uniform unit trace)")
         seed = _i(cfg, "seed")
+        nn_model = _s(cfg, "nn_model")
+        if nn_model not in NN_MODELS:
+            raise ConfigurationError(f"config key 'nn_model' must be one of {NN_MODELS}, "
+                                     f"got {nn_model!r}")
     timings = {}
 
     with _stage("fom"):
@@ -440,22 +449,26 @@ def _offline_stages(config, out_dir, fom_result):
 
     with _stage("operators"):
         t0 = time.perf_counter()
-        operators = assemble_operators(basis_u, basis_p, lifting, fom_cfg.nu, fom_cfg.grid)
+        operators = assemble_operators(basis_u, basis_p, lifting, fom_cfg.nu, fom_cfg.grid,
+                                       include_convection=fom_cfg.include_convection)
         timings["operators"] = time.perf_counter() - t0
 
     with _stage("nn_train"):
         t0 = time.perf_counter()
-        nn_models = {}
-        nn_cfg = TrainConfig(epochs=_i(cfg, "nn_epochs"), learning_rate=_f(cfg, "nn_lr"),
-                             train_fraction=_f(cfg, "nn_split"), seed=seed)
-        histories = {}
+        nn_models, histories = {}, {}
+        split = _f(cfg, "nn_split")
         for j, (k, _) in enumerate(fom_cfg.grid.outlets):
-            model = init_model(hidden_neurons=_i(cfg, "nn_hidden"),
-                               hidden_layers=_i(cfg, "nn_layers"),
-                               activation=_s(cfg, "nn_activation"), seed=seed + j)
-            trained, hist = nn_train(model, train.times, train.outlet_pressure[:, j], nn_cfg)
-            nn_models[k] = trained
-            histories[k] = hist
+            p_k = train.outlet_pressure[:, j]
+            if nn_model == "fourier":
+                fitted = fit_outflow(train.times, p_k, fom_cfg.waveform.t_cycle, split, seed)
+            else:
+                model = init_model(hidden_neurons=_i(cfg, "nn_hidden"),
+                                   hidden_layers=_i(cfg, "nn_layers"),
+                                   activation=_s(cfg, "nn_activation"), seed=seed + j)
+                fitted = nn_train(model, train.times, p_k, TrainConfig(
+                    epochs=_i(cfg, "nn_epochs"), learning_rate=_f(cfg, "nn_lr"),
+                    train_fraction=split, seed=seed))
+            nn_models[k], histories[k] = fitted
         timings["nn_train"] = time.perf_counter() - t0
 
     bundle = Bundle(
@@ -731,11 +744,12 @@ def error_vs_n(bundle: Bundle, n_values=None, dt_r: float | None = None) -> list
     """One-pass sweep over mode counts by slicing the stored basis/operators.
 
     Follows the reference convention that one N counts velocity modes,
-    pressure modes and supremizers alike.
+    pressure modes and supremizers alike.  By default N runs up to the 99.99%
+    energy knee of the velocity spectrum, capped at the stored modes.
     """
     if n_values is None:
         knee = truncation_rank(bundle.basis_u.eigenvalues, 0.9999)
-        n_values = range(1, max(2, knee) + 1)
+        n_values = range(1, min(max(2, knee), bundle.basis_u.n_primary) + 1)
     out = []
     for n in n_values:
         n_p = min(n, bundle.basis_p.n_modes if bundle.basis_p is not None else 0)

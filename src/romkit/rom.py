@@ -227,8 +227,13 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
 
 
 def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
-                       lift: LiftingPair, nu: float, grid: Grid) -> ReducedOperators:
-    """Galerkin-compress the discrete operators over the given bases."""
+                       lift: LiftingPair, nu: float, grid: Grid,
+                       include_convection: bool = True) -> ReducedOperators:
+    """Galerkin-compress the discrete operators over the given bases.
+
+    ``include_convection`` is the full-order model's: without it (a Stokes
+    run) the convection terms Ct, d2, d3 and d4 are left zero, uncomputed.
+    """
     if basis_u.grid != grid:
         raise ShapeError("velocity basis grid mismatch")
     if basis_p is not None and basis_p.grid != grid:
@@ -249,10 +254,6 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
         return area * (Phi @ _flat(uv))
 
     B = area * (Phi @ np.array([_flat(vec_laplacian(grid, u, v)) for u, v in umodes]).T)
-    Ct = np.empty((n_u, n_u, n_u))
-    for j, (au, av) in enumerate(umodes):
-        for k, (bu, bv) in enumerate(umodes):
-            Ct[:, j, k] = proj(convection(grid, au, av, bu, bv))
     K = np.zeros((n_u, n_p))
     for j in range(n_p):
         K[:, j] = proj(gradient(grid, Psi[j].reshape(grid.ny, grid.nx)))
@@ -260,9 +261,16 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     d7 = area * (Psi @ divergence(grid, cu_u, cu_v).ravel())
 
     d1 = proj(vec_laplacian(grid, cu_u, cu_v))
-    d2 = np.column_stack([proj(convection(grid, u, v, cu_u, cu_v)) for u, v in umodes])
-    d3 = np.column_stack([proj(convection(grid, cu_u, cu_v, u, v)) for u, v in umodes])
-    d4 = proj(convection(grid, cu_u, cu_v, cu_u, cu_v))
+    if include_convection:
+        Ct = np.empty((n_u, n_u, n_u))
+        for j, (au, av) in enumerate(umodes):
+            for k, (bu, bv) in enumerate(umodes):
+                Ct[:, j, k] = proj(convection(grid, au, av, bu, bv))
+        d2 = np.column_stack([proj(convection(grid, u, v, cu_u, cu_v)) for u, v in umodes])
+        d3 = np.column_stack([proj(convection(grid, cu_u, cu_v, u, v)) for u, v in umodes])
+        d4 = proj(convection(grid, cu_u, cu_v, cu_u, cu_v))
+    else:
+        Ct, d2, d3, d4 = (np.zeros((n_u,) * r) for r in (3, 2, 2, 1))
     d6 = proj((cu_u, cu_v))
     unit = np.eye(len(lift.chi_p))
     d5 = np.array([proj(gradient(grid, chi.c, unit[k])) for k, chi in enumerate(lift.chi_p)])

@@ -261,10 +261,9 @@ def test_criterion_8_stokes_equivalence():
     basis_u = pod_basis(hom.velocity, kind="velocity")
     basis_p = pod_basis(hom.pressure, kind="pressure")
     enriched = supremizer_enrich(basis_u, basis_p, grid)
-    ops = assemble_operators(enriched, basis_p, lift, cfg.nu, grid)
+    stokes = assemble_operators(enriched, basis_p, lift, cfg.nu, grid,
+                                include_convection=cfg.include_convection)
     a_fom = project_coefficients(hom.velocity, enriched)
-    stokes = replace(ops, Ct=np.zeros_like(ops.Ct), d2=np.zeros_like(ops.d2),
-                     d3=np.zeros_like(ops.d3), d4=np.zeros_like(ops.d4))
     traj = integrate_rom(stokes, a_fom[0], res.step_times, wf, res.step_outlet_pressure)
     idx = np.searchsorted(res.step_times, res.snapshots.times)
     diff = np.linalg.norm(traj.a[idx] - a_fom, axis=1)

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from romkit.errors import ShapeError, TrainingError
+from romkit.errors import ConfigurationError, ShapeError, TrainingError
 from romkit.nn import (
+    FOURIER_HARMONICS,
     ExtrapolationWarning,
     NNModel,
     TrainConfig,
     REFERENCE_NN_DEFAULTS,
+    fit_outflow,
     init_model,
     load_model,
     nn_backprop,
@@ -387,3 +391,101 @@ class TestPersistence:
         text = (tmp_path / "loss_0.csv").read_text().splitlines()
         assert text[0] == "epoch,train_mse,test_mse"
         assert text[1].startswith("0,1.0,2.0")
+
+
+T_CYCLE = 0.6
+
+
+def _trig_poly(t, coef):
+    """c_0 + sum_k (a_k cos + b_k sin)(2 pi k t / T_CYCLE); coef rows (a_k, b_k)."""
+    k = np.arange(1, len(coef) + 1)[:, None]
+    phase = 2 * np.pi * k * np.asarray(t)[None, :] / T_CYCLE
+    return 80.0 + coef[:, 0] @ np.cos(phase) + coef[:, 1] @ np.sin(phase)
+
+
+class TestFourierFit:
+    # one cycle of 61 samples, as the default channel's training window
+    t = np.linspace(1.2, 1.8, 61)
+
+    def test_recovers_trig_polynomial(self, rng):
+        coef = rng.uniform(-10.0, 10.0, (FOURIER_HARMONICS, 2))
+        model, hist = fit_outflow(self.t, _trig_poly(self.t, coef), T_CYCLE, 0.8, 3)
+        assert model.layer_sizes == (1, 2 * FOURIER_HARMONICS, 1)
+        dense = np.linspace(1.2, 1.8, 997)
+        exact = _trig_poly(dense, coef)
+        assert np.abs(nn_forward(model, dense) - exact).max() <= 1e-10 * np.abs(exact).max()
+        assert hist.shape == (1, 3) and hist[0, 0] == 0 and hist[0, 1:].max() <= 1e-20
+
+    def test_cycle_periodic(self):
+        _, ps = _windkessel_trace(cycles=1, dt=0.01, t_cycle=T_CYCLE)   # not periodic itself
+        model, _ = fit_outflow(self.t, ps, T_CYCLE, 0.8, 0)
+        q = np.linspace(1.2, 1.8, 101)
+        a, b = nn_forward(model, q), nn_forward(model, q + T_CYCLE)
+        assert np.abs(b - a).max() <= 1e-9 * np.abs(a).max()
+
+    def test_continuous_in_the_targets(self, rng):
+        _, ps = _windkessel_trace(cycles=1, dt=0.01, t_cycle=T_CYCLE)
+        nudged = ps * (1.0 + 1e-15 * rng.choice([-1.0, 1.0], ps.size))
+        assert not np.array_equal(nudged, ps)
+        q = np.linspace(1.2, 1.8, 997)
+        a = nn_forward(fit_outflow(self.t, ps, T_CYCLE, 0.8, 0)[0], q)
+        b = nn_forward(fit_outflow(self.t, nudged, T_CYCLE, 0.8, 0)[0], q)
+        assert np.abs(b - a).max() <= 1e-9 * np.abs(a).max()
+
+    def test_cos_model_roundtrip_and_gradient(self, tmp_path, rng):
+        _, ps = _windkessel_trace(cycles=1, dt=0.01, t_cycle=T_CYCLE)
+        model, _ = fit_outflow(self.t, ps, T_CYCLE, 0.8, 0)
+        assert model.activation == "cos"
+        save_model(model, tmp_path / "nn_0.json")
+        back = load_model(tmp_path / "nn_0.json")
+        assert back.activation == "cos" and back.layer_sizes == model.layer_sizes
+        assert back.x_range == model.x_range and back.y_range == model.y_range
+        for a, b in zip(model.weights + model.biases, back.weights + back.biases):
+            assert np.array_equal(a, b)
+
+        x = rng.uniform(1.2, 1.8, 12)
+        y = rng.uniform(ps.min(), ps.max(), 12)
+        gw, gb, _ = nn_backprop(model, x, y)
+        h = 1e-6
+
+        def loss(params, l, idx, step):
+            arrays = [list(model.weights), list(model.biases)][params]
+            bumped = arrays[l].copy()
+            bumped[idx] += step
+            arrays[l] = bumped
+            m = replace(model, **{("weights", "biases")[params]: tuple(arrays)})
+            return nn_backprop(m, x, y)[2]
+
+        for params, grads in ((0, gw), (1, gb)):
+            for l, g in enumerate(grads):
+                for idx in np.ndindex(g.shape):
+                    fd = (loss(params, l, idx, h) - loss(params, l, idx, -h)) / (2 * h)
+                    assert g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    def test_harmonic_cap(self):
+        # 31 samples at split 0.8 leave 25 for training: K = 25 // 4 = 6
+        t = np.linspace(0.6, 0.9, 31)
+        model, _ = fit_outflow(t, np.sin(2 * np.pi * t / 0.3), 0.3, 0.8, 0)
+        assert model.layer_sizes == (1, 12, 1)
+        long = np.linspace(0.0, 3.0, 301)
+        model, _ = fit_outflow(long, np.sin(2 * np.pi * long / 0.3), 0.3, 0.8, 0)
+        assert model.layer_sizes == (1, 2 * FOURIER_HARMONICS, 1)
+
+    def test_split_as_nn_train(self):
+        # the history's train MSE is the one over nn_train's training split
+        _, ps = _windkessel_trace(cycles=1, dt=0.01, t_cycle=T_CYCLE)
+        model, hist = fit_outflow(self.t, ps, T_CYCLE, 0.8, 5)
+        perm = np.random.default_rng(5).permutation(self.t.size)
+        span = ps.max() - ps.min()
+        for cols, idx in ((1, perm[:49]), (2, perm[49:])):
+            resid = (nn_forward(model, self.t[idx]) - ps[idx]) / span
+            assert hist[0, cols] == pytest.approx(np.mean(resid ** 2), rel=1e-9)
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ConfigurationError):
+            fit_outflow(self.t, np.ones_like(self.t), 0.0, 0.8, 0)
+        with pytest.raises(ConfigurationError):
+            fit_outflow(self.t, np.ones_like(self.t), T_CYCLE, 1.0, 0)
+        t = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(ShapeError, match="4 training samples"):
+            fit_outflow(t, np.sin(t), 1.0, 0.8, 0)

@@ -10,7 +10,8 @@ from romkit.cli import main as cli_main
 from romkit.errors import ConfigurationError, FormatError
 from romkit.fom import fom_run
 from romkit.grid import SnapshotSet
-from romkit.nn import ExtrapolationWarning
+from romkit.nn import ExtrapolationWarning, TrainConfig, init_model, nn_train
+from romkit.pod import truncation_rank
 from romkit.pipeline import (
     Bundle,
     DEFAULT_CONFIG,
@@ -33,6 +34,11 @@ SMALL_CONFIG = {
     "nn_epochs": "4000", "nn_lr": "0.2", "nn_split": "0.8",
     "seed": "0",
 }
+
+
+def _scale(rows, grid) -> float:
+    """Root mean square over time of the fields' L2 norms, as perfbench scales errors."""
+    return float(np.sqrt(np.mean(np.sum(rows * rows, axis=1) * grid.cell_area)))
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +126,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=key):
             build_fom_config(cfg)
 
+    def test_nn_model_key(self):
+        assert DEFAULT_CONFIG["nn_model"] == "fourier"
+        with pytest.raises(ConfigurationError, match="nn_model"):
+            offline({**SMALL_CONFIG, "nn_model": "rbf"})
+
     def test_energy_key_retired(self):
         assert "energy" not in DEFAULT_CONFIG
         with pytest.raises(ConfigurationError, match="energy"):
@@ -144,6 +155,22 @@ class TestOffline:
         a = json.loads((bundle_dir / "manifest.json").read_text())
         b = json.loads((tmp_path / "again" / "manifest.json").read_text())
         assert a["files"] == b["files"]
+
+    def test_fourier_model_by_default(self, bundle, bundle_dir):
+        # 31 training instants, 25 of them in the fit: 6 harmonics
+        assert bundle.nn_models[0].activation == "cos"
+        assert bundle.nn_models[0].layer_sizes == (1, 12, 1)
+        rows = (bundle_dir / "loss_0.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,")
+
+    def test_mlp_model_path(self):
+        b, _ = offline({**SMALL_CONFIG, "nn_model": "mlp", "nn_epochs": "50"})
+        model = init_model(hidden_neurons=24, hidden_layers=2, activation="tanh", seed=0)
+        ref, _ = nn_train(model, b.train.times, b.train.outlet_pressure[:, 0],
+                          TrainConfig(epochs=50, learning_rate=0.2, train_fraction=0.8, seed=0))
+        for a, r in zip(b.nn_models[0].weights + b.nn_models[0].biases,
+                        ref.weights + ref.biases):
+            assert np.array_equal(a, r)
 
     def test_timings_positive(self, bundle_dir):
         rows = (bundle_dir / "timings.csv").read_text().splitlines()[1:]
@@ -329,6 +356,47 @@ class TestOnline:
         assert all(b <= a + 1e-12 for a, b in zip(proj, proj[1:]))
 
 
+    def test_error_vs_n_default_range_capped(self, tmp_path):
+        # the 99.99% knee of the spectrum lies past the two stored modes
+        cfg = {"nx": "16", "ny": "4", "n_u_max": "2", "n_u": "2", "n_p": "2", "n_p_max": "2"}
+        b, _ = offline(cfg, out_dir=tmp_path / "b")
+        assert truncation_rank(b.basis_u.eigenvalues, 0.9999) > b.basis_u.n_primary == 2
+        assert [e["N"] for e in error_vs_n(b)] == [1, 2]
+        assert cli_main(["online", "--bundle", str(tmp_path / "b"),
+                         "--out", str(tmp_path / "run")]) == 0
+
+
+class TestStokes:
+    """A full-order run without convection gets a reduced model without it."""
+
+    def test_convection_terms_left_zero(self):
+        b, _ = offline({**SMALL_CONFIG, "include_convection": "false"})
+        for name in ("Ct", "d2", "d3", "d4"):
+            assert not getattr(b.operators, name).any(), name
+        _, report = online(b, timing_reps=1)
+        # 0.69% of the velocity scale; a reduced model with convection on
+        # this Stokes run reads 2.8%
+        assert report.time_avg("err_u") <= 0.01 * _scale(b.train.velocity.values, b.grid)
+
+    def test_two_outlets_against_projection_floor(self, tmp_path):
+        # right and top outlets with different RCR parameters, offline -> save
+        # -> load -> online.  Measured: err_u 4.3% of the velocity scale, 44x
+        # its projection floor (0.098%); err_p 0.28% of the pressure scale
+        # (floor 7e-7).  The GD network at 3000 epochs reads err_u 20% and
+        # err_p 1.3% on the 64x16 version of this layout.
+        cfg = {"nx": "32", "ny": "8", "tag_top": "outlet_1", "wk_1": "50.0,800.0,6e-4",
+               "include_convection": "false"}
+        offline(cfg, out_dir=tmp_path / "b")
+        b = Bundle.load(tmp_path / "b")
+        assert sorted(b.nn_models) == [0, 1]
+        _, report = online(b, timing_reps=1)
+        err_u, proj_u = report.time_avg("err_u"), report.time_avg("proj_u")
+        err_p, proj_p = report.time_avg("err_p"), report.time_avg("proj_p")
+        assert err_u <= 60.0 * proj_u
+        assert err_u <= 0.06 * _scale(b.train.velocity.values, b.grid)
+        assert err_p <= proj_p + 0.005 * _scale(b.train.pressure.values, b.grid)
+
+
 class TestCompare:
     def test_identical_sets_zero_error(self, bundle):
         report = compare(bundle.train, bundle.train)
@@ -409,8 +477,9 @@ class TestFailedOffline:
     leaves one that existed before it in place."""
 
     def test_existing_out_dir_survives(self, tmp_path):
+        # a diverging GD network fails the nn_train stage (exit 3)
         cfg = tmp_path / "diverging.txt"
-        cfg.write_text("nx = 16\nny = 4\nnn_epochs = 50\nnn_lr = 1e9\n")
+        cfg.write_text("nx = 16\nny = 4\nnn_model = mlp\nnn_epochs = 50\nnn_lr = 1e9\n")
         existing = tmp_path / "existing"
         existing.mkdir()
         (existing / "notes.txt").write_text("keep\n")
