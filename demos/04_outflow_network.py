@@ -4,7 +4,7 @@ The Windkessel datum exists only at the discrete solver steps; the network
 turns those samples into a function of time, which the online reduced
 solver queries between and beyond the stored instants.  The GD-trained
 network (the paper's) is shown next to the least-squares Fourier fit that
-the pipeline uses by default.
+the offline pipeline uses.
 """
 
 import numpy as np

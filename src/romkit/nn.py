@@ -7,20 +7,20 @@ the output layer is linear.  Inputs and targets are min-max normalized to
 
 Two ways to fit it share one seeded train/test split:
 
-* ``fit_outflow`` (the pipeline default) fixes the hidden layer to a Fourier
-  encoding of the cardiac cycle -- [1, 2K, 1] with activation cos, neurons
-  reading cos and sin of 2 pi k t / T_c -- and fits the linear output layer
-  by one least-squares solve.  The fit is convex and the curve periodic.
-* ``nn_train`` is the paper's training: full-batch gradient descent on the
-  mean squared error,
+* ``fit_outflow``, which the offline pipeline runs, fixes the hidden layer
+  to a Fourier encoding of the cardiac cycle -- [1, 2K, 1] with activation
+  cos, neurons reading cos and sin of 2 pi k t / T_c -- and fits the linear
+  output layer by one least-squares solve.  The fit is convex and the curve
+  periodic.
+* ``nn_train`` is the paper's training, kept as a library function: full-
+  batch gradient descent on the mean squared error,
 
       w <- w - eta dL/dw,     b <- b - eta dL/db,
 
   the gradients coming from reverse-mode accumulation of the layer chain.
   Default hyperparameters (150 neurons per layer, two hidden layers,
   softplus, 50000 epochs, learning rate 5e-6) reproduce the reference
-  setup; desk-scale runs override them in their config and report the
-  values actually used.
+  setup.
 """
 
 from __future__ import annotations
@@ -259,8 +259,6 @@ class TrainConfig:
             raise ConfigurationError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning rate must be positive")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigurationError("train fraction must be in (0, 1)")
 
 
 def _samples(t, p):
@@ -273,6 +271,8 @@ def _samples(t, p):
 
 def _split(n: int, train_fraction: float, seed: int):
     """Seeded (train, test) index arrays over n samples, neither empty."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigurationError("train fraction must be in (0, 1)")
     perm = np.random.default_rng(seed).permutation(n)
     n_train = max(1, int(round(train_fraction * n)))
     if n_train == n:
@@ -334,20 +334,23 @@ def fit_outflow(t, p, t_cycle: float,
     neuron K + k reads sin(2 pi k t / T_c) (a -pi/2 bias shift), k = 1..K.
     Only the linear output layer is fitted, by one least-squares solve in
     normalized units over the seeded training split nn_train uses, so the fit
-    is convex and the curve periodic in t_cycle.  K = min(FOURIER_HARMONICS,
-    n_train // 4) keeps the system well overdetermined.  Returns the model
-    and a one-row loss history (0, train_mse, test_mse), as nn_train's.
+    is convex and the curve periodic in t_cycle.  K is the least of
+    FOURIER_HARMONICS, n_train // 4, which keeps the system well
+    overdetermined, and (m - 1) // 2 for m = n_train t_cycle / (window span)
+    training samples per cycle, below which no harmonic aliases another on a
+    coarse multi-cycle window.  Returns the model and a one-row loss history
+    (0, train_mse, test_mse), as nn_train's.
     """
     ta, pa = _samples(t, p)
     if not t_cycle > 0:
         raise ConfigurationError(f"cycle length must be positive, got {t_cycle!r}")
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigurationError("train fraction must be in (0, 1)")
     split = _split(ta.size, train_fraction, seed)
-    n_harm = min(FOURIER_HARMONICS, split[0].size // 4)
-    if n_harm < 1:
-        raise ShapeError("the Fourier fit needs >= 4 training samples")
+    n_train = split[0].size
     x_range = (float(ta.min()), float(ta.max()))
+    per_cycle = int(n_train * t_cycle / _span(*x_range))
+    n_harm = min(FOURIER_HARMONICS, n_train // 4, (per_cycle - 1) // 2)
+    if n_harm < 1:
+        raise ShapeError("the Fourier fit needs >= 4 training samples, >= 3 per cycle")
     omega = np.tile(2.0 * np.pi * np.arange(1, n_harm + 1) / t_cycle, 2)
     phase = np.repeat([0.0, -0.5 * np.pi], n_harm)
     model = NNModel((1, 2 * n_harm, 1),

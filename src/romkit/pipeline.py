@@ -30,23 +30,20 @@ from .grid import SIDES, Grid, SnapshotSet
 from .lifting import LiftingPair, compute_lifting, homogenize
 from .nn import (
     NNModel,
-    TrainConfig,
     fit_outflow,
-    init_model,
+    init_model,  # noqa: F401  (re-exported: the trace targets name pipeline.init_model)
     load_model,
-    nn_train,
+    nn_train,  # noqa: F401  (and pipeline.nn_train)
     predict_outflow,
     save_loss_history,
     save_model,
 )
-from .nn import REFERENCE_NN_DEFAULTS
 from .pod import ReducedBasis, pod_basis, project_coefficients, truncation_rank
 from .rom import (ReducedOperators, ReducedTrajectory, assemble_operators, integrate_rom,
                   reconstruct, supremizer_enrich)
 from .windkessel import WindkesselParams
 
 BUNDLE_FORMAT = "romkit-bundle-1"
-NN_MODELS = ("fourier", "mlp")
 
 DEFAULT_CONFIG = {
     # grid and tags
@@ -63,11 +60,9 @@ DEFAULT_CONFIG = {
     # reduction
     "n_u": "6", "n_p": "6", "n_u_max": "16", "n_p_max": "8",
     "lift_pressure": "true",
-    # outflow-pressure network: "fourier" is the least-squares Fourier fit
-    # (nn.fit_outflow), "mlp" the paper's GD-trained network, with these
-    # desk-scale hyperparameters (the reference defaults of
-    # nn.REFERENCE_NN_DEFAULTS are echoed in the report)
-    "nn_model": "fourier",
+    # outflow-pressure curve (nn.fit_outflow): nn_split is its train fraction.
+    # The GD-network keys nn_hidden .. nn_lr are read by nothing; they are
+    # still accepted so that configs which set them keep loading.
     "nn_hidden": "32", "nn_layers": "2", "nn_activation": "tanh",
     "nn_epochs": "30000", "nn_lr": "0.25", "nn_split": "0.8",
     "seed": "0",
@@ -408,10 +403,6 @@ def _offline_stages(config, out_dir, fom_result):
             raise ConfigurationError("the reduced pipeline requires the plug inlet shape "
                                      "(the velocity lifting carries a uniform unit trace)")
         seed = _i(cfg, "seed")
-        nn_model = _s(cfg, "nn_model")
-        if nn_model not in NN_MODELS:
-            raise ConfigurationError(f"config key 'nn_model' must be one of {NN_MODELS}, "
-                                     f"got {nn_model!r}")
     timings = {}
 
     with _stage("fom"):
@@ -458,17 +449,8 @@ def _offline_stages(config, out_dir, fom_result):
         nn_models, histories = {}, {}
         split = _f(cfg, "nn_split")
         for j, (k, _) in enumerate(fom_cfg.grid.outlets):
-            p_k = train.outlet_pressure[:, j]
-            if nn_model == "fourier":
-                fitted = fit_outflow(train.times, p_k, fom_cfg.waveform.t_cycle, split, seed)
-            else:
-                model = init_model(hidden_neurons=_i(cfg, "nn_hidden"),
-                                   hidden_layers=_i(cfg, "nn_layers"),
-                                   activation=_s(cfg, "nn_activation"), seed=seed + j)
-                fitted = nn_train(model, train.times, p_k, TrainConfig(
-                    epochs=_i(cfg, "nn_epochs"), learning_rate=_f(cfg, "nn_lr"),
-                    train_fraction=split, seed=seed))
-            nn_models[k], histories[k] = fitted
+            nn_models[k], histories[k] = fit_outflow(
+                train.times, train.outlet_pressure[:, j], fom_cfg.waveform.t_cycle, split, seed)
         timings["nn_train"] = time.perf_counter() - t0
 
     bundle = Bundle(
@@ -733,9 +715,7 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
         "saddle_cond": traj.saddle_cond,
         "windkessel_params": {k: str(v) for k, v in bundle.config.items()
                               if k.startswith("wk_")},
-        "nn_hyperparameters": {k: bundle.config[k] for k in bundle.config
-                               if k.startswith("nn_")},
-        "reference_nn_defaults": {k: str(v) for k, v in REFERENCE_NN_DEFAULTS.items()},
+        "nn_hyperparameters": {"nn_split": bundle.config.get("nn_split")},
     }
     return rec, report
 

@@ -467,9 +467,26 @@ class TestFourierFit:
         t = np.linspace(0.6, 0.9, 31)
         model, _ = fit_outflow(t, np.sin(2 * np.pi * t / 0.3), 0.3, 0.8, 0)
         assert model.layer_sizes == (1, 12, 1)
-        long = np.linspace(0.0, 3.0, 301)
+        long = np.linspace(0.0, 0.9, 301)
         model, _ = fit_outflow(long, np.sin(2 * np.pi * long / 0.3), 0.3, 0.8, 0)
         assert model.layer_sizes == (1, 2 * FOURIER_HARMONICS, 1)
+
+    def test_coarse_multi_cycle_window_does_not_alias(self, rng):
+        # three cycles at 15 samples per cycle, 36 of the 45 in the fit: 12
+        # per cycle, so K = 11 // 2 = 5.  n_train // 4 alone would give 9
+        # harmonics, past the Nyquist limit 7 of the sampling grid: there
+        # harmonics 8 and 9 take the values of 7 and 6 at every sample.
+        t = np.arange(45) * (T_CYCLE / 15)
+        coef = rng.uniform(-10.0, 10.0, (5, 2))
+        model, _ = fit_outflow(t, _trig_poly(t, coef), T_CYCLE, 0.8, 0)
+        assert model.layer_sizes == (1, 10, 1)
+        w, b = model.weights[0][:, 0], model.biases[0]
+        xn = (t - model.x_range[0]) / (model.x_range[1] - model.x_range[0])
+        features = np.hstack([np.cos(np.outer(xn, w) + b), np.ones((t.size, 1))])
+        assert np.linalg.matrix_rank(features) == features.shape[1]
+        between = np.linspace(t[0], t[-1], 997)
+        exact = _trig_poly(between, coef)
+        assert np.abs(nn_forward(model, between) - exact).max() <= 1e-10 * np.abs(exact).max()
 
     def test_split_as_nn_train(self):
         # the history's train MSE is the one over nn_train's training split

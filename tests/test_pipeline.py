@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from romkit import pipeline, rom
+from romkit import fom, operators, pipeline, rom
 from romkit.cli import main as cli_main
 from romkit.errors import ConfigurationError, FormatError
 from romkit.fom import fom_run
 from romkit.grid import SnapshotSet
-from romkit.nn import ExtrapolationWarning, TrainConfig, init_model, nn_train
+from romkit.nn import ExtrapolationWarning
 from romkit.pod import truncation_rank
 from romkit.pipeline import (
     Bundle,
@@ -126,11 +126,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=key):
             build_fom_config(cfg)
 
-    def test_nn_model_key(self):
-        assert DEFAULT_CONFIG["nn_model"] == "fourier"
-        with pytest.raises(ConfigurationError, match="nn_model"):
-            offline({**SMALL_CONFIG, "nn_model": "rbf"})
-
     def test_energy_key_retired(self):
         assert "energy" not in DEFAULT_CONFIG
         with pytest.raises(ConfigurationError, match="energy"):
@@ -156,21 +151,12 @@ class TestOffline:
         b = json.loads((tmp_path / "again" / "manifest.json").read_text())
         assert a["files"] == b["files"]
 
-    def test_fourier_model_by_default(self, bundle, bundle_dir):
+    def test_outflow_model_is_fourier_fit(self, bundle, bundle_dir):
         # 31 training instants, 25 of them in the fit: 6 harmonics
         assert bundle.nn_models[0].activation == "cos"
         assert bundle.nn_models[0].layer_sizes == (1, 12, 1)
         rows = (bundle_dir / "loss_0.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("0,")
-
-    def test_mlp_model_path(self):
-        b, _ = offline({**SMALL_CONFIG, "nn_model": "mlp", "nn_epochs": "50"})
-        model = init_model(hidden_neurons=24, hidden_layers=2, activation="tanh", seed=0)
-        ref, _ = nn_train(model, b.train.times, b.train.outlet_pressure[:, 0],
-                          TrainConfig(epochs=50, learning_rate=0.2, train_fraction=0.8, seed=0))
-        for a, r in zip(b.nn_models[0].weights + b.nn_models[0].biases,
-                        ref.weights + ref.biases):
-            assert np.array_equal(a, r)
 
     def test_timings_positive(self, bundle_dir):
         rows = (bundle_dir / "timings.csv").read_text().splitlines()[1:]
@@ -476,18 +462,18 @@ class TestFailedOffline:
     """A failed offline call removes the output directory it created, and
     leaves one that existed before it in place."""
 
-    def test_existing_out_dir_survives(self, tmp_path):
-        # a diverging GD network fails the nn_train stage (exit 3)
-        cfg = tmp_path / "diverging.txt"
-        cfg.write_text("nx = 16\nny = 4\nnn_model = mlp\nnn_epochs = 50\nnn_lr = 1e9\n")
+    def test_existing_out_dir_survives(self, tmp_path, monkeypatch, capsys):
+        # a pressure Poisson solve capped at two iterations fails the fom
+        # stage (NumericalError, exit 3)
+        monkeypatch.setattr(fom, "cg", lambda *a, **kw: operators.cg(*a, **{**kw, "maxiter": 2}))
+        cfg = tmp_path / "small.txt"
+        cfg.write_text("nx = 16\nny = 4\n")
         existing = tmp_path / "existing"
         existing.mkdir()
         (existing / "notes.txt").write_text("keep\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)   # the diverging loss
-            assert cli_main(["offline", "--config", str(cfg), "--out", str(existing)]) == 3
-            assert cli_main(["offline", "--config", str(cfg),
-                             "--out", str(tmp_path / "fresh")]) == 3
+        assert cli_main(["offline", "--config", str(cfg), "--out", str(existing)]) == 3
+        assert cli_main(["offline", "--config", str(cfg), "--out", str(tmp_path / "fresh")]) == 3
+        assert "offline stage 'fom'" in capsys.readouterr().err
         assert (existing / "notes.txt").read_text() == "keep\n"
         assert not (tmp_path / "fresh").exists()
         with pytest.raises(ConfigurationError, match="nn_epoch"):
