@@ -33,12 +33,13 @@ def _write_outlet_pressure_csv(path, times, outlet_pressure):
 
 
 def _write_diagnostics_csv(path, result):
-    rows = [",".join(["step,t,poisson_iters,poisson_residual,div_max"]
-                     + [f"Q_{k}" for k in range(result.outlet_flux.shape[1])])]
+    n_out = result.outlet_flux.shape[1]
+    rows = [",".join(["step,t,poisson_residual,div_max"] + [f"Q_{k}" for k in range(n_out)]
+                     + [f"P_{k}" for k in range(n_out)])]
     for i in range(result.n_steps):
-        cells = [i + 1, float(result.step_times[i + 1]), int(result.poisson_iters[i]),
-                 float(result.poisson_residual[i]), float(result.div_max[i]),
-                 *map(float, result.outlet_flux[i])]
+        cells = [i + 1, float(result.step_times[i + 1]), float(result.poisson_residual[i]),
+                 float(result.div_max[i]), *map(float, result.outlet_flux[i]),
+                 *map(float, result.step_outlet_pressure[i + 1])]
         rows.append(",".join(map(repr, cells)))
     Path(path).write_text("\n".join(rows) + "\n")
 

@@ -10,7 +10,8 @@ coupling:
   3. Windkessel  each outlet integrates its RCR state with the outward face
                  flux of the current velocity; the resulting downstream
                  pressure becomes the Dirichlet datum of the Poisson solve
-  4. pressure    div(grad(p)) = div(u*)/dt, CG to relative residual 1e-10
+  4. pressure    div(grad(p)) = div(u*)/dt, a direct solve with the Poisson
+                 matrix factored once, checked to relative residual 1e-10
   5. corrector   u = u* - dt grad(p)
 
 Because divergence/gradient/Laplacian come from operators.py, the reduced
@@ -25,11 +26,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import cg  # noqa: F401  (unused: perfbench/spans.py traces fom.cg)
+from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError
 from .grid import (SIDE_INDEX, FieldRows, Grid, SnapshotSet, normal_faces, normal_flux,
                    set_inward)
-from .operators import center_laplacian, cg, convection, divergence, gradient, vec_laplacian
+from .operators import center_laplacian, convection, divergence, gradient, vec_laplacian
 from .windkessel import WindkesselParams, WindkesselState, wk_step
 
 POISSON_RTOL = 1e-10
@@ -151,23 +154,23 @@ class FomState:
     p: np.ndarray
     wk: tuple                       # WindkesselState per outlet, grid.outlets order
     t: float
-    poisson_iters: int = 0          # CG iterations of the step that produced this state
-    poisson_residual: float = 0.0   # its true relative residual ||rhs - A p|| / ||rhs||
+    poisson_residual: float = 0.0   # true relative residual ||rhs - A p|| / ||rhs|| of the
+                                    # Poisson solve of the step that produced this state
     div_max: float = 0.0            # max |div u| after its pressure correction
     outlet_flux: tuple = ()         # outward flux Q per outlet (grid.outlets order)
                                     # that its Windkessel integrated in that step
 
 
 class FomSolver:
-    """Holds the assembled Poisson operator and advances FOM states."""
+    """Holds the factored Poisson operator and advances FOM states."""
 
     def __init__(self, cfg: FomConfig):
         self.cfg = cfg
         self.grid = cfg.grid
         outlet_sides = frozenset(side for _, side in self.grid.outlets)
         self._A, self._bc = center_laplacian(self.grid, outlet_sides)
+        self._lu = splu(self._A)
         self._profile = cfg.waveform.profile(self.grid)
-        self._prev_p = np.zeros(self.grid.n_scalar)
 
     def initial_state(self) -> FomState:
         g = self.grid
@@ -202,22 +205,15 @@ class FomSolver:
         q = [wk.p for wk in wk_new]
 
         rhs = self._bc(q) - divergence(g, us, vs).ravel() / dt
-        n_iter = [0]
-
-        def count(_):
-            n_iter[0] += 1
-
-        p_flat, info = cg(self._A, rhs, x0=self._prev_p, rtol=POISSON_RTOL, atol=0.0,
-                          maxiter=20 * g.n_scalar, callback=count)
+        p_flat = self._lu.solve(rhs)
         res = np.linalg.norm(rhs - self._A @ p_flat)
-        if info != 0:
-            raise NumericalError(
-                f"pressure Poisson CG did not converge (info={info}, {n_iter[0]} iterations, "
-                f"residual {res:.3e})"
-            )
-        self._prev_p = p_flat
         rhs_norm = np.linalg.norm(rhs)
         res = float(res / rhs_norm) if rhs_norm > 0 else 0.0
+        if not res <= POISSON_RTOL:  # also catches nan
+            raise NumericalError(
+                f"pressure Poisson solve failed its residual check (relative residual "
+                f"{res:.3e}, tolerance {POISSON_RTOL:.0e})"
+            )
         p_new = p_flat.reshape(g.ny, g.nx)
 
         gx, gy = gradient(g, p_new, q)
@@ -233,7 +229,7 @@ class FomSolver:
             )
 
         return FomState(grid=g, u=u_new, v=v_new, p=p_new, wk=wk_new, t=t_new,
-                        poisson_iters=n_iter[0], poisson_residual=res, div_max=float(div_inf),
+                        poisson_residual=res, div_max=float(div_inf),
                         outlet_flux=tuple(fluxes))
 
     def run(self) -> "FomResult":
@@ -248,7 +244,6 @@ class FomSolver:
         vels = np.empty((len(row), g.n_vector))
         pres = np.empty((len(row), g.n_scalar))
         times_full, pouts_full = [], []
-        poisson_iters = np.zeros(n_steps, dtype=np.int64)
         poisson_res = np.zeros(n_steps)
         div_max = np.zeros(n_steps)
         outlet_flux = np.zeros((n_steps, len(g.outlets)))
@@ -268,7 +263,7 @@ class FomSolver:
         for i in range(1, n_steps + 1):
             state = self.advance(state)
             record(i, state)
-            poisson_iters[i - 1], poisson_res[i - 1] = state.poisson_iters, state.poisson_residual
+            poisson_res[i - 1] = state.poisson_residual
             div_max[i - 1], outlet_flux[i - 1] = state.div_max, state.outlet_flux
             if t_ref is not None and cycle_ref is None and state.t >= t_ref - 1e-12:
                 cycle_ref = (state.u.copy(), state.v.copy())
@@ -288,7 +283,7 @@ class FomSolver:
                             outlet_pressure=step_pouts[recorded])
         return FomResult(snapshots=snaps, wall_time=t_wall, cycle_drift=drift, n_steps=n_steps,
                          step_times=step_times, step_outlet_pressure=step_pouts,
-                         poisson_iters=poisson_iters, poisson_residual=poisson_res,
+                         poisson_residual=poisson_res,
                          div_max=div_max, outlet_flux=outlet_flux)
 
 
@@ -300,8 +295,8 @@ class FomResult:
     n_steps: int
     step_times: np.ndarray | None = None            # every step, for fine queries
     step_outlet_pressure: np.ndarray | None = None
-    poisson_iters: np.ndarray | None = None         # per step 1..n_steps: Poisson CG iterations,
-    poisson_residual: np.ndarray | None = None      # its relative residual ||rhs - A p||/||rhs||,
+    poisson_residual: np.ndarray | None = None      # per step 1..n_steps: the Poisson solve's
+                                                    # relative residual ||rhs - A p||/||rhs||,
     div_max: np.ndarray | None = None               # max |div u| after the correction
     outlet_flux: np.ndarray | None = None           # and (n_steps, n_outlets) Windkessel inflow Q
 

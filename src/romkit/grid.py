@@ -457,7 +457,10 @@ def _load_rows(grid: Grid, kind: str, paths) -> FieldRows:
     """FieldRows from raw little-endian float64 files, one file per row."""
     out = np.empty((len(paths), grid.n_scalar if kind == "scalar" else grid.n_vector))
     for m, path in enumerate(paths):
-        row = np.frombuffer(path.read_bytes(), dtype="<f8")
+        try:
+            row = np.frombuffer(path.read_bytes(), dtype="<f8")
+        except FileNotFoundError:
+            raise FormatError(f"missing row file {path}") from None
         if row.size != out.shape[1]:
             raise ShapeError(f"{path} holds {row.size} values, expected {out.shape[1]}")
         out[m] = row

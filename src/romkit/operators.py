@@ -13,18 +13,12 @@ stored face values:
 Convection is the divergence form div(a (x) b) with arithmetic face means,
 which keeps it bilinear in (a, b) -- a property the reduced convection
 tensor relies on.
-
-`cg` is the conjugate-gradient solver every SPD solve in romkit uses (the
-Poisson step, the lifting potentials, the supremizers).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import dia_matvec
 
 from .errors import ConfigurationError, ShapeError
 from .grid import OUTWARD, SIDE_INDEX, SIDES, Grid, normal_faces
@@ -179,10 +173,8 @@ def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset())
     ghost 2*d - p; all other sides are homogeneous Neumann.  A Dirichlet side
     that is not an outlet (the inlet of a pressure lifting) has datum 0.
 
-    A is stored as a DIA matrix with the strictly ascending offsets
-    (-nx, -1, 0, 1, nx), so ``A @ x`` sums each row in ascending column
-    order, the order of a sorted-column CSR row: both forms give the same
-    bits.  A neighbour that does not exist is a stored zero.
+    A is returned in CSC form, the format ``scipy.sparse.linalg.splu``
+    factors.
     """
     unknown_sides = set(dirichlet_sides) - set(grid.tags)
     if unknown_sides:
@@ -194,7 +186,6 @@ def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset())
 
     # data[i, c] is the entry in column c of diagonal offsets[i]
     offsets = np.array([-nx, -1, 0, 1, nx])
-    assert np.all(np.diff(offsets) > 0), "DIA offsets must be strictly ascending"
     data = np.zeros((5, ny, nx))
     data[0, :-1, :] = -1.0 / hy2       # A[c + nx, c]: cell above
     data[1, :, :-1] = -1.0 / hx2       # A[c + 1, c]: cell to the right
@@ -212,7 +203,7 @@ def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset())
     # the set's hash order, which changes from one process to the next
     for side in sorted(dirichlet_sides, key=SIDES.index):
         diag[idx[SIDE_INDEX[side]]] += 2.0 / grid.normal_spacing(side)**2
-    A = sp.dia_matrix((data.reshape(5, n), offsets), shape=(n, n))
+    A = sp.dia_matrix((data.reshape(5, n), offsets), shape=(n, n)).tocsc()
 
     def bc_vector(q) -> np.ndarray:
         out = np.zeros(n)
@@ -223,66 +214,3 @@ def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset())
         return out
 
     return A, bc_vector
-
-
-def _matvec(A):
-    """``p -> A @ p``.  For a float64 DIA matrix: the banded kernel, writing
-    into one buffer reused (and zeroed) on every call."""
-    if not (sp.issparse(A) and A.format == "dia" and A.dtype == np.float64):
-        return A.__matmul__
-    n_row, n_col = A.shape
-    n_diags, width = A.data.shape
-    offsets, data = A.offsets, A.data
-    y = np.empty(n_row)
-
-    def matvec(x):
-        y.fill(0.0)
-        dia_matvec(n_row, n_col, n_diags, width, offsets, data, x, y)
-        return y
-
-    return matvec
-
-
-def cg(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None, callback=None):
-    """Conjugate gradients for a real SPD `A` (anything with ``A @ x``).
-
-    Follows scipy.sparse.linalg.cg operation for operation with the identity
-    preconditioner -- ``||r|| = sqrt(r.r)``, ``rho = r.r``, one ``A @ p`` per
-    iteration -- so it returns the same bits, without wrapping `A` in a
-    LinearOperator on every call and without allocating in the loop (a DIA
-    `A` runs its banded kernel into a reused buffer).  Same contract: stops
-    once ``||r|| < max(atol, rtol ||b||)``; returns ``(x, info)`` with info 0
-    on convergence and `maxiter` (default 10 n) when it ran out;
-    ``callback(x)`` runs after every iteration; `x0` is copied, never
-    modified.  The dot products stay numpy float64 scalars, so a zero
-    curvature ``p.Ap`` gives inf/nan as in scipy rather than raising.
-    """
-    b = np.asarray(b, dtype=np.float64).ravel()
-    bnrm2 = np.linalg.norm(b)
-    atol = max(float(atol), float(rtol) * float(bnrm2))
-    if bnrm2 == 0:
-        return b.copy(), 0
-    if maxiter is None:
-        maxiter = 10 * b.size
-    matvec = _matvec(A)
-    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=np.float64).ravel()
-    r = b - matvec(x) if x.any() else b.copy()
-    p, tmp = np.empty_like(r), np.empty_like(r)
-    rho_prev = None
-    for iteration in range(maxiter):
-        rho = np.dot(r, r)
-        if math.sqrt(rho) < atol:
-            return x, 0
-        if iteration > 0:
-            p *= rho / rho_prev
-            p += r
-        else:
-            np.copyto(p, r)
-        q = matvec(p)
-        alpha = rho / np.dot(p, q)
-        x += np.multiply(alpha, p, out=tmp)
-        r -= np.multiply(alpha, q, out=tmp)
-        rho_prev = rho
-        if callback:
-            callback(x)
-    return x, maxiter

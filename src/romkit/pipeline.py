@@ -61,10 +61,9 @@ DEFAULT_CONFIG = {
     "n_u": "6", "n_p": "6", "n_u_max": "16", "n_p_max": "8",
     "lift_pressure": "true",
     # outflow-pressure curve (nn.fit_outflow): nn_split is its train fraction.
-    # The GD-network keys nn_hidden .. nn_lr are read by nothing; they are
-    # still accepted so that configs which set them keep loading.
-    "nn_hidden": "32", "nn_layers": "2", "nn_activation": "tanh",
-    "nn_epochs": "30000", "nn_lr": "0.25", "nn_split": "0.8",
+    # nn_epochs is read by nothing; it stays accepted only because the
+    # perfbench warmup config (perfbench/run.py) sets it.
+    "nn_epochs": "30000", "nn_split": "0.8",
     "seed": "0",
 }
 

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from romkit.grid import SIDES, Field, Grid
 
@@ -45,3 +48,21 @@ def layouts(draw):
         tags[side] = f"outlet_{k}"
     return Grid(draw(st.integers(3, 12)), draw(st.integers(3, 12)),
                 draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0)), tags)
+
+
+def wrapped_splu(residuals=None, scale=1.0):
+    """A stand-in for scipy's `splu`.  Each solve returns `scale` times the
+    exact factorization's answer and, given a list `residuals`, appends its
+    relative residual ||b - A x|| / ||b|| to it."""
+    def factor(A):
+        lu = splu(A)
+
+        def solve(b):
+            x = lu.solve(b) * scale
+            if residuals is not None:
+                residuals.append(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
+            return x
+
+        return SimpleNamespace(solve=solve)
+
+    return factor

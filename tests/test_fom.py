@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from romkit import fom, operators
+from romkit import fom, lifting
 from romkit.errors import ConfigurationError, NumericalError
 from romkit.fom import FomConfig, FomSolver, Waveform, fom_run
 from romkit.grid import Grid, side_flux
+from romkit.lifting import compute_lifting
 from romkit.operators import advanced_masks, divergence
 from romkit.windkessel import WindkesselParams
 
-from conftest import CHANNEL_TAGS, layouts
+from conftest import CHANNEL_TAGS, layouts, wrapped_splu
 
 
 def channel_cfg(nx=16, ny=8, lx=2.0, ly=0.5, nu=5e-3, dt=0.01, t_end=0.1,
@@ -146,10 +147,11 @@ class TestAdvance:
     def test_unconverged_poisson_solve_raises(self, monkeypatch):
         solver = FomSolver(channel_cfg())
         state = solver.advance(solver.initial_state())
-        assert state.poisson_iters > 2
-        monkeypatch.setattr(fom, "cg", lambda *a, **kw: operators.cg(*a, **{**kw, "maxiter": 2}))
-        with pytest.raises(NumericalError, match="did not converge"):
-            solver.advance(state)
+        assert state.poisson_residual <= fom.POISSON_RTOL
+        # a factorization whose solves are off by 1e-6 relative
+        monkeypatch.setattr(fom, "splu", wrapped_splu(scale=1 + 1e-6))
+        with pytest.raises(NumericalError, match="residual check"):
+            FomSolver(channel_cfg()).advance(state)
 
 
 class TestRun:
@@ -195,24 +197,11 @@ class TestRun:
         assert res.cycle_drift is not None and res.cycle_drift >= 0.0
 
     def test_step_diagnostics_recorded(self, monkeypatch):
-        calls, residuals = [], []
-
-        def counting_cg(A, b, *args, callback, **kw):
-            calls.append(0)
-
-            def count(xk):
-                calls[-1] += 1
-                callback(xk)
-
-            x, info = operators.cg(A, b, *args, callback=count, **kw)
-            residuals.append(np.linalg.norm(b - A.tocsr() @ x) / np.linalg.norm(b))
-            return x, info
-
-        monkeypatch.setattr(fom, "cg", counting_cg)
+        residuals = []
+        monkeypatch.setattr(fom, "splu", wrapped_splu(residuals))
         cfg = channel_cfg(dt=0.01, t_end=0.1, stride=2)
         res = fom_run(cfg)
-        assert res.poisson_iters.shape == res.div_max.shape == (res.n_steps,)
-        assert res.poisson_iters.tolist() == calls
+        assert res.poisson_residual.shape == res.div_max.shape == (res.n_steps,)
         assert res.poisson_residual.tolist() == residuals
         assert res.poisson_residual.max() < 1e-9
         g = cfg.grid
@@ -228,6 +217,24 @@ class TestRun:
         assert np.all(res.outlet_flux[1:] > 0)
 
 
+def _layout_step(grid, t0=0.0, shape="plug", seed=None):
+    """(waveform, state after one step) from rest or, given a seed, from a
+    random state, at a stable step for the grid."""
+    wf = Waveform(kind="pulse", u_sys=1.0, t_cycle=0.6, systole_frac=0.4, shape=shape)
+    nu = 0.04
+    dt = 0.5 * min(min(grid.hx, grid.hy) / wf.u_sys,
+                   1.0 / (3.0 * nu * (1.0 / grid.hx**2 + 1.0 / grid.hy**2)))
+    wk = {k: WindkesselParams(Rp=1.0, Rd=10.0, C=0.1) for k, _ in grid.outlets}
+    solver = FomSolver(FomConfig(grid=grid, nu=nu, dt=dt, t0=t0, t_end=t0 + 10 * dt,
+                                 waveform=wf, windkessel=wk))
+    s = solver.initial_state()
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        s = dataclasses.replace(s, u=rng.uniform(-1, 1, s.u.shape),
+                                v=rng.uniform(-1, 1, s.v.shape))
+    return wf, solver.advance(s)
+
+
 class TestLayouts:
     @settings(max_examples=40, deadline=None)
     @given(layouts(), st.floats(0.0, 0.2), st.sampled_from(["plug", "parabola"]),
@@ -236,21 +243,23 @@ class TestLayouts:
         """After one step, from rest or (given a seed) from a random state, the
         inlet faces carry the inward g(t) profile and the wall faces zero normal
         velocity, whatever side either lies on."""
-        wf = Waveform(kind="pulse", u_sys=1.0, t_cycle=0.6, systole_frac=0.4, shape=shape)
-        nu = 0.04
-        dt = 0.5 * min(min(grid.hx, grid.hy) / wf.u_sys,
-                       1.0 / (3.0 * nu * (1.0 / grid.hx**2 + 1.0 / grid.hy**2)))
-        wk = {k: WindkesselParams(Rp=1.0, Rd=10.0, C=0.1) for k, _ in grid.outlets}
-        solver = FomSolver(FomConfig(grid=grid, nu=nu, dt=dt, t0=t0, t_end=t0 + 10 * dt,
-                                     waveform=wf, windkessel=wk))
-        s = solver.initial_state()
-        if seed is not None:
-            rng = np.random.default_rng(seed)
-            s = dataclasses.replace(s, u=rng.uniform(-1, 1, s.u.shape),
-                                    v=rng.uniform(-1, 1, s.v.shape))
-        s = solver.advance(s)
+        wf, s = _layout_step(grid, t0, shape, seed)
         inward = {"left": s.u[:, 0], "right": -s.u[:, -1],
                   "bottom": s.v[0, :], "top": -s.v[-1, :]}
         assert np.array_equal(inward[grid.inlet_side], wf.magnitude(s.t) * wf.profile(grid))
         for side in grid.sides_with("wall"):
             assert not inward[side].any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(layouts(), st.integers(0, 2**32 - 1))
+    def test_direct_solves_reach_residual(self, grid, seed):
+        """The FOM Poisson step, the velocity-lifting potential and every
+        pressure lifting solve to relative residual 1e-12 or better."""
+        residuals = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fom, "splu", wrapped_splu(residuals))
+            mp.setattr(lifting, "splu", wrapped_splu(residuals))
+            _layout_step(grid, seed=seed)
+            compute_lifting(grid)
+        assert len(residuals) == 2 + len(grid.outlets)
+        assert max(residuals) <= 1e-12

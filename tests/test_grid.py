@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from romkit.errors import ConfigurationError, ShapeError
+from romkit.errors import ConfigurationError, FormatError, ShapeError
 from romkit.grid import (
     Field,
     FieldRows,
@@ -241,6 +241,12 @@ class TestSnapshotSet:
         meta = json.loads((tmp_path / "snaps" / "meta.json").read_text())
         assert isinstance(meta["nu"], str) and float(meta["nu"]) == s.nu
         assert all(isinstance(t, str) for t in meta["times"])
+
+    def test_missing_row_file_rejected(self, small_grid, rng, tmp_path):
+        self._make(small_grid, rng).save(tmp_path / "snaps")
+        (tmp_path / "snaps" / "u_000001.bin").unlink()
+        with pytest.raises(FormatError, match="u_000001.bin"):
+            SnapshotSet.load(tmp_path / "snaps")
 
     def test_length_mismatch_rejected(self, small_grid, rng):
         with pytest.raises(ShapeError):

@@ -2,18 +2,13 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.linalg import LinearOperator
-from scipy.sparse.linalg import cg as scipy_cg
 
-from romkit import fom, lifting, rom
 from romkit.errors import ConfigurationError, ShapeError
 from romkit.grid import SIDES, Field, Grid, inner_product, side_flux
 from romkit.operators import (
     advanced_masks,
     center_laplacian,
-    cg,
     convection,
     divergence,
     gradient,
@@ -43,18 +38,13 @@ def test_divergence_of_gradient_matches_matrix(grid, rng):
 class TestLayoutProperties:
     """Identities of the Poisson operator on every legal boundary layout."""
 
-    @staticmethod
-    def _setup(grid, seed):
+    @settings(max_examples=60, deadline=None)
+    @given(layouts(), st.integers(0, 2**32 - 1))
+    def test_div_grad_is_bc_minus_laplacian(self, grid, seed):
         rng = np.random.default_rng(seed)
         A, bc = center_laplacian(grid, frozenset(side for _, side in grid.outlets))
         datums = rng.uniform(-5.0, 5.0, len(grid.outlets))
         rhs_bc = bc(datums)
-        return rng, A, datums, rhs_bc
-
-    @settings(max_examples=60, deadline=None)
-    @given(layouts(), st.integers(0, 2**32 - 1))
-    def test_div_grad_is_bc_minus_laplacian(self, grid, seed):
-        rng, A, datums, rhs_bc = self._setup(grid, seed)
         p = rng.standard_normal((grid.ny, grid.nx))
         lhs = divergence(grid, *gradient(grid, p, datums)).ravel()
         rhs = rhs_bc - A @ p.ravel()
@@ -70,26 +60,6 @@ class TestLayoutProperties:
         fluxes = [side_flux(f, side) for side in SIDES]
         scale = np.abs(cells).sum() + np.abs(fluxes).sum()
         assert abs(cells.sum() - sum(fluxes)) <= 1e-13 * scale
-
-    @settings(max_examples=60, deadline=None)
-    @given(layouts(), st.integers(0, 2**32 - 1))
-    def test_banded_matvec_equals_csr_bit_for_bit(self, grid, seed):
-        rng, A, _, _ = self._setup(grid, seed)
-        assert A.format == "dia" and np.all(np.diff(A.offsets) > 0)
-        csr = sp.csr_matrix(A.toarray())           # same entries, sorted columns
-        x = rng.standard_normal(grid.n_scalar)
-        assert (A @ x).tobytes() == (csr @ x).tobytes()
-
-    @settings(max_examples=30, deadline=None)
-    @given(layouts(), st.integers(0, 2**32 - 1), st.booleans())
-    def test_cg_on_banded_equals_scipy_on_csr(self, grid, seed, warm):
-        rng, A, _, rhs_bc = self._setup(grid, seed)
-        b = rhs_bc - rng.standard_normal(grid.n_scalar)
-        x0 = rng.standard_normal(grid.n_scalar) if warm else None
-        ours, ref = _cg_runs(A, b, ref_A=sp.csr_matrix(A.toarray()), x0=x0, rtol=1e-10,
-                             atol=0.0, maxiter=20 * grid.n_scalar)
-        assert ours[1] == 0
-        _assert_same_run(ours, ref)
 
 
 def test_outlet_data_keying(grid, rng):
@@ -219,74 +189,3 @@ def test_convection_skew_symmetry_divfree_advector(grid, rng):
     s1 = (np.sum(au * cab_u) + np.sum(av * cab_v)) * grid.cell_area
     s2 = (np.sum(bu * cba_u) + np.sum(bv * cba_v)) * grid.cell_area
     assert abs(s1 + s2) < 1e-8 * scale**2
-
-
-def _cg_runs(A, b, ref_A=None, **kw):
-    """(x, info, iterates) of romkit's cg on A and of scipy's on ref_A (default A)."""
-    runs = []
-    for solver, op in ((cg, A), (scipy_cg, A if ref_A is None else ref_A)):
-        iterates = []
-        x, info = solver(op, b, callback=lambda xk: iterates.append(xk.copy()), **kw)
-        runs.append((x, info, iterates))
-    return runs
-
-
-def _assert_same_run(ours, ref):
-    assert ours[1] == ref[1]
-    assert np.array_equal(ours[0], ref[0])
-    assert len(ours[2]) == len(ref[2])
-    assert all(np.array_equal(a, b) for a, b in zip(ours[2], ref[2]))
-
-
-class TestCg:
-    def test_bit_identical_to_scipy_on_poisson_matrix(self, rng):
-        g = Grid(24, 12, 2.0, 0.5, CHANNEL_TAGS)
-        A, bc = center_laplacian(g, frozenset({"right"}))
-        b = bc([3.5]) - rng.standard_normal(g.n_scalar)
-        x0 = rng.standard_normal(g.n_scalar)             # a previous step's pressure
-        kept = x0.copy()
-        ours, ref = _cg_runs(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=20 * g.n_scalar)
-        assert ours[1] == 0 and len(ours[2]) > 10
-        _assert_same_run(ours, ref)
-        assert np.array_equal(x0, kept)
-        _assert_same_run(*_cg_runs(A, b, rtol=1e-12))    # cold start, default maxiter
-
-    def test_bit_identical_to_scipy_on_supremizer_operator(self, grid, rng):
-        unknown = np.concatenate([m.ravel() for m in advanced_masks(grid)])
-
-        def matvec(x):
-            w = np.zeros(grid.n_vector)
-            w[unknown] = x
-            u = w[:grid.n_u].reshape(grid.ny, grid.nx + 1)
-            v = w[grid.n_u:].reshape(grid.ny + 1, grid.nx)
-            lu, lv = vec_laplacian(grid, u, v)
-            return -np.concatenate([lu.ravel(), lv.ravel()])[unknown]
-
-        n = int(unknown.sum())
-        A = LinearOperator((n, n), matvec=matvec)
-        gx, gy = gradient(grid, rng.standard_normal((grid.ny, grid.nx)))
-        b = -np.concatenate([gx.ravel(), gy.ravel()])[unknown]
-        ours, ref = _cg_runs(A, b, rtol=1e-10, atol=0.0, maxiter=50 * n)
-        assert ours[1] == 0
-        _assert_same_run(ours, ref)
-
-    def test_maxiter_and_zero_rhs(self, grid, rng):
-        A, _ = center_laplacian(grid, frozenset({"right"}))
-        b = rng.standard_normal(grid.n_scalar)
-        ours, ref = _cg_runs(A, b, rtol=1e-12, maxiter=3)
-        assert ours[1] == 3 and len(ours[2]) == 3
-        _assert_same_run(ours, ref)
-        x, info = cg(A, np.zeros(grid.n_scalar), x0=b)
-        assert info == 0 and not x.any()
-
-    def test_zero_curvature_gives_nan_like_scipy(self):
-        # rtol 0 on the identity: the residual is exactly 0 after one step,
-        # so p.Ap = 0 next; scipy divides by it and carries nan to maxiter
-        A = sp.identity(5, format="dia")
-        with np.errstate(invalid="ignore"):
-            ours, ref = _cg_runs(A, np.ones(5), rtol=0.0, maxiter=3)
-        assert ours[1] == ref[1] == 3 and np.isnan(ours[0]).all() and np.isnan(ref[0]).all()
-        assert len(ours[2]) == len(ref[2]) == 3
-
-    def test_every_solve_uses_it(self):
-        assert fom.cg is cg and lifting.cg is cg and rom.cg is cg

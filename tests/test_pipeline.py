@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from romkit import fom, operators, pipeline, rom
+from romkit import fom, pipeline, rom
 from romkit.cli import main as cli_main
 from romkit.errors import ConfigurationError, FormatError
 from romkit.fom import fom_run
@@ -23,6 +23,8 @@ from romkit.pipeline import (
     parse_config,
 )
 
+from conftest import wrapped_splu
+
 SMALL_CONFIG = {
     "nx": "24", "ny": "8", "lx": "2.0", "ly": "0.5",
     "nu": "0.04", "dt": "2.5e-3", "t0": "0.0", "t_end": "0.9",
@@ -30,8 +32,7 @@ SMALL_CONFIG = {
     "wk_0": "35.0,590.0,5e-4",
     "snap_start": "0.6", "snap_stride": "2", "train_subsample": "2",
     "n_u": "4", "n_p": "3", "n_u_max": "10", "n_p_max": "6",
-    "nn_hidden": "24", "nn_layers": "2", "nn_activation": "tanh",
-    "nn_epochs": "4000", "nn_lr": "0.2", "nn_split": "0.8",
+    "nn_split": "0.8",
     "seed": "0",
 }
 
@@ -463,9 +464,9 @@ class TestFailedOffline:
     leaves one that existed before it in place."""
 
     def test_existing_out_dir_survives(self, tmp_path, monkeypatch, capsys):
-        # a pressure Poisson solve capped at two iterations fails the fom
-        # stage (NumericalError, exit 3)
-        monkeypatch.setattr(fom, "cg", lambda *a, **kw: operators.cg(*a, **{**kw, "maxiter": 2}))
+        # a Poisson factorization whose solves are off by 1e-6 relative fails
+        # the fom stage's residual check (NumericalError, exit 3)
+        monkeypatch.setattr(fom, "splu", wrapped_splu(scale=1 + 1e-6))
         cfg = tmp_path / "small.txt"
         cfg.write_text("nx = 16\nny = 4\n")
         existing = tmp_path / "existing"
@@ -505,15 +506,15 @@ class TestCli:
         loaded = SnapshotSet.load(tmp_path / "snaps")
         assert len(loaded) > 1
         rows = (tmp_path / "snaps" / "diagnostics.csv").read_text().splitlines()
-        assert rows[0] == "step,t,poisson_iters,poisson_residual,div_max,Q_0"
+        assert rows[0] == "step,t,poisson_residual,div_max,Q_0,P_0"
         fom_result = fom_run(build_fom_config(parse_config(cfg)))
         assert len(rows) == fom_result.n_steps + 1
-        step, t, iters, res, div, q = rows[-1].split(",")
+        step, t, res, div, q, p = rows[-1].split(",")
         assert int(step) == fom_result.n_steps and float(t) == fom_result.step_times[-1]
-        assert int(iters) == fom_result.poisson_iters[-1] > 0
         assert float(res) == fom_result.poisson_residual[-1] < 1e-9
         assert float(div) == fom_result.div_max[-1]
         assert float(q) == fom_result.outlet_flux[-1, 0]
+        assert float(p) == fom_result.step_outlet_pressure[-1, 0] > 0
 
     def test_offline_online_compare_roundtrip(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -546,3 +547,61 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         assert cli_main(["offline", "--config", str(cfg), "--out", str(tmp_path / "b2"),
                          "--modes", "nonsense"]) == 2
+
+
+# -- every CLI exit code, one row per way to reach it ---------------------------
+
+def _tiny_fom(tmp, bundle_dir, monkeypatch):
+    cfg = tmp / "tiny.txt"
+    cfg.write_text("nx = 16\nny = 4\nt_end = 0.05\nsnap_start = 0.0\n")
+    return ["fom", "--config", str(cfg), "--out", str(tmp / "snaps")]
+
+
+def _failed_residual(tmp, bundle_dir, monkeypatch):
+    monkeypatch.setattr(fom, "splu", wrapped_splu(scale=1 + 1e-6))
+    return _tiny_fom(tmp, bundle_dir, monkeypatch)
+
+
+def _unknown_key(tmp, bundle_dir, monkeypatch):
+    cfg = tmp / "typo.txt"
+    cfg.write_text("nn_epoch = 5\n")
+    return ["offline", "--config", str(cfg), "--out", str(tmp / "b")]
+
+
+def _missing_config(tmp, bundle_dir, monkeypatch):
+    return ["fom", "--config", str(tmp / "no_such.txt"), "--out", str(tmp / "snaps")]
+
+
+def _hash_mismatch(tmp, bundle_dir, monkeypatch):
+    shutil.copytree(bundle_dir, tmp / "bundle")
+    rom_json = tmp / "bundle" / "rom.json"
+    rom_json.write_text(rom_json.read_text() + " ")
+    return ["online", "--bundle", str(tmp / "bundle"), "--out", str(tmp / "run")]
+
+
+def _truncated_snapshots(tmp, bundle_dir, monkeypatch):
+    shutil.copytree(bundle_dir / "snapshots_train", tmp / "snaps")
+    (tmp / "snaps" / "u_000001.bin").unlink()
+    return ["compare", "--fom", str(tmp / "snaps"),
+            "--rom", str(bundle_dir / "snapshots_train"), "--out", str(tmp / "cmp")]
+
+
+def _modes_out_of_range(tmp, bundle_dir, monkeypatch):
+    return ["online", "--bundle", str(bundle_dir), "--out", str(tmp / "run"),
+            "--modes", "99,1"]
+
+
+EXIT_CODES = [
+    pytest.param(0, _tiny_fom, id="success"),
+    pytest.param(2, _unknown_key, id="unknown_key"),
+    pytest.param(2, _missing_config, id="missing_config"),
+    pytest.param(2, _hash_mismatch, id="hash_mismatch"),
+    pytest.param(2, _truncated_snapshots, id="truncated_snapshots"),
+    pytest.param(2, _modes_out_of_range, id="modes_out_of_range"),
+    pytest.param(3, _failed_residual, id="failed_residual_check"),
+]
+
+
+@pytest.mark.parametrize("code, make_argv", EXIT_CODES)
+def test_exit_codes(code, make_argv, tmp_path, bundle_dir, monkeypatch):
+    assert cli_main(make_argv(tmp_path, bundle_dir, monkeypatch)) == code
