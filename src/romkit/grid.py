@@ -339,6 +339,21 @@ class FieldRows(Sequence):
             return Field._view(self.grid, self.kind, self.values[i])
         return FieldRows(self.grid, self.kind, self.values[i])
 
+    # -- persistence: the (M, n) array as one raw little-endian float64 file
+    def save(self, path) -> None:
+        np.ascontiguousarray(self.values, "<f8").tofile(path)
+
+    @classmethod
+    def load(cls, grid: Grid, kind: str, path, count: int) -> "FieldRows":
+        """``count`` rows from a file ``save`` wrote; FormatError unless it holds them."""
+        try:
+            raw = Path(path).read_bytes()
+        except FileNotFoundError:
+            raise FormatError(f"missing array file {path}") from None
+        if len(raw) != 8 * count * (grid.n_scalar if kind == "scalar" else grid.n_vector):
+            raise FormatError(f"{path} holds {len(raw)} bytes, not {count} {kind} rows")
+        return cls(grid, kind, np.frombuffer(raw, dtype="<f8").reshape(count, -1))
+
 
 def field_rows(fields) -> FieldRows:
     """``fields`` itself if it is a FieldRows, else the stack of its Fields."""
@@ -410,13 +425,13 @@ class SnapshotSet:
         return SnapshotSet(self.times[rows], self.velocity[rows], self.pressure[rows],
                            self.nu, self.waveform, op)
 
-    # -- persistence: meta.json + one raw little-endian float64 file per field
+    # -- persistence: meta.json + u.bin and p.bin, the two FieldRows arrays
     def save(self, directory) -> None:
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         g = self.grid
         meta = {
-            "format": "romkit-snapshots-1",
+            "format": "romkit-snapshots-2",
             "nx": g.nx,
             "ny": g.ny,
             "lx": repr(g.lx),
@@ -430,9 +445,8 @@ class SnapshotSet:
             else [[repr(float(x)) for x in row] for row in self.outlet_pressure],
         }
         (d / "meta.json").write_text(json.dumps(meta, indent=1))
-        for m in range(len(self)):
-            (d / f"u_{m:06d}.bin").write_bytes(self.velocity.values[m].astype("<f8").tobytes())
-            (d / f"p_{m:06d}.bin").write_bytes(self.pressure.values[m].astype("<f8").tobytes())
+        self.velocity.save(d / "u.bin")
+        self.pressure.save(d / "p.bin")
 
     @classmethod
     def load(cls, directory) -> "SnapshotSet":
@@ -441,30 +455,16 @@ class SnapshotSet:
             meta = json.loads((d / "meta.json").read_text())
         except FileNotFoundError:
             raise FormatError(f"no meta.json under {d}")
-        if meta.get("format") != "romkit-snapshots-1":
+        if meta.get("format") != "romkit-snapshots-2":
             raise FormatError(f"unsupported snapshot format {meta.get('format')!r}")
         grid = Grid(meta["nx"], meta["ny"], float(meta["lx"]), float(meta["ly"]), meta["tags"])
         times = np.array([float(t) for t in meta["times"]])
-        vel = _load_rows(grid, "vector2", [d / f"u_{m:06d}.bin" for m in range(times.size)])
-        pres = _load_rows(grid, "scalar", [d / f"p_{m:06d}.bin" for m in range(times.size)])
+        vel = FieldRows.load(grid, "vector2", d / "u.bin", times.size)
+        pres = FieldRows.load(grid, "scalar", d / "p.bin", times.size)
         op = meta.get("outlet_pressure")
         if op is not None:
             op = np.array([[float(x) for x in row] for row in op])
         return cls(times, vel, pres, float(meta["nu"]), meta.get("waveform"), op)
-
-
-def _load_rows(grid: Grid, kind: str, paths) -> FieldRows:
-    """FieldRows from raw little-endian float64 files, one file per row."""
-    out = np.empty((len(paths), grid.n_scalar if kind == "scalar" else grid.n_vector))
-    for m, path in enumerate(paths):
-        try:
-            row = np.frombuffer(path.read_bytes(), dtype="<f8")
-        except FileNotFoundError:
-            raise FormatError(f"missing row file {path}") from None
-        if row.size != out.shape[1]:
-            raise ShapeError(f"{path} holds {row.size} values, expected {out.shape[1]}")
-        out[m] = row
-    return FieldRows(grid, kind, out)
 
 
 def snapshot_matrix(fields: Sequence[Field]) -> np.ndarray:

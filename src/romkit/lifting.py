@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import cg  # noqa: F401  (unused: perfbench/spans.py traces lifting.cg)
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import cg, splu  # noqa: F401  (cg: perfbench/spans.py traces lifting.cg)
 
 from .errors import ConfigurationError, FormatError, NumericalError, ShapeError
 from .grid import SIDE_INDEX, Field, FieldRows, Grid, SnapshotSet, inlet_flux, set_inward
@@ -47,12 +46,11 @@ class LiftingPair:
     def save(self, directory) -> None:
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
-        (d / "chi_u.bin").write_bytes(self.chi_u.values.astype("<f8").tobytes())
-        for k, f in enumerate(self.chi_p):
-            name = "chi_p.bin" if k == 0 else f"chi_p_{k}.bin"
-            (d / name).write_bytes(f.values.astype("<f8").tobytes())
+        grid = self.chi_u.grid
+        FieldRows(grid, "vector2", self.chi_u.values[None]).save(d / "chi_u.bin")
+        FieldRows(grid, "scalar", [f.values for f in self.chi_p]).save(d / "chi_p.bin")
         (d / "lifting.json").write_text(
-            json.dumps({"format": "romkit-lifting-1", "n_outlets": self.n_outlets,
+            json.dumps({"format": "romkit-lifting-2", "n_outlets": self.n_outlets,
                         "records": self.records}, indent=1)
         )
 
@@ -63,13 +61,10 @@ class LiftingPair:
             meta = json.loads((d / "lifting.json").read_text())
         except FileNotFoundError:
             raise FormatError(f"no lifting.json under {d}")
-        if meta.get("format") != "romkit-lifting-1":
+        if meta.get("format") != "romkit-lifting-2":
             raise FormatError(f"unsupported lifting format {meta.get('format')!r}")
-        chi_u = Field(grid, "vector2", np.frombuffer((d / "chi_u.bin").read_bytes(), dtype="<f8"))
-        chi_p = []
-        for k in range(meta["n_outlets"]):
-            name = "chi_p.bin" if k == 0 else f"chi_p_{k}.bin"
-            chi_p.append(Field(grid, "scalar", np.frombuffer((d / name).read_bytes(), dtype="<f8")))
+        chi_u = FieldRows.load(grid, "vector2", d / "chi_u.bin", 1)[0]
+        chi_p = FieldRows.load(grid, "scalar", d / "chi_p.bin", meta["n_outlets"])
         return cls(chi_u, tuple(chi_p), meta["records"])
 
 

@@ -12,7 +12,8 @@ stored face values:
 
 Convection is the divergence form div(a (x) b) with arithmetic face means,
 which keeps it bilinear in (a, b) -- a property the reduced convection
-tensor relies on.
+tensor relies on.  The stencils take face arrays of shape (..., ny, nx + 1)
+and (..., ny + 1, nx): leading axes are a batch and broadcast.
 """
 
 from __future__ import annotations
@@ -45,49 +46,60 @@ def advanced_masks(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 def _ext_u_y(grid: Grid, u: np.ndarray) -> np.ndarray:
     """u with ghost rows below/above per bottom/top closure."""
-    e = np.empty((grid.ny + 2, grid.nx + 1))
-    e[1:-1] = u
-    e[0] = _tang_sign(grid, "bottom") * u[0]
-    e[-1] = _tang_sign(grid, "top") * u[-1]
-    return e
+    return np.concatenate([_tang_sign(grid, "bottom") * u[..., :1, :], u,
+                           _tang_sign(grid, "top") * u[..., -1:, :]], axis=-2)
 
 
 def _ext_v_x(grid: Grid, v: np.ndarray) -> np.ndarray:
     """v with ghost columns left/right per side closure."""
-    e = np.empty((grid.ny + 1, grid.nx + 2))
-    e[:, 1:-1] = v
-    e[:, 0] = _tang_sign(grid, "left") * v[:, 0]
-    e[:, -1] = _tang_sign(grid, "right") * v[:, -1]
-    return e
+    return np.concatenate([_tang_sign(grid, "left") * v[..., :1], v,
+                           _tang_sign(grid, "right") * v[..., -1:]], axis=-1)
+
+
+def flat_faces(uv) -> np.ndarray:
+    """Flat (u block, v block) layout of a pair of (stacks of) face arrays."""
+    return np.concatenate([a.reshape(a.shape[:-2] + (-1,)) for a in uv], axis=-1)
 
 
 def vec_laplacian(grid: Grid, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise 5-point Laplacian at advanced faces (zero elsewhere)."""
     hx2, hy2 = grid.hx**2, grid.hy**2
 
-    ue = np.empty((grid.ny, grid.nx + 3))
-    ue[:, 1:-1] = u
-    ue[:, 0] = u[:, 0]
-    ue[:, -1] = u[:, -1]
+    ue = np.concatenate([u[..., :1], u, u[..., -1:]], axis=-1)
     ug = _ext_u_y(grid, u)
-    lu = (ue[:, :-2] - 2.0 * u + ue[:, 2:]) / hx2 + (ug[:-2] - 2.0 * u + ug[2:]) / hy2
+    lu = ((ue[..., :-2] - 2.0 * u + ue[..., 2:]) / hx2
+          + (ug[..., :-2, :] - 2.0 * u + ug[..., 2:, :]) / hy2)
 
-    ve = np.empty((grid.ny + 3, grid.nx))
-    ve[1:-1] = v
-    ve[0] = v[0]
-    ve[-1] = v[-1]
+    ve = np.concatenate([v[..., :1, :], v, v[..., -1:, :]], axis=-2)
     vg = _ext_v_x(grid, v)
-    lv = (ve[:-2] - 2.0 * v + ve[2:]) / hy2 + (vg[:, :-2] - 2.0 * v + vg[:, 2:]) / hx2
+    lv = ((ve[..., :-2, :] - 2.0 * v + ve[..., 2:, :]) / hy2
+          + (vg[..., :-2] - 2.0 * v + vg[..., 2:]) / hx2)
 
     mu, mv = advanced_masks(grid)
-    lu[~mu] = 0.0
-    lv[~mv] = 0.0
+    np.copyto(lu, 0.0, where=~mu)
+    np.copyto(lv, 0.0, where=~mv)
     return lu, lv
 
 
 def divergence(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cell-centered divergence of a face velocity field."""
-    return (u[:, 1:] - u[:, :-1]) / grid.hx + (v[1:, :] - v[:-1, :]) / grid.hy
+    return (u[..., 1:] - u[..., :-1]) / grid.hx + (v[..., 1:, :] - v[..., :-1, :]) / grid.hy
+
+
+def vec_laplacian_matrix(grid: Grid) -> sp.csc_matrix:
+    """vec_laplacian as a matrix on the flat (u block, v block) layout, read
+    off five probes.  Color (i + 2j) mod 5 of face (j, i) differs across every
+    5-point stencil (Curtis, Powell & Reid 1974) and u, v do not couple, so
+    probe c holds at face r the entry of r's one neighbour of color c."""
+    shapes = ((grid.ny, grid.nx + 1), (grid.ny + 1, grid.nx))
+    colors = [(np.arange(nx) + 2 * np.arange(ny)[:, None]) % 5 for ny, nx in shapes]
+    probes = [(c == np.arange(5)[:, None, None]).astype(np.float64) for c in colors]
+    probed, color = flat_faces(vec_laplacian(grid, *probes)), flat_faces(colors)
+    c, r = np.nonzero(probed)
+    # color c - color[r] (mod 5) is the neighbour's step: 0, +i, +j, -j or -i
+    width = np.where(r < grid.n_u, grid.nx + 1, grid.nx)
+    step = np.choose((c - color[r]) % 5, [0, 1, width, -width, -1])
+    return sp.csc_matrix((probed[c, r], (r, r + step)), shape=(grid.n_vector,) * 2)
 
 
 def _outlet_data(grid: Grid, q) -> np.ndarray:
@@ -126,37 +138,31 @@ def convection(grid: Grid, au: np.ndarray, av: np.ndarray,
                bu: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """div(a (x) b) at advanced faces: a advects b. Bilinear in (a, b)."""
     hx, hy = grid.hx, grid.hy
-    ny, nx = grid.ny, grid.nx
 
     # x-momentum: d/dx(a_u b_u) + d/dy(a_v b_u)
-    fx = 0.25 * (au[:, :-1] + au[:, 1:]) * (bu[:, :-1] + bu[:, 1:])     # (ny, nx) centers
-    fxe = np.empty((ny, nx + 2))
-    fxe[:, 1:-1] = fx
-    fxe[:, 0] = au[:, 0] * bu[:, 0]
-    fxe[:, -1] = au[:, -1] * bu[:, -1]
+    fx = 0.25 * (au[..., :-1] + au[..., 1:]) * (bu[..., :-1] + bu[..., 1:])  # (ny, nx) centers
+    fxe = np.concatenate([au[..., :1] * bu[..., :1], fx, au[..., -1:] * bu[..., -1:]], axis=-1)
     ave = _ext_v_x(grid, av)
     bue = _ext_u_y(grid, bu)
-    a_node = 0.5 * (ave[:, :-1] + ave[:, 1:])                           # (ny+1, nx+1)
-    b_node = 0.5 * (bue[:-1, :] + bue[1:, :])                           # (ny+1, nx+1)
+    a_node = 0.5 * (ave[..., :-1] + ave[..., 1:])                       # (ny+1, nx+1)
+    b_node = 0.5 * (bue[..., :-1, :] + bue[..., 1:, :])                 # (ny+1, nx+1)
     gy_flux = a_node * b_node
-    cu = (fxe[:, 1:] - fxe[:, :-1]) / hx + (gy_flux[1:, :] - gy_flux[:-1, :]) / hy
+    cu = (fxe[..., 1:] - fxe[..., :-1]) / hx + (gy_flux[..., 1:, :] - gy_flux[..., :-1, :]) / hy
 
     # y-momentum: d/dy(a_v b_v) + d/dx(a_u b_v)
-    fy = 0.25 * (av[:-1, :] + av[1:, :]) * (bv[:-1, :] + bv[1:, :])     # (ny, nx) centers
-    fye = np.empty((ny + 2, nx))
-    fye[1:-1] = fy
-    fye[0] = av[0] * bv[0]
-    fye[-1] = av[-1] * bv[-1]
+    fy = 0.25 * (av[..., :-1, :] + av[..., 1:, :]) * (bv[..., :-1, :] + bv[..., 1:, :])
+    fye = np.concatenate([av[..., :1, :] * bv[..., :1, :], fy, av[..., -1:, :] * bv[..., -1:, :]],
+                         axis=-2)
     aue = _ext_u_y(grid, au)
     bve = _ext_v_x(grid, bv)
-    a_node2 = 0.5 * (aue[:-1, :] + aue[1:, :])                          # (ny+1, nx+1)
-    b_node2 = 0.5 * (bve[:, :-1] + bve[:, 1:])                          # (ny+1, nx+1)
+    a_node2 = 0.5 * (aue[..., :-1, :] + aue[..., 1:, :])                # (ny+1, nx+1)
+    b_node2 = 0.5 * (bve[..., :-1] + bve[..., 1:])                      # (ny+1, nx+1)
     gx_flux = a_node2 * b_node2
-    cv = (fye[1:, :] - fye[:-1, :]) / hy + (gx_flux[:, 1:] - gx_flux[:, :-1]) / hx
+    cv = (fye[..., 1:, :] - fye[..., :-1, :]) / hy + (gx_flux[..., 1:] - gx_flux[..., :-1]) / hx
 
     mu, mv = advanced_masks(grid)
-    cu[~mu] = 0.0
-    cv[~mv] = 0.0
+    np.copyto(cu, 0.0, where=~mu)
+    np.copyto(cv, 0.0, where=~mv)
     return cu, cv
 
 

@@ -43,7 +43,7 @@ from .rom import (ReducedOperators, ReducedTrajectory, assemble_operators, integ
                   reconstruct, supremizer_enrich)
 from .windkessel import WindkesselParams
 
-BUNDLE_FORMAT = "romkit-bundle-1"
+BUNDLE_FORMAT = "romkit-bundle-2"
 
 DEFAULT_CONFIG = {
     # grid and tags

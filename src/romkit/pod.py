@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import FormatError, NumericalError, RankError, ShapeError
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
-from .grid import Field, FieldRows, Grid, _load_rows, field_rows, snapshot_matrix  # noqa: F401
+from .grid import Field, FieldRows, Grid, field_rows, snapshot_matrix  # noqa: F401
 
 RANK_CUTOFF = 1e-13
 
@@ -107,15 +107,14 @@ class ReducedBasis:
     def save(self, directory) -> None:
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
-        for i, row in enumerate(self.modes.values):
-            (d / f"modes_{i:06d}.bin").write_bytes(row.astype("<f8").tobytes())
+        self.modes.save(d / "modes.bin")
         with open(d / "spectrum.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["i", "lambda"])
             for i, lam in enumerate(self.eigenvalues):
                 writer.writerow([i, repr(float(lam))])
         (d / "basis.json").write_text(json.dumps({
-            "format": "romkit-basis-1",
+            "format": "romkit-basis-2",
             "kind": self.kind,
             "N": self.n_modes,
             "M": self.M,
@@ -131,10 +130,9 @@ class ReducedBasis:
             meta = json.loads((d / "basis.json").read_text())
         except FileNotFoundError:
             raise FormatError(f"no basis.json under {d}")
-        if meta.get("format") != "romkit-basis-1":
+        if meta.get("format") != "romkit-basis-2":
             raise FormatError(f"unsupported basis format {meta.get('format')!r}")
-        modes = _load_rows(grid, meta["field_kind"],
-                           [d / f"modes_{i:06d}.bin" for i in range(meta["N"])])
+        modes = FieldRows.load(grid, meta["field_kind"], d / "modes.bin", meta["N"])
         lams = []
         with open(d / "spectrum.csv", newline="") as fh:
             for row in csv.DictReader(fh):

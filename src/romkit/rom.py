@@ -23,9 +23,9 @@ solver steps), and d1..d7 the lifting couplings:
 Time stepping is semi-implicit Euler: diffusion and the pressure coupling
 are implicit (a saddle solve keeps P a^{n+1} exactly on the constraint),
 convection and the lifting forcings explicit.  Supremizer modes -- one
-elliptic solve per pressure mode -- make the saddle matrix invertible;
-without them the constraint rows vanish on (divergence-free) velocity
-modes and integrate_rom reports the singularity.
+factored vector-Laplacian solve for all pressure modes -- make the saddle
+matrix invertible; without them the constraint rows vanish on
+(divergence-free) velocity modes and integrate_rom reports the singularity.
 """
 
 from __future__ import annotations
@@ -35,14 +35,15 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import cg, splu  # noqa: F401  (cg: perfbench/spans.py traces rom.cg)
 
 from .errors import FormatError, NumericalError, ShapeError, StabilityError
 from .fom import Waveform
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
 from .grid import FieldRows, Grid, SnapshotSet, snapshot_matrix  # noqa: F401
 from .lifting import LiftingPair
-from .operators import advanced_masks, convection, divergence, gradient, vec_laplacian
+from .operators import (advanced_masks, convection, divergence, flat_faces, gradient,
+                        vec_laplacian, vec_laplacian_matrix)
 from .pod import ReducedBasis, _mgs
 
 SADDLE_COND_LIMIT = 1e12
@@ -171,18 +172,15 @@ class ReducedTrajectory:
             raise ShapeError("trajectory contains non-finite entries")
 
 
-def _flat(uv) -> np.ndarray:
-    """Flat (u block, v block) layout of a pair of face arrays."""
-    return np.concatenate([uv[0].ravel(), uv[1].ravel()])
-
-
 def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
                       grid: Grid) -> ReducedBasis:
     """Append one elliptic supremizer per pressure mode and re-orthonormalize.
 
     Each s_j solves  -Lap s_j = -grad psi_j  with homogeneous velocity
     boundary closures, giving the constraint matrix P a strictly positive
-    smallest singular value on the enriched basis.
+    smallest singular value on the enriched basis.  One factorization of the
+    probed Laplacian on the advanced faces solves for all j, each to relative
+    residual SUPREMIZER_RTOL.
     """
     if basis_p is None or basis_p.n_modes == 0:
         return basis_u
@@ -190,24 +188,17 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
         raise ShapeError("bases must live on the provided grid")
 
     # the unknowns are the advanced faces, in the flat (u block, v block) layout
-    unknown = np.concatenate([m.ravel() for m in advanced_masks(grid)])
-    n_unknown = int(unknown.sum())
-
-    def matvec(x):
-        w = np.zeros(grid.n_vector)
-        w[unknown] = x
-        u, v = w[:grid.n_u].reshape(grid.ny, grid.nx + 1), w[grid.n_u:].reshape(grid.ny + 1, grid.nx)
-        return -_flat(vec_laplacian(grid, u, v))[unknown]
-
-    A = LinearOperator((n_unknown, n_unknown), matvec=matvec)
-
+    unknown = np.flatnonzero(flat_faces(advanced_masks(grid)))
+    A = -vec_laplacian_matrix(grid)[unknown][:, unknown]
+    rhs = -np.array([flat_faces(gradient(grid, psi.c))[unknown] for psi in basis_p.modes]).T
+    x = splu(A).solve(rhs)
+    res = np.linalg.norm(rhs - A @ x, axis=0) / np.linalg.norm(rhs, axis=0)
+    if not np.all(res <= SUPREMIZER_RTOL):   # a nan residual fails too
+        j = int(np.argmin(res <= SUPREMIZER_RTOL))
+        raise NumericalError(f"supremizer solve for pressure mode {j} failed: relative "
+                             f"residual {res[j]:.3e} above {SUPREMIZER_RTOL:.0e}")
     sup = np.zeros((basis_p.n_modes, grid.n_vector))
-    for j, psi in enumerate(basis_p.modes):
-        rhs = -_flat(gradient(grid, psi.c))[unknown]
-        x, info = cg(A, rhs, rtol=SUPREMIZER_RTOL, atol=0.0, maxiter=50 * n_unknown)
-        if info != 0:
-            raise NumericalError(f"supremizer solve for pressure mode {j} failed (info={info})")
-        sup[j, unknown] = x
+    sup[:, unknown] = x.T
 
     # _mgs leaves the rows before `start` (the velocity modes) untouched
     ortho = _mgs(np.vstack([basis_u.modes.values, sup]), grid.cell_area,
@@ -222,6 +213,7 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
                        include_convection: bool = True) -> ReducedOperators:
     """Galerkin-compress the discrete operators over the given bases.
 
+    Each stencil runs once on the stacked modes (Ct once per advecting mode).
     ``include_convection`` is the full-order model's: without it (a Stokes
     run) the convection terms Ct, d2, d3 and d4 are left zero, uncomputed.
     """
@@ -235,36 +227,34 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     area = grid.cell_area
     Phi = basis_u.modes.values
     n_u = Phi.shape[0]
-    n_p = basis_p.n_modes if basis_p is not None else 0
-    Psi = basis_p.modes.values if n_p else np.zeros((0, grid.n_scalar))
-    umodes = [(f.u, f.v) for f in basis_u.modes]
-    cu_u, cu_v = lift.chi_u.u, lift.chi_u.v
+    Psi = basis_p.modes.values if basis_p is not None else np.zeros((0, grid.n_scalar))
+    U = Phi[:, :grid.n_u].reshape(n_u, grid.ny, grid.nx + 1)
+    V = Phi[:, grid.n_u:].reshape(n_u, grid.ny + 1, grid.nx)
+    chi = lift.chi_u.u, lift.chi_u.v
 
-    def proj(uv):
-        """Galerkin projection of one vector field on the velocity modes."""
-        return area * (Phi @ _flat(uv))
+    def proj(fields):
+        """Galerkin projections (..., n_u) of flat vector fields (..., n_vector)."""
+        return area * (fields @ Phi.T)
 
-    B = area * (Phi @ np.array([_flat(vec_laplacian(grid, u, v)) for u, v in umodes]).T)
-    K = np.zeros((n_u, n_p))
-    for j in range(n_p):
-        K[:, j] = proj(gradient(grid, Psi[j].reshape(grid.ny, grid.nx)))
-    P = area * (Psi @ np.array([divergence(grid, u, v).ravel() for u, v in umodes]).T)
-    d7 = area * (Psi @ divergence(grid, cu_u, cu_v).ravel())
+    B = proj(flat_faces(vec_laplacian(grid, U, V))).T
+    grads = [flat_faces(gradient(grid, psi)) for psi in Psi.reshape(-1, grid.ny, grid.nx)]
+    K = proj(np.reshape(grads, (-1, grid.n_vector))).T
+    P = area * (Psi @ divergence(grid, U, V).reshape(n_u, -1).T)
+    d7 = area * (Psi @ divergence(grid, *chi).ravel())
 
-    d1 = proj(vec_laplacian(grid, cu_u, cu_v))
+    d1 = proj(flat_faces(vec_laplacian(grid, *chi)))
     if include_convection:
         Ct = np.empty((n_u, n_u, n_u))
-        for j, (au, av) in enumerate(umodes):
-            for k, (bu, bv) in enumerate(umodes):
-                Ct[:, j, k] = proj(convection(grid, au, av, bu, bv))
-        d2 = np.column_stack([proj(convection(grid, u, v, cu_u, cu_v)) for u, v in umodes])
-        d3 = np.column_stack([proj(convection(grid, cu_u, cu_v, u, v)) for u, v in umodes])
-        d4 = proj(convection(grid, cu_u, cu_v, cu_u, cu_v))
+        for j in range(n_u):
+            Ct[:, j, :] = proj(flat_faces(convection(grid, U[j], V[j], U, V))).T
+        d2 = proj(flat_faces(convection(grid, U, V, *chi))).T
+        d3 = proj(flat_faces(convection(grid, *chi, U, V))).T
+        d4 = proj(flat_faces(convection(grid, *chi, *chi)))
     else:
         Ct, d2, d3, d4 = (np.zeros((n_u,) * r) for r in (3, 2, 2, 1))
-    d6 = proj((cu_u, cu_v))
-    unit = np.eye(len(lift.chi_p))
-    d5 = np.array([proj(gradient(grid, chi.c, unit[k])) for k, chi in enumerate(lift.chi_p)])
+    d6 = proj(lift.chi_u.values)
+    d5 = proj(np.array([flat_faces(gradient(grid, c.c, np.eye(lift.n_outlets)[k]))
+                        for k, c in enumerate(lift.chi_p)]))
 
     return ReducedOperators(B=B, Ct=Ct, K=K, P=P, d1=d1, d2=d2, d3=d3, d4=d4,
                             d5=d5, d6=d6, d7=d7, nu=float(nu))

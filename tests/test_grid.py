@@ -242,11 +242,41 @@ class TestSnapshotSet:
         assert isinstance(meta["nu"], str) and float(meta["nu"]) == s.nu
         assert all(isinstance(t, str) for t in meta["times"])
 
+    def test_array_files_hold_raw_rows(self, small_grid, rng, tmp_path):
+        s = self._make(small_grid, rng)
+        s.save(tmp_path / "snaps")
+        assert sorted(p.name for p in (tmp_path / "snaps").iterdir()) == \
+            ["meta.json", "p.bin", "u.bin"]
+        raw = (tmp_path / "snaps" / "u.bin").read_bytes()
+        assert raw == s.velocity.values.astype("<f8").tobytes()
+
     def test_missing_row_file_rejected(self, small_grid, rng, tmp_path):
         self._make(small_grid, rng).save(tmp_path / "snaps")
-        (tmp_path / "snaps" / "u_000001.bin").unlink()
-        with pytest.raises(FormatError, match="u_000001.bin"):
+        (tmp_path / "snaps" / "u.bin").unlink()
+        with pytest.raises(FormatError, match="u.bin"):
             SnapshotSet.load(tmp_path / "snaps")
+
+    def test_truncated_array_file_rejected(self, small_grid, rng, tmp_path):
+        self._make(small_grid, rng).save(tmp_path / "snaps")
+        u_bin = tmp_path / "snaps" / "u.bin"
+        u_bin.write_bytes(u_bin.read_bytes()[:-8])
+        with pytest.raises(FormatError, match="u.bin"):
+            SnapshotSet.load(tmp_path / "snaps")
+
+    def test_old_format_rejected(self, small_grid, rng, tmp_path):
+        # the version-1 layout: one u_%06d.bin / p_%06d.bin file per snapshot
+        s = self._make(small_grid, rng)
+        s.save(tmp_path / "snaps")
+        d = tmp_path / "snaps"
+        for m in range(len(s)):
+            (d / f"u_{m:06d}.bin").write_bytes(s.velocity.values[m].tobytes())
+            (d / f"p_{m:06d}.bin").write_bytes(s.pressure.values[m].tobytes())
+        (d / "u.bin").unlink()
+        (d / "p.bin").unlink()
+        meta = json.loads((d / "meta.json").read_text())
+        (d / "meta.json").write_text(json.dumps({**meta, "format": "romkit-snapshots-1"}))
+        with pytest.raises(FormatError, match="romkit-snapshots-1"):
+            SnapshotSet.load(d)
 
     def test_length_mismatch_rejected(self, small_grid, rng):
         with pytest.raises(ShapeError):

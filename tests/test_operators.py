@@ -13,6 +13,7 @@ from romkit.operators import (
     divergence,
     gradient,
     vec_laplacian,
+    vec_laplacian_matrix,
 )
 
 from conftest import CHANNEL_TAGS, layouts, random_vector
@@ -60,6 +61,38 @@ class TestLayoutProperties:
         fluxes = [side_flux(f, side) for side in SIDES]
         scale = np.abs(cells).sum() + np.abs(fluxes).sum()
         assert abs(cells.sum() - sum(fluxes)) <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts(), st.integers(0, 2**32 - 1))
+    def test_probed_laplacian_matches_stencil(self, grid, seed):
+        """The matrix read off five colored probes applies vec_laplacian."""
+        f = random_vector(grid, np.random.default_rng(seed))
+        lu, lv = vec_laplacian(grid, f.u, f.v)
+        direct = np.concatenate([lu.ravel(), lv.ravel()])
+        probed = vec_laplacian_matrix(grid) @ f.values
+        assert np.abs(probed - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_stacked_stencils_match_per_field_calls(rng):
+    """A leading batch axis (or a broadcast 2-D operand) changes no bit."""
+    grid = Grid(9, 5, 1.5, 0.75, {"left": "wall", "right": "outlet_0", "top": "outlet_1",
+                                  "bottom": "inlet"})
+    a, b = ([random_vector(grid, rng) for _ in range(4)] for _ in range(2))
+    U, V = np.stack([f.u for f in a]), np.stack([f.v for f in a])
+    W, Z = np.stack([f.u for f in b]), np.stack([f.v for f in b])
+    lu, lv = vec_laplacian(grid, U, V)
+    div = divergence(grid, U, V)
+    cu, cv = convection(grid, U, V, W, Z)
+    bu, bv = convection(grid, a[0].u, a[0].v, W, Z)     # one advecting field for all
+    for m, (f, g) in enumerate(zip(a, b)):
+        for stacked, single in ((lu, vec_laplacian(grid, f.u, f.v)[0]),
+                                (lv, vec_laplacian(grid, f.u, f.v)[1]),
+                                (div, divergence(grid, f.u, f.v)),
+                                (cu, convection(grid, f.u, f.v, g.u, g.v)[0]),
+                                (cv, convection(grid, f.u, f.v, g.u, g.v)[1]),
+                                (bu, convection(grid, a[0].u, a[0].v, g.u, g.v)[0]),
+                                (bv, convection(grid, a[0].u, a[0].v, g.u, g.v)[1])):
+            assert np.array_equal(stacked[m], single)
 
 
 def test_outlet_data_keying(grid, rng):

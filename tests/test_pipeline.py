@@ -579,11 +579,29 @@ def _hash_mismatch(tmp, bundle_dir, monkeypatch):
     return ["online", "--bundle", str(tmp / "bundle"), "--out", str(tmp / "run")]
 
 
-def _truncated_snapshots(tmp, bundle_dir, monkeypatch):
+def _compare_copied_snapshots(tmp, bundle_dir, edit):
+    """`compare` on a copy of the bundle's training snapshots after ``edit(copy)``."""
     shutil.copytree(bundle_dir / "snapshots_train", tmp / "snaps")
-    (tmp / "snaps" / "u_000001.bin").unlink()
+    edit(tmp / "snaps")
     return ["compare", "--fom", str(tmp / "snaps"),
             "--rom", str(bundle_dir / "snapshots_train"), "--out", str(tmp / "cmp")]
+
+
+def _truncated_snapshots(tmp, bundle_dir, monkeypatch):
+    def truncate(d):
+        (d / "u.bin").write_bytes((d / "u.bin").read_bytes()[:-8])
+    return _compare_copied_snapshots(tmp, bundle_dir, truncate)
+
+
+def _missing_snapshot_array(tmp, bundle_dir, monkeypatch):
+    return _compare_copied_snapshots(tmp, bundle_dir, lambda d: (d / "u.bin").unlink())
+
+
+def _old_format(tmp, bundle_dir, monkeypatch):
+    def downgrade(d):
+        meta = json.loads((d / "meta.json").read_text())
+        (d / "meta.json").write_text(json.dumps({**meta, "format": "romkit-snapshots-1"}))
+    return _compare_copied_snapshots(tmp, bundle_dir, downgrade)
 
 
 def _modes_out_of_range(tmp, bundle_dir, monkeypatch):
@@ -597,6 +615,8 @@ EXIT_CODES = [
     pytest.param(2, _missing_config, id="missing_config"),
     pytest.param(2, _hash_mismatch, id="hash_mismatch"),
     pytest.param(2, _truncated_snapshots, id="truncated_snapshots"),
+    pytest.param(2, _missing_snapshot_array, id="missing_snapshot_array"),
+    pytest.param(2, _old_format, id="old_format"),
     pytest.param(2, _modes_out_of_range, id="modes_out_of_range"),
     pytest.param(3, _failed_residual, id="failed_residual_check"),
 ]

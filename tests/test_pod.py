@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from romkit import pod
-from romkit.errors import NumericalError, RankError, ShapeError
+from romkit.errors import FormatError, NumericalError, RankError, ShapeError
 from romkit.grid import Field, Grid, inner_product
 from romkit.pod import (
     ReducedBasis,
@@ -261,6 +263,19 @@ class TestPersistence:
         assert np.array_equal(back.eigenvalues, basis.eigenvalues)
         for a, b in zip(basis.modes, back.modes):
             assert np.array_equal(a.values, b.values)
+        assert (tmp_path / "basis_u" / "modes.bin").read_bytes() == basis.modes.values.tobytes()
+
+    def test_bad_files_rejected(self, grid, rng, tmp_path):
+        d = tmp_path / "basis_u"
+        pod_basis(_random_set(grid, rng, 7), n_modes=5).save(d)
+        modes = (d / "modes.bin").read_bytes()
+        (d / "modes.bin").write_bytes(modes[:-8])
+        with pytest.raises(FormatError, match="modes.bin"):
+            ReducedBasis.load(d, grid)
+        meta = json.loads((d / "basis.json").read_text())
+        (d / "basis.json").write_text(json.dumps({**meta, "format": "romkit-basis-1"}))
+        with pytest.raises(FormatError, match="romkit-basis-1"):
+            ReducedBasis.load(d, grid)
 
 
 class TestCoefficients:

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from romkit.errors import ShapeError, StabilityError
+from romkit import rom
+from romkit.errors import NumericalError, ShapeError, StabilityError
 from romkit.fom import FomConfig, Waveform, fom_run
 from romkit.grid import Field, Grid, inner_product, l2_norm, snapshot_matrix
 from romkit.lifting import LiftingPair, compute_lifting, homogenize
@@ -19,7 +20,7 @@ from romkit.rom import (
 )
 from romkit.windkessel import WindkesselParams
 
-from conftest import CHANNEL_TAGS
+from conftest import CHANNEL_TAGS, wrapped_splu
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +118,45 @@ class TestSupremizer:
         assert enriched > 0
         assert enriched >= 10.0 * plain
 
+    def test_solves_reach_residual(self, stokes_setup, monkeypatch):
+        s = stokes_setup
+        residuals = []
+        monkeypatch.setattr(rom, "splu", wrapped_splu(residuals))
+        supremizer_enrich(s["basis_u"], s["basis_p"], s["grid"])
+        assert len(residuals) == 1 and residuals[0] <= rom.SUPREMIZER_RTOL
+
+    def test_perturbed_factor_raises(self, stokes_setup, monkeypatch):
+        s = stokes_setup
+        monkeypatch.setattr(rom, "splu", wrapped_splu(scale=1 + 1e-6))
+        with pytest.raises(NumericalError, match="supremizer solve for pressure mode 0"):
+            supremizer_enrich(s["basis_u"], s["basis_p"], s["grid"])
+
 
 class TestAssemble:
+    def test_matches_per_field_stencil_calls(self, stokes_setup):
+        """Stacked assembly against one stencil call per mode (pair)."""
+        s = stokes_setup
+        grid, lift = s["grid"], s["lift"]
+        enriched = supremizer_enrich(s["basis_u"], s["basis_p"], grid)
+        ops = assemble_operators(enriched, s["basis_p"], lift, s["cfg"].nu, grid)
+        modes, chi = list(enriched.modes), (lift.chi_u.u, lift.chi_u.v)
+
+        def proj(uv):
+            flat = np.concatenate([uv[0].ravel(), uv[1].ravel()])
+            return np.array([inner_product(m, Field(grid, "vector2", flat)) for m in modes])
+
+        B = np.column_stack([proj(vec_laplacian(grid, f.u, f.v)) for f in modes])
+        Ct = np.stack([np.column_stack([proj(convection(grid, f.u, f.v, g.u, g.v))
+                                        for g in modes]) for f in modes], axis=1)
+        d2 = np.column_stack([proj(convection(grid, f.u, f.v, *chi)) for f in modes])
+        d3 = np.column_stack([proj(convection(grid, *chi, f.u, f.v)) for f in modes])
+        K = np.column_stack([proj(gradient(grid, psi.c)) for psi in s["basis_p"].modes])
+        P = np.array([[inner_product(psi, Field.scalar(grid, divergence(grid, f.u, f.v)))
+                       for f in modes] for psi in s["basis_p"].modes])
+        for name, ref in (("B", B), ("Ct", Ct), ("d2", d2), ("d3", d3), ("K", K), ("P", P)):
+            got = getattr(ops, name)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
     def test_single_mode_diffusion_scalar(self, stokes_setup, rng):
         s = stokes_setup
         grid = s["grid"]
