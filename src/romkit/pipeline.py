@@ -625,8 +625,11 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     the coefficients at an instant between two steps are interpolated
     linearly from them, and only the query instants are reconstructed.
     Query times must be a non-empty 1-D array of finite instants in
-    [t_lo, t_hi + 10% of the window span].
+    [t_lo, t_hi + 10% of the window span], and dt_r finite and positive.
     """
+    substep = bundle.dt_fom if dt_r is None else float(dt_r)
+    if not (np.isfinite(substep) and substep > 0):
+        raise ConfigurationError(f"dt_r must be finite and positive, got {substep!r}")
     train_times = bundle.train.times
     t_lo, t_hi = float(train_times[0]), float(train_times[-1])
     t_end = t_hi + 0.1 * (t_hi - t_lo)      # the network's own extrapolation bound
@@ -658,7 +661,6 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
 
     # steps k*dt_r from t_lo, covering the window and every instant; an
     # instant within 1e-9 steps past the last step counts as on it
-    substep = bundle.dt_fom if dt_r is None else float(dt_r)
     k_hi = max(1, int(np.ceil((max(t_hi, query_times.max()) - t_lo) / substep - 1e-9)))
     steps = t_lo + substep * np.arange(k_hi + 1)
 

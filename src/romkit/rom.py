@@ -41,7 +41,7 @@ from .errors import FormatError, NumericalError, ShapeError, StabilityError
 from .fom import Waveform
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
 from .grid import FieldRows, Grid, SnapshotSet, snapshot_matrix  # noqa: F401
-from .lifting import LiftingPair
+from .lifting import LiftingPair, _outlet_array
 from .operators import (advanced_masks, convection, divergence, flat_faces, gradient,
                         vec_laplacian, vec_laplacian_matrix)
 from .pod import ReducedBasis, _mgs
@@ -190,7 +190,8 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     # the unknowns are the advanced faces, in the flat (u block, v block) layout
     unknown = np.flatnonzero(flat_faces(advanced_masks(grid)))
     A = -vec_laplacian_matrix(grid)[unknown][:, unknown]
-    rhs = -np.array([flat_faces(gradient(grid, psi.c))[unknown] for psi in basis_p.modes]).T
+    Psi = basis_p.modes.values.reshape(-1, grid.ny, grid.nx)
+    rhs = -flat_faces(gradient(grid, Psi))[:, unknown].T
     x = splu(A).solve(rhs)
     res = np.linalg.norm(rhs - A @ x, axis=0) / np.linalg.norm(rhs, axis=0)
     if not np.all(res <= SUPREMIZER_RTOL):   # a nan residual fails too
@@ -237,8 +238,7 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
         return area * (fields @ Phi.T)
 
     B = proj(flat_faces(vec_laplacian(grid, U, V))).T
-    grads = [flat_faces(gradient(grid, psi)) for psi in Psi.reshape(-1, grid.ny, grid.nx)]
-    K = proj(np.reshape(grads, (-1, grid.n_vector))).T
+    K = proj(flat_faces(gradient(grid, Psi.reshape(-1, grid.ny, grid.nx)))).T
     P = area * (Psi @ divergence(grid, U, V).reshape(n_u, -1).T)
     d7 = area * (Psi @ divergence(grid, *chi).ravel())
 
@@ -253,21 +253,11 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     else:
         Ct, d2, d3, d4 = (np.zeros((n_u,) * r) for r in (3, 2, 2, 1))
     d6 = proj(lift.chi_u.values)
-    d5 = proj(np.array([flat_faces(gradient(grid, c.c, np.eye(lift.n_outlets)[k]))
-                        for k, c in enumerate(lift.chi_p)]))
+    d5 = proj(np.array([flat_faces(gradient(grid, c.c, e))
+                        for c, e in zip(lift.chi_p, np.eye(lift.n_outlets))]))
 
     return ReducedOperators(B=B, Ct=Ct, K=K, P=P, d1=d1, d2=d2, d3=d3, d4=d4,
                             d5=d5, d6=d6, d7=d7, nu=float(nu))
-
-
-def _outlet_array(p_d, n_times: int, n_outlets: int) -> np.ndarray:
-    """The (T, n_outlets) outlet-pressure array, zeros for None."""
-    if p_d is None:
-        return np.zeros((n_times, n_outlets))
-    q = np.asarray(p_d, dtype=np.float64)
-    if q.shape != (n_times, n_outlets):
-        raise ShapeError(f"p_d must have shape ({n_times}, {n_outlets}), got {q.shape}")
-    return q
 
 
 def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Waveform,
@@ -344,7 +334,8 @@ def reconstruct(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
                 traj: ReducedTrajectory, lift: LiftingPair, waveform: Waveform,
                 p_d=None, nu: float = 0.0) -> SnapshotSet:
     """Full-field snapshots from reduced coefficients plus boundary lifting:
-    one mode product per field and one rank-1 term per lifting field.
+    one mode product per field, a rank-1 term for chi_u and one product of
+    the outlet pressures with the stacked chi_p.
     ``p_d`` is the (T, n_outlets) outlet-pressure array at the trajectory
     times, or None for homogeneous outlet pressure."""
     grid = basis_u.grid
@@ -356,10 +347,9 @@ def reconstruct(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     vel = traj.a @ basis_u.modes.values + np.outer(waveform.magnitude(traj.times),
                                                     lift.chi_u.values)
     q = _outlet_array(p_d, traj.times.size, lift.n_outlets)
-    pres = (traj.b @ basis_p.modes.values if basis_p is not None
-            else np.zeros((traj.times.size, grid.n_scalar)))
-    for k in range(lift.n_outlets):
-        pres += np.outer(q[:, k], lift.chi_p[k].values)
+    pres = np.einsum("tk,kn->tn", q, lift.chi_p.values)   # as in lifting._shift
+    if basis_p is not None:
+        pres += traj.b @ basis_p.modes.values
     return SnapshotSet(traj.times.copy(), FieldRows(grid, "vector2", vel),
                        FieldRows(grid, "scalar", pres), nu=nu,
                        waveform=waveform.to_dict(), outlet_pressure=q)

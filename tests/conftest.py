@@ -52,15 +52,18 @@ def layouts(draw):
 
 def wrapped_splu(residuals=None, scale=1.0):
     """A stand-in for scipy's `splu`.  Each solve returns `scale` times the
-    exact factorization's answer and, given a list `residuals`, appends its
-    relative residual ||b - A x|| / ||b|| to it."""
+    exact factorization's answer and, given a list `residuals`, appends the
+    relative residual ||b - A x|| / ||b|| of each right-hand side to it (one
+    per column of a block)."""
     def factor(A):
         lu = splu(A)
 
         def solve(b):
             x = lu.solve(b) * scale
             if residuals is not None:
-                residuals.append(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
+                bs, xs = (b, x) if b.ndim == 2 else (b[:, None], x[:, None])
+                residuals.extend(np.linalg.norm(bk - A @ xk) / np.linalg.norm(bk)
+                                 for bk, xk in zip(bs.T, xs.T))
             return x
 
         return SimpleNamespace(solve=solve)

@@ -253,13 +253,21 @@ class TestLayouts:
     @settings(max_examples=40, deadline=None)
     @given(layouts(), st.integers(0, 2**32 - 1))
     def test_direct_solves_reach_residual(self, grid, seed):
-        """The FOM Poisson step, the velocity-lifting potential and every
-        pressure lifting solve to relative residual 1e-12 or better."""
-        residuals = []
+        """The FOM Poisson step, the velocity-lifting potential and the block
+        of pressure liftings are three factorizations, and every right-hand
+        side (one per outlet in the block) solves to relative residual 1e-12
+        or better."""
+        residuals, factored = [], []
+
+        def factor(A):
+            factored.append(A)
+            return wrapped_splu(residuals)(A)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fom, "splu", wrapped_splu(residuals))
-            mp.setattr(lifting, "splu", wrapped_splu(residuals))
+            mp.setattr(fom, "splu", factor)
+            mp.setattr(lifting, "splu", factor)
             _layout_step(grid, seed=seed)
             compute_lifting(grid)
+        assert len(factored) == 3
         assert len(residuals) == 2 + len(grid.outlets)
         assert max(residuals) <= 1e-12

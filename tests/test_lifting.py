@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from romkit import lifting
 from romkit.fom import FomConfig, Waveform, fom_run
 from romkit.grid import SIDE_INDEX, Field, Grid, inlet_flux, inlet_trace, l2_norm, outlet_flux
-from romkit.errors import ShapeError
+from romkit.errors import NumericalError, ShapeError
 from romkit.lifting import LiftingPair, compute_lifting, dehomogenize, homogenize
 from romkit.operators import divergence, gradient
 from romkit.windkessel import WindkesselParams
 
-from conftest import CHANNEL_TAGS, layouts, random_scalar, random_vector
+from conftest import CHANNEL_TAGS, layouts, random_scalar, random_vector, wrapped_splu
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,15 @@ class TestComputeLifting:
         # chi_p_k is 1 on its own outlet, 0 on the other (adjacent-cell means reflect it)
         assert pair.records["chi_p_adjacent_cell_mean"][0] > 0.5
         assert pair.chi_p[0].c[-1, :].mean() < 0.5  # near top (outlet_1) the datum is 0
+
+    def test_perturbed_block_solve_raises(self, monkeypatch):
+        """The pressure liftings of both outlets are one block solve, and a
+        factor that is off by 1e-6 fails its per-column residual check."""
+        grid = Grid(8, 8, 1.0, 1.0, {"left": "inlet", "right": "outlet_0", "top": "outlet_1",
+                                     "bottom": "wall"})
+        monkeypatch.setattr(lifting, "splu", wrapped_splu(scale=1 + 1e-6))
+        with pytest.raises(NumericalError, match="pressure lifting of outlet 0"):
+            compute_lifting(grid)
 
     def test_persistence_roundtrip(self, channel, lift, tmp_path):
         lift.save(tmp_path / "lift")

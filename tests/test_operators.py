@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from romkit.errors import ConfigurationError, ShapeError
 from romkit.grid import SIDES, Field, Grid, inner_product, side_flux
 from romkit.operators import (
+    _face_gradient,
     advanced_masks,
     center_laplacian,
     convection,
@@ -53,6 +54,33 @@ class TestLayoutProperties:
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
+    @given(layouts(), st.sampled_from(["outlets", "none", "inlet+outlets"]),
+           st.integers(0, 2**32 - 1))
+    def test_poisson_matrix_is_the_stencil(self, grid, dirichlet, seed):
+        """For each Dirichlet set, A is exactly symmetric, has the 5-point
+        pattern and maps p to minus div(grad p) with the sides' zero-datum
+        ghosts; with no Dirichlet side its null space is the constants."""
+        outlets = {side for _, side in grid.outlets}
+        sides = {"outlets": outlets, "none": set(),
+                 "inlet+outlets": outlets | {grid.inlet_side}}[dirichlet]
+        A, _ = center_laplacian(grid, frozenset(sides))
+        assert (A != A.T).nnz == 0
+
+        idx = np.arange(grid.n_scalar).reshape(grid.ny, grid.nx)
+        pairs = [(idx, idx), (idx[:, 1:], idx[:, :-1]), (idx[:, :-1], idx[:, 1:]),
+                 (idx[1:], idx[:-1]), (idx[:-1], idx[1:])]
+        five_point = {(r, c) for a, b in pairs for r, c in zip(a.ravel(), b.ravel())}
+        assert set(zip(*A.nonzero())) == five_point
+
+        p = np.random.default_rng(seed).standard_normal((grid.ny, grid.nx))
+        stencil = divergence(grid, *_face_gradient(grid, p, [(s, 0.0) for s in sides])).ravel()
+        assert np.abs(A @ p.ravel() + stencil).max() <= 1e-12 * np.abs(stencil).max()
+
+        if not sides:
+            assert np.abs(A @ np.ones(grid.n_scalar)).max() <= 1e-12 * abs(A).max()
+            assert np.linalg.matrix_rank(A.toarray()) == grid.n_scalar - 1
+
+    @settings(max_examples=60, deadline=None)
     @given(layouts(), st.integers(0, 2**32 - 1))
     def test_gauss_identity(self, grid, seed):
         """sum(div u) * cell area equals the outward flux through the four sides."""
@@ -78,6 +106,8 @@ def test_stacked_stencils_match_per_field_calls(rng):
     grid = Grid(9, 5, 1.5, 0.75, {"left": "wall", "right": "outlet_0", "top": "outlet_1",
                                   "bottom": "inlet"})
     a, b = ([random_vector(grid, rng) for _ in range(4)] for _ in range(2))
+    p, q = rng.standard_normal((4, grid.ny, grid.nx)), rng.standard_normal(2)
+    gx, gy = gradient(grid, p, q)
     U, V = np.stack([f.u for f in a]), np.stack([f.v for f in a])
     W, Z = np.stack([f.u for f in b]), np.stack([f.v for f in b])
     lu, lv = vec_laplacian(grid, U, V)
@@ -91,7 +121,9 @@ def test_stacked_stencils_match_per_field_calls(rng):
                                 (cu, convection(grid, f.u, f.v, g.u, g.v)[0]),
                                 (cv, convection(grid, f.u, f.v, g.u, g.v)[1]),
                                 (bu, convection(grid, a[0].u, a[0].v, g.u, g.v)[0]),
-                                (bv, convection(grid, a[0].u, a[0].v, g.u, g.v)[1])):
+                                (bv, convection(grid, a[0].u, a[0].v, g.u, g.v)[1]),
+                                (gx, gradient(grid, p[m], q)[0]),
+                                (gy, gradient(grid, p[m], q)[1])):
             assert np.array_equal(stacked[m], single)
 
 

@@ -609,6 +609,13 @@ def _modes_out_of_range(tmp, bundle_dir, monkeypatch):
             "--modes", "99,1"]
 
 
+def _dt_r(value):
+    def make_argv(tmp, bundle_dir, monkeypatch):
+        return ["online", "--bundle", str(bundle_dir), "--out", str(tmp / "run"),
+                "--dt-r", value]
+    return make_argv
+
+
 EXIT_CODES = [
     pytest.param(0, _tiny_fom, id="success"),
     pytest.param(2, _unknown_key, id="unknown_key"),
@@ -618,6 +625,8 @@ EXIT_CODES = [
     pytest.param(2, _missing_snapshot_array, id="missing_snapshot_array"),
     pytest.param(2, _old_format, id="old_format"),
     pytest.param(2, _modes_out_of_range, id="modes_out_of_range"),
+    pytest.param(2, _dt_r("0"), id="dt_r_zero"),
+    pytest.param(2, _dt_r("nan"), id="dt_r_nan"),
     pytest.param(3, _failed_residual, id="failed_residual_check"),
 ]
 
