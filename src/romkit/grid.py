@@ -11,7 +11,8 @@ block for vector fields).  Fields are immutable after construction so they
 can be shared freely across threads; all operations on them are pure.
 Snapshot sets and bases hold M fields of one kind as the rows of a single
 read-only (M, n) array (``FieldRows``); indexing it yields Field views of
-the rows without copying.
+the rows without copying.  Every part of a bundle is stored by
+``save_arrays``: a meta.json plus one raw float64 file per array.
 
 The discrete inner product is the unweighted L2 sum over unknowns times the
 cell area hx*hy, for both scalar and vector fields.
@@ -20,6 +21,7 @@ cell area hx*hy, for both scalar and vector fields.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -339,21 +341,6 @@ class FieldRows(Sequence):
             return Field._view(self.grid, self.kind, self.values[i])
         return FieldRows(self.grid, self.kind, self.values[i])
 
-    # -- persistence: the (M, n) array as one raw little-endian float64 file
-    def save(self, path) -> None:
-        np.ascontiguousarray(self.values, "<f8").tofile(path)
-
-    @classmethod
-    def load(cls, grid: Grid, kind: str, path, count: int) -> "FieldRows":
-        """``count`` rows from a file ``save`` wrote; FormatError unless it holds them."""
-        try:
-            raw = Path(path).read_bytes()
-        except FileNotFoundError:
-            raise FormatError(f"missing array file {path}") from None
-        if len(raw) != 8 * count * (grid.n_scalar if kind == "scalar" else grid.n_vector):
-            raise FormatError(f"{path} holds {len(raw)} bytes, not {count} {kind} rows")
-        return cls(grid, kind, np.frombuffer(raw, dtype="<f8").reshape(count, -1))
-
 
 def field_rows(fields) -> FieldRows:
     """``fields`` itself if it is a FieldRows, else the stack of its Fields."""
@@ -425,46 +412,23 @@ class SnapshotSet:
         return SnapshotSet(self.times[rows], self.velocity[rows], self.pressure[rows],
                            self.nu, self.waveform, op)
 
-    # -- persistence: meta.json + u.bin and p.bin, the two FieldRows arrays
+    # -- persistence: times, u, p and outlet_pressure as array files
     def save(self, directory) -> None:
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
         g = self.grid
-        meta = {
-            "format": "romkit-snapshots-2",
-            "nx": g.nx,
-            "ny": g.ny,
-            "lx": repr(g.lx),
-            "ly": repr(g.ly),
-            "tags": dict(g.tags),
-            "times": [repr(float(t)) for t in self.times],
-            "nu": repr(float(self.nu)),
-            "waveform": self.waveform,
-            "outlet_pressure": None
-            if self.outlet_pressure is None
-            else [[repr(float(x)) for x in row] for row in self.outlet_pressure],
-        }
-        (d / "meta.json").write_text(json.dumps(meta, indent=1))
-        self.velocity.save(d / "u.bin")
-        self.pressure.save(d / "p.bin")
+        arrays = {"times": self.times, "u": self.velocity.values, "p": self.pressure.values}
+        if self.outlet_pressure is not None:
+            arrays["outlet_pressure"] = self.outlet_pressure
+        save_arrays(directory, "romkit-snapshots-3",
+                    {"nx": g.nx, "ny": g.ny, "lx": g.lx, "ly": g.ly, "tags": dict(g.tags),
+                     "nu": float(self.nu), "waveform": self.waveform}, arrays)
 
     @classmethod
     def load(cls, directory) -> "SnapshotSet":
-        d = Path(directory)
-        try:
-            meta = json.loads((d / "meta.json").read_text())
-        except FileNotFoundError:
-            raise FormatError(f"no meta.json under {d}")
-        if meta.get("format") != "romkit-snapshots-2":
-            raise FormatError(f"unsupported snapshot format {meta.get('format')!r}")
-        grid = Grid(meta["nx"], meta["ny"], float(meta["lx"]), float(meta["ly"]), meta["tags"])
-        times = np.array([float(t) for t in meta["times"]])
-        vel = FieldRows.load(grid, "vector2", d / "u.bin", times.size)
-        pres = FieldRows.load(grid, "scalar", d / "p.bin", times.size)
-        op = meta.get("outlet_pressure")
-        if op is not None:
-            op = np.array([[float(x) for x in row] for row in op])
-        return cls(times, vel, pres, float(meta["nu"]), meta.get("waveform"), op)
+        meta, arrays = load_arrays(directory, "romkit-snapshots-3")
+        grid = Grid(meta["nx"], meta["ny"], meta["lx"], meta["ly"], meta["tags"])
+        return cls(arrays["times"], FieldRows(grid, "vector2", arrays["u"]),
+                   FieldRows(grid, "scalar", arrays["p"]), meta["nu"], meta["waveform"],
+                   arrays.get("outlet_pressure"))
 
 
 def snapshot_matrix(fields: Sequence[Field]) -> np.ndarray:
@@ -472,3 +436,43 @@ def snapshot_matrix(fields: Sequence[Field]) -> np.ndarray:
     if not fields:
         raise ShapeError("empty field list")
     return np.stack([f.values for f in fields])
+
+
+# -- array files: the one on-disk format of every bundle part ------------------
+
+def save_arrays(directory, fmt: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write ``directory/meta.json`` (the format string, ``meta`` and each
+    array's shape) and one raw little-endian float64 C-order ``<name>.bin``
+    per array."""
+    d = Path(directory)
+    d.mkdir(parents=True, exist_ok=True)
+    shapes = {}
+    for name, a in arrays.items():
+        a = np.ascontiguousarray(a, "<f8")
+        (d / f"{name}.bin").write_bytes(a.tobytes())
+        shapes[name] = list(a.shape)
+    (d / "meta.json").write_text(json.dumps({"format": fmt, **meta, "arrays": shapes}, indent=1))
+
+
+def load_arrays(directory, fmt: str) -> tuple[dict, dict]:
+    """(meta, arrays) of a directory ``save_arrays`` wrote in format ``fmt``;
+    FormatError names the meta.json that is missing or of another format, or
+    the array file that is missing or does not hold its recorded shape."""
+    d = Path(directory)
+    try:
+        meta = json.loads((d / "meta.json").read_text())
+    except FileNotFoundError:
+        raise FormatError(f"no meta.json under {d}") from None
+    if meta.get("format") != fmt:
+        raise FormatError(f"{d / 'meta.json'}: format {meta.get('format')!r}, not {fmt!r}")
+    arrays = {}
+    for name, shape in meta.pop("arrays").items():
+        path = d / f"{name}.bin"
+        try:
+            size = path.stat().st_size
+        except FileNotFoundError:
+            raise FormatError(f"missing array file {path}") from None
+        if size != 8 * math.prod(shape):
+            raise FormatError(f"{path} holds {size} bytes, not a {tuple(shape)} float64 array")
+        arrays[name] = np.fromfile(path, "<f8").reshape(shape)
+    return meta, arrays

@@ -17,15 +17,14 @@ and de-homogenized by the inverse shift at reconstruction time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse.linalg import cg, splu  # noqa: F401  (cg: perfbench/spans.py traces lifting.cg)
 
-from .errors import ConfigurationError, FormatError, NumericalError, ShapeError
-from .grid import SIDE_INDEX, Field, FieldRows, Grid, SnapshotSet, inlet_flux, set_inward
+from .errors import ConfigurationError, NumericalError, ShapeError
+from .grid import (SIDE_INDEX, Field, FieldRows, Grid, SnapshotSet, inlet_flux, load_arrays,
+                   save_arrays, set_inward)
 from .operators import _face_gradient, center_laplacian, divergence
 
 LIFT_RESIDUAL_TOL = 1e-10
@@ -44,28 +43,14 @@ class LiftingPair:
         return len(self.chi_p)
 
     def save(self, directory) -> None:
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        grid = self.chi_u.grid
-        FieldRows(grid, "vector2", self.chi_u.values[None]).save(d / "chi_u.bin")
-        self.chi_p.save(d / "chi_p.bin")
-        (d / "lifting.json").write_text(
-            json.dumps({"format": "romkit-lifting-2", "n_outlets": self.n_outlets,
-                        "records": self.records}, indent=1)
-        )
+        save_arrays(directory, "romkit-lifting-3", {"records": self.records},
+                    {"chi_u": self.chi_u.values, "chi_p": self.chi_p.values})
 
     @classmethod
     def load(cls, directory, grid: Grid) -> "LiftingPair":
-        d = Path(directory)
-        try:
-            meta = json.loads((d / "lifting.json").read_text())
-        except FileNotFoundError:
-            raise FormatError(f"no lifting.json under {d}")
-        if meta.get("format") != "romkit-lifting-2":
-            raise FormatError(f"unsupported lifting format {meta.get('format')!r}")
-        chi_u = FieldRows.load(grid, "vector2", d / "chi_u.bin", 1)[0]
-        chi_p = FieldRows.load(grid, "scalar", d / "chi_p.bin", meta["n_outlets"])
-        return cls(chi_u, chi_p, meta["records"])
+        meta, arrays = load_arrays(directory, "romkit-lifting-3")
+        return cls(Field(grid, "vector2", arrays["chi_u"]),
+                   FieldRows(grid, "scalar", arrays["chi_p"]), meta["records"])
 
 
 def _velocity_lifting(grid: Grid) -> Field:

@@ -25,15 +25,14 @@ Two ways to fit it share one seeded train/test split:
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, ShapeError, TrainingError
+from .errors import ConfigurationError, ShapeError, TrainingError
+from .grid import load_arrays, save_arrays
 
 REFERENCE_NN_DEFAULTS = {
     "hidden_neurons": 150,
@@ -386,38 +385,27 @@ def predict_outflow(model: NNModel, t) -> np.ndarray | float:
     return nn_forward(model, t)
 
 
-# -- persistence: decimal strings for bit-exact round trips --------------------
+# -- persistence: W<l>.bin and b<l>.bin per layer, the rest in meta.json -------
 
-def save_model(model: NNModel, path) -> None:
-    doc = {
-        "format": "romkit-nn-1",
-        "layer_sizes": list(model.layer_sizes),
-        "activation": model.activation,
-        "x_range": [repr(v) for v in model.x_range],
-        "y_range": [repr(v) for v in model.y_range],
-        "weights": [[[repr(float(x)) for x in row] for row in w] for w in model.weights],
-        "biases": [[repr(float(x)) for x in b] for b in model.biases],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1))
+def save_model(model: NNModel, directory) -> None:
+    arrays = {}
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        arrays[f"W{l}"], arrays[f"b{l}"] = w, b
+    save_arrays(directory, "romkit-nn-2",
+                {"layer_sizes": list(model.layer_sizes), "activation": model.activation,
+                 "x_range": list(model.x_range), "y_range": list(model.y_range)}, arrays)
 
 
-def load_model(path) -> NNModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise FormatError(f"no model file at {path}")
-    if doc.get("format") != "romkit-nn-1":
-        raise FormatError(f"unsupported model format {doc.get('format')!r}")
-    weights = tuple(np.array([[float(x) for x in row] for row in w]) for w in doc["weights"])
-    biases = tuple(np.array([float(x) for x in b]) for b in doc["biases"])
-    return NNModel(tuple(doc["layer_sizes"]), weights, biases, doc["activation"],
-                   tuple(float(v) for v in doc["x_range"]),
-                   tuple(float(v) for v in doc["y_range"]))
+def load_model(directory) -> NNModel:
+    meta, arrays = load_arrays(directory, "romkit-nn-2")
+    layers = range(len(meta["layer_sizes"]) - 1)
+    return NNModel(tuple(meta["layer_sizes"]), tuple(arrays[f"W{l}"] for l in layers),
+                   tuple(arrays[f"b{l}"] for l in layers), meta["activation"],
+                   tuple(meta["x_range"]), tuple(meta["y_range"]))
 
 
 def save_loss_history(path, history: np.ndarray) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_mse", "test_mse"])
-        for epoch, train_mse, test_mse in history:
-            writer.writerow([int(epoch), repr(float(train_mse)), repr(float(test_mse))])
+    """(epoch, train_mse, test_mse) rows as CSV with CRLF line ends."""
+    rows = ["epoch,train_mse,test_mse"] + [f"{int(e)},{float(tr)!r},{float(te)!r}"
+                                           for e, tr, te in history]
+    Path(path).write_text("".join(r + "\r\n" for r in rows), newline="")

@@ -8,6 +8,12 @@ default), read the coefficients at the query instants, reconstruct those
 fields, compare against the stored snapshots and write errors/timings/report
 files.
 
+A bundle directory holds rom.json (scalars and the config), one array-file
+directory (grid.save_arrays) per part -- snapshots_fine, lifting, basis_u,
+basis_p, operators and nn_<k> -- the loss_<k>.csv fit histories and a
+manifest.json with the SHA-256 of each of them.  The training snapshots are
+every train_subsample-th fine one, so they are not stored a second time.
+
 Everything written into the bundle is deterministic given the config and
 seed; wall-clock artifacts (timings.csv, report.json) live next to it and
 stay outside the determinism manifest.
@@ -43,7 +49,7 @@ from .rom import (ReducedOperators, ReducedTrajectory, assemble_operators, integ
                   reconstruct, supremizer_enrich)
 from .windkessel import WindkesselParams
 
-BUNDLE_FORMAT = "romkit-bundle-2"
+BUNDLE_FORMAT = "romkit-bundle-3"
 
 DEFAULT_CONFIG = {
     # grid and tags
@@ -235,19 +241,18 @@ class Bundle:
     def save(self, directory) -> None:
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
-        self.train.save(d / "snapshots_train")
         self.fine.save(d / "snapshots_fine")
         self.lifting.save(d / "lifting")
         self.basis_u.save(d / "basis_u")
         if self.basis_p is not None:
             self.basis_p.save(d / "basis_p")
-        self.operators.save(d / "operators.bin")
+        self.operators.save(d / "operators")
         for k, model in self.nn_models.items():
-            save_model(model, d / f"nn_{k}.json")
+            save_model(model, d / f"nn_{k}")
         rom = {
             "format": BUNDLE_FORMAT,
-            "nu": repr(self.nu),
-            "dt_fom": repr(self.dt_fom),
+            "nu": self.nu,
+            "dt_fom": self.dt_fom,
             "scheme": "semi-implicit-euler",
             "waveform": self.waveform.to_dict(),
             "lift_pressure": self.lift_pressure,
@@ -256,8 +261,6 @@ class Bundle:
             "cycle_drift": self.cycle_drift,
             "nn_outlets": sorted(self.nn_models),
             "config": self.config,
-            "lifting_ref": "lifting",
-            "basis_refs": ["basis_u"] + (["basis_p"] if self.basis_p is not None else []),
         }
         (d / "rom.json").write_text(json.dumps(rom, indent=1))
         # wall-clock numbers vary run to run and stay outside the manifest
@@ -304,14 +307,13 @@ class Bundle:
             raise FormatError(f"no rom.json under {d}")
         if rom.get("format") != BUNDLE_FORMAT:
             raise FormatError(f"unsupported bundle format {rom.get('format')!r}")
-        train = SnapshotSet.load(d / "snapshots_train")
         fine = SnapshotSet.load(d / "snapshots_fine")
-        grid = train.grid
+        grid = fine.grid
         lifting = LiftingPair.load(d / "lifting", grid)
         basis_u = ReducedBasis.load(d / "basis_u", grid)
         basis_p = ReducedBasis.load(d / "basis_p", grid) if (d / "basis_p").exists() else None
-        operators = ReducedOperators.load(d / "operators.bin")
-        nn_models = {int(k): load_model(d / f"nn_{k}.json") for k in rom.get("nn_outlets", [])}
+        operators = ReducedOperators.load(d / "operators")
+        nn_models = {int(k): load_model(d / f"nn_{k}") for k in rom.get("nn_outlets", [])}
         try:
             runtime = json.loads((d / "runtime.json").read_text())
         except FileNotFoundError:
@@ -320,9 +322,9 @@ class Bundle:
             config=rom["config"],
             grid=grid,
             waveform=Waveform.from_dict(rom["waveform"]),
-            nu=float(rom["nu"]),
-            dt_fom=float(rom["dt_fom"]),
-            train=train,
+            nu=rom["nu"],
+            dt_fom=rom["dt_fom"],
+            train=_training_set(fine, rom["config"]),
             fine=fine,
             lifting=lifting,
             basis_u=basis_u,
@@ -335,6 +337,13 @@ class Bundle:
             n_u=int(rom["n_u"]),
             n_p=int(rom["n_p"]),
         )
+
+
+def _training_set(fine: SnapshotSet, cfg: dict) -> SnapshotSet:
+    """Every ``train_subsample``-th fine snapshot: the set the bases and the
+    outlet curves are built from.  The bundle stores only the fine set."""
+    sub = _i(cfg, "train_subsample")
+    return fine.take(slice(0, None, sub)) if sub > 1 else fine
 
 
 def _homogenized(snaps: SnapshotSet, waveform: Waveform, lift: LiftingPair,
@@ -409,8 +418,7 @@ def _offline_stages(config, out_dir, fom_result):
             fom_result = fom_run(fom_cfg)
         timings["fom"] = fom_result.wall_time
         fine = fom_result.snapshots
-        sub = _i(cfg, "train_subsample")
-        train = fine.take(slice(0, None, sub)) if sub > 1 else fine
+        train = _training_set(fine, cfg)
 
     with _stage("lifting"):
         t0 = time.perf_counter()
@@ -587,13 +595,17 @@ def compare(fom_set: SnapshotSet, rom_set: SnapshotSet, basis_u: ReducedBasis | 
             lift_pressure: bool = True) -> RunReport:
     """Absolute per-time L2 errors plus projection errors when a basis is given.
 
+    Each instant of ``rom_set`` is compared with the ``fom_set`` snapshot at
+    it, so the full-order set may hold more instants (a bundle's fine set).
     ``lift_pressure`` is the bundle's: the projection floor is measured on
     the snapshots homogenized the way its bases were built.
     """
-    if len(fom_set) != len(rom_set) or np.abs(fom_set.times - rom_set.times).max() > 1e-9:
-        raise ShapeError("snapshot sets must share their time grid")
+    at = _match_indices(rom_set.times, fom_set.times)
+    if at is None:
+        raise ShapeError("every compared instant must be a full-order snapshot time")
     if fom_set.grid != rom_set.grid:
         raise ShapeError("snapshot sets must share one grid")
+    fom_set = fom_set.take(at)
     area = fom_set.grid.cell_area
     err_u = _row_norms(fom_set.velocity.values - rom_set.velocity.values, area)
     err_p = _row_norms(fom_set.pressure.values - rom_set.pressure.values, area)
@@ -625,13 +637,17 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     the coefficients at an instant between two steps are interpolated
     linearly from them, and only the query instants are reconstructed.
     Query times must be a non-empty 1-D array of finite instants in
-    [t_lo, t_hi + 10% of the window span], and dt_r finite and positive.
+    [t_lo, t_hi + 10% of the window span], and dt_r finite, positive and no
+    longer than the window.
     """
     substep = bundle.dt_fom if dt_r is None else float(dt_r)
     if not (np.isfinite(substep) and substep > 0):
         raise ConfigurationError(f"dt_r must be finite and positive, got {substep!r}")
     train_times = bundle.train.times
     t_lo, t_hi = float(train_times[0]), float(train_times[-1])
+    if substep > t_hi - t_lo:
+        raise ConfigurationError(f"dt_r {substep!r} exceeds the training window "
+                                 f"[{t_lo!r}, {t_hi!r}]")
     t_end = t_hi + 0.1 * (t_hi - t_lo)      # the network's own extrapolation bound
     if query_times is None:
         query_times = train_times.copy()
@@ -691,16 +707,13 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
                       nu=bundle.nu)
     t_reconstruct = time.perf_counter() - t0
 
-    # errors against whichever stored set covers the query times
+    # errors against the stored snapshots when every query instant is one
     report = RunReport(times=query_times.copy(), err_u=None, err_p=None,
                        proj_u=None, proj_p=None)
-    for ref in (bundle.train, bundle.fine):
-        at = _match_indices(query_times, ref.times)
-        if at is not None:
-            cmp = compare(ref.take(at), rec, bu, bp, bundle.lifting, bundle.lift_pressure)
-            report.err_u, report.err_p = cmp.err_u, cmp.err_p
-            report.proj_u, report.proj_p = cmp.proj_u, cmp.proj_p
-            break
+    if _match_indices(query_times, bundle.fine.times) is not None:
+        cmp = compare(bundle.fine, rec, bu, bp, bundle.lifting, bundle.lift_pressure)
+        report.err_u, report.err_p = cmp.err_u, cmp.err_p
+        report.proj_u, report.proj_p = cmp.proj_u, cmp.proj_p
     if bp is None:
         report.err_p = None
         report.proj_p = None

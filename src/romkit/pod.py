@@ -15,17 +15,15 @@ independently from the projections themselves.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, NumericalError, RankError, ShapeError
+from .errors import NumericalError, RankError, ShapeError
+from .grid import Field, FieldRows, Grid, field_rows, load_arrays, save_arrays
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
-from .grid import Field, FieldRows, Grid, field_rows, snapshot_matrix  # noqa: F401
+from .grid import snapshot_matrix  # noqa: F401
 
 RANK_CUTOFF = 1e-13
 
@@ -105,39 +103,16 @@ class ReducedBasis:
         return (Phi @ Phi.T) * self.grid.cell_area
 
     def save(self, directory) -> None:
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        self.modes.save(d / "modes.bin")
-        with open(d / "spectrum.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "lambda"])
-            for i, lam in enumerate(self.eigenvalues):
-                writer.writerow([i, repr(float(lam))])
-        (d / "basis.json").write_text(json.dumps({
-            "format": "romkit-basis-2",
-            "kind": self.kind,
-            "N": self.n_modes,
-            "M": self.M,
-            "n_supremizer": self.n_supremizer,
-            "field_kind": self.modes.kind,
-            "normalization": "unit",
-        }, indent=1))
+        save_arrays(directory, "romkit-basis-3",
+                    {"kind": self.kind, "M": self.M, "n_supremizer": self.n_supremizer,
+                     "field_kind": self.modes.kind},
+                    {"modes": self.modes.values, "eigenvalues": self.eigenvalues})
 
     @classmethod
     def load(cls, directory, grid: Grid) -> "ReducedBasis":
-        d = Path(directory)
-        try:
-            meta = json.loads((d / "basis.json").read_text())
-        except FileNotFoundError:
-            raise FormatError(f"no basis.json under {d}")
-        if meta.get("format") != "romkit-basis-2":
-            raise FormatError(f"unsupported basis format {meta.get('format')!r}")
-        modes = FieldRows.load(grid, meta["field_kind"], d / "modes.bin", meta["N"])
-        lams = []
-        with open(d / "spectrum.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                lams.append(float(row["lambda"]))
-        return cls(modes, np.array(lams), meta["kind"], meta["M"], meta["n_supremizer"])
+        meta, arrays = load_arrays(directory, "romkit-basis-3")
+        return cls(FieldRows(grid, meta["field_kind"], arrays["modes"]), arrays["eigenvalues"],
+                   meta["kind"], meta["M"], meta["n_supremizer"])
 
 
 def _mgs(matrix: np.ndarray, area: float, start: int = 0) -> np.ndarray:
@@ -199,15 +174,14 @@ def truncation_rank(eigenvalues: np.ndarray, threshold: float) -> int:
 
 
 def pod_basis(fields: FieldRows | Sequence[Field], n_modes: int | None = None,
-              energy: float | None = None, kind: str = "velocity") -> ReducedBasis:
-    """Correlation matrix, eigensolve and basis assembly in one call."""
+              kind: str = "velocity") -> ReducedBasis:
+    """Correlation matrix, eigensolve and basis assembly in one call; at most
+    n_modes modes (all of the numerical rank by default)."""
     fields = field_rows(fields)
     C = correlation_matrix(fields)
     w, V = symmetric_eig(C)
     rank = numerical_rank(w)
-    if n_modes is None:
-        n_modes = truncation_rank(w, energy) if energy is not None else rank
-    n_modes = min(n_modes, rank)
+    n_modes = rank if n_modes is None else min(n_modes, rank)
     return build_basis(fields, w, V, n_modes, kind)
 
 

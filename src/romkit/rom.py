@@ -30,17 +30,16 @@ matrix invertible; without them the constraint rows vanish on
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import cg, splu  # noqa: F401  (cg: perfbench/spans.py traces rom.cg)
 
-from .errors import FormatError, NumericalError, ShapeError, StabilityError
+from .errors import NumericalError, ShapeError, StabilityError
 from .fom import Waveform
+from .grid import FieldRows, Grid, SnapshotSet, load_arrays, save_arrays
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
-from .grid import FieldRows, Grid, SnapshotSet, snapshot_matrix  # noqa: F401
+from .grid import snapshot_matrix  # noqa: F401
 from .lifting import LiftingPair, _outlet_array
 from .operators import (advanced_masks, convection, divergence, flat_faces, gradient,
                         vec_laplacian, vec_laplacian_matrix)
@@ -48,8 +47,6 @@ from .pod import ReducedBasis, _mgs
 
 SADDLE_COND_LIMIT = 1e12
 SUPREMIZER_RTOL = 1e-10
-
-_MAGIC = b"ROMKOPS1"
 
 
 @dataclass(eq=False)
@@ -116,40 +113,15 @@ class ReducedOperators:
             nu=self.nu,
         )
 
-    # -- persistence: magic, header length, JSON header, raw float64 blocks --
-    _ARRAY_ORDER = ("B", "Ct", "K", "P", "d1", "d2", "d3", "d4", "d5", "d6", "d7")
-
-    def save(self, path) -> None:
-        header = {
-            "format": "romkit-operators-1",
-            "nu": repr(float(self.nu)),
-            "arrays": [{"name": n, "shape": list(getattr(self, n).shape)}
-                       for n in self._ARRAY_ORDER],
-        }
-        blob = json.dumps(header).encode()
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for n in self._ARRAY_ORDER:
-                fh.write(np.ascontiguousarray(getattr(self, n), dtype="<f8").tobytes())
+    # -- persistence: nu in meta.json, one array file per tensor
+    def save(self, directory) -> None:
+        arrays = {name: a for name, a in vars(self).items() if name != "nu"}
+        save_arrays(directory, "romkit-operators-2", {"nu": float(self.nu)}, arrays)
 
     @classmethod
-    def load(cls, path) -> "ReducedOperators":
-        with open(path, "rb") as fh:
-            if fh.read(len(_MAGIC)) != _MAGIC:
-                raise FormatError(f"{path} is not a reduced-operator file")
-            (hlen,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(hlen).decode())
-            if header.get("format") != "romkit-operators-1":
-                raise FormatError(f"unsupported operator format {header.get('format')!r}")
-            arrays = {}
-            for spec in header["arrays"]:
-                shape = tuple(spec["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                raw = np.frombuffer(fh.read(8 * count), dtype="<f8")
-                arrays[spec["name"]] = raw.reshape(shape).copy()
-        return cls(nu=float(header["nu"]), **arrays)
+    def load(cls, directory) -> "ReducedOperators":
+        meta, arrays = load_arrays(directory, "romkit-operators-2")
+        return cls(nu=meta["nu"], **arrays)
 
 
 @dataclass(eq=False)

@@ -14,8 +14,10 @@ from romkit.grid import (
     inlet_trace,
     inner_product,
     l2_norm,
+    load_arrays,
     normal_flux,
     outlet_flux,
+    save_arrays,
     set_inward,
     side_flux,
 )
@@ -235,18 +237,19 @@ class TestSnapshotSet:
         with pytest.raises(ShapeError):
             FieldRows(small_grid, "scalar", vals)
 
-    def test_meta_uses_decimal_strings(self, small_grid, rng, tmp_path):
+    def test_meta_holds_scalars_and_shapes(self, small_grid, rng, tmp_path):
         s = self._make(small_grid, rng)
         s.save(tmp_path / "snaps")
         meta = json.loads((tmp_path / "snaps" / "meta.json").read_text())
-        assert isinstance(meta["nu"], str) and float(meta["nu"]) == s.nu
-        assert all(isinstance(t, str) for t in meta["times"])
+        assert meta["nu"] == s.nu and "times" not in meta
+        assert meta["arrays"] == {"times": [3], "u": [3, small_grid.n_vector],
+                                  "p": [3, small_grid.n_scalar], "outlet_pressure": [3, 1]}
 
     def test_array_files_hold_raw_rows(self, small_grid, rng, tmp_path):
         s = self._make(small_grid, rng)
         s.save(tmp_path / "snaps")
         assert sorted(p.name for p in (tmp_path / "snaps").iterdir()) == \
-            ["meta.json", "p.bin", "u.bin"]
+            ["meta.json", "outlet_pressure.bin", "p.bin", "times.bin", "u.bin"]
         raw = (tmp_path / "snaps" / "u.bin").read_bytes()
         assert raw == s.velocity.values.astype("<f8").tobytes()
 
@@ -295,3 +298,50 @@ class TestSnapshotSet:
                 [random_scalar(small_grid, rng)] * 2,
                 nu=1e-3,
             )
+
+
+class TestArrayFiles:
+    """save_arrays/load_arrays, the one on-disk format of every bundle part."""
+
+    ARRAYS = {"x": np.array([0.1, -0.0, 5e-324, 1.7976931348623157e308]),
+              "cube": np.arange(24.0).reshape(2, 3, 4) / 7.0,
+              "empty": np.zeros((5, 0)),
+              "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3) / 3.0)}
+
+    def _save(self, tmp_path):
+        d = tmp_path / "part"
+        save_arrays(d, "romkit-test-1", {"nu": 0.1 + 0.2, "tags": {"left": "inlet"}}, self.ARRAYS)
+        return d
+
+    def test_roundtrip_bit_exact(self, tmp_path):
+        d = self._save(tmp_path)
+        meta, arrays = load_arrays(d, "romkit-test-1")
+        assert meta == {"format": "romkit-test-1", "nu": 0.1 + 0.2, "tags": {"left": "inlet"}}
+        assert list(arrays) == list(self.ARRAYS)
+        for name, a in self.ARRAYS.items():
+            assert arrays[name].dtype == np.float64 and arrays[name].shape == a.shape
+            assert arrays[name].tobytes() == np.ascontiguousarray(a).tobytes(), name
+        # raw little-endian float64 in C order, nothing else
+        assert (d / "fortran.bin").read_bytes() == np.ascontiguousarray(
+            self.ARRAYS["fortran"], "<f8").tobytes()
+        assert sorted(p.name for p in d.iterdir()) == [
+            "cube.bin", "empty.bin", "fortran.bin", "meta.json", "x.bin"]
+
+    @pytest.mark.parametrize("edit", ["truncated", "long", "deleted"])
+    def test_bad_array_file_named(self, tmp_path, edit):
+        d = self._save(tmp_path)
+        path = d / "cube.bin"
+        if edit == "deleted":
+            path.unlink()
+        else:
+            raw = path.read_bytes()
+            path.write_bytes(raw[:-1] if edit == "truncated" else raw + bytes(8))
+        with pytest.raises(FormatError, match="cube.bin"):
+            load_arrays(d, "romkit-test-1")
+
+    def test_missing_meta_and_wrong_format(self, tmp_path):
+        with pytest.raises(FormatError, match="meta.json"):
+            load_arrays(tmp_path / "nowhere", "romkit-test-1")
+        d = self._save(tmp_path)
+        with pytest.raises(FormatError, match="romkit-test-1"):
+            load_arrays(d, "romkit-test-2")

@@ -374,7 +374,7 @@ class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path, rng):
         m = init_model(hidden_neurons=9, hidden_layers=2, activation="softplus",
                        seed=17, x_range=(5.4, 6.0), y_range=(-2.5, 88.0))
-        path = tmp_path / "nn_0.json"
+        path = tmp_path / "nn_0"
         save_model(m, path)
         back = load_model(path)
         assert back.layer_sizes == m.layer_sizes
@@ -436,8 +436,8 @@ class TestFourierFit:
         _, ps = _windkessel_trace(cycles=1, dt=0.01, t_cycle=T_CYCLE)
         model, _ = fit_outflow(self.t, ps, T_CYCLE, 0.8, 0)
         assert model.activation == "cos"
-        save_model(model, tmp_path / "nn_0.json")
-        back = load_model(tmp_path / "nn_0.json")
+        save_model(model, tmp_path / "nn_0")
+        back = load_model(tmp_path / "nn_0")
         assert back.activation == "cos" and back.layer_sizes == model.layer_sizes
         assert back.x_range == model.x_range and back.y_range == model.y_range
         for a, b in zip(model.weights + model.biases, back.weights + back.biases):

@@ -10,8 +10,10 @@ from romkit.cli import main as cli_main
 from romkit.errors import ConfigurationError, FormatError
 from romkit.fom import fom_run
 from romkit.grid import SnapshotSet
-from romkit.nn import ExtrapolationWarning
-from romkit.pod import truncation_rank
+from romkit.lifting import LiftingPair
+from romkit.nn import ExtrapolationWarning, load_model, save_model
+from romkit.pod import ReducedBasis, truncation_rank
+from romkit.rom import ReducedOperators
 from romkit.pipeline import (
     Bundle,
     DEFAULT_CONFIG,
@@ -52,6 +54,11 @@ def bundle_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def bundle(bundle_dir):
     return Bundle.load(bundle_dir)
+
+
+@pytest.fixture(scope="module")
+def small_fom():
+    return fom_run(build_fom_config({**DEFAULT_CONFIG, **SMALL_CONFIG}))
 
 
 @pytest.fixture(scope="module")
@@ -140,11 +147,12 @@ class TestConfig:
 class TestOffline:
     def test_bundle_files_present(self, bundle_dir):
         names = {p.name for p in bundle_dir.iterdir()}
-        assert {"rom.json", "operators.bin", "manifest.json", "timings.csv",
-                "nn_0.json", "loss_0.csv"} <= names
-        assert (bundle_dir / "basis_u" / "basis.json").exists()
+        assert names == {"rom.json", "manifest.json", "runtime.json", "timings.csv",
+                         "loss_0.csv", "snapshots_fine", "lifting", "basis_u", "basis_p",
+                         "operators", "nn_0"}
+        for part in ("snapshots_fine", "lifting", "basis_u", "basis_p", "operators", "nn_0"):
+            assert (bundle_dir / part / "meta.json").exists(), part
         assert (bundle_dir / "lifting" / "chi_u.bin").exists()
-        assert (bundle_dir / "snapshots_train" / "meta.json").exists()
 
     def test_rerun_bit_identical_manifest(self, bundle_dir, tmp_path):
         offline(SMALL_CONFIG, out_dir=tmp_path / "again")
@@ -178,16 +186,16 @@ class TestOffline:
     def test_corrupted_bundle_rejected(self, bundle_dir, tmp_path):
         flipped = tmp_path / "flipped"
         shutil.copytree(bundle_dir, flipped)
-        raw = bytearray((flipped / "operators.bin").read_bytes())
+        raw = bytearray((flipped / "operators" / "Ct.bin").read_bytes())
         raw[-1] ^= 0x01
-        (flipped / "operators.bin").write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="operators.bin"):
+        (flipped / "operators" / "Ct.bin").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="operators/Ct.bin"):
             Bundle.load(flipped)
         assert cli_main(["online", "--bundle", str(flipped), "--out", str(tmp_path / "r")]) == 2
 
         missing = tmp_path / "missing"
         shutil.copytree(bundle_dir, missing)
-        (missing / "nn_0.json").unlink()
+        (missing / "nn_0" / "W1.bin").unlink()
         with pytest.raises(FormatError, match="missing"):
             Bundle.load(missing)
 
@@ -219,6 +227,75 @@ class TestOffline:
         res = fom_run(fom_cfg)
         b1, t1 = offline(SMALL_CONFIG, fom_result=res)
         assert np.array_equal(b1.train.times, res.snapshots.times[::2])
+
+
+class TestBundleParts:
+    """Every bundle part is one array-file directory; the training snapshots
+    are not stored, but taken from the fine ones on load."""
+
+    # (part, loader, the format string one version back, one of its array files)
+    PARTS = [
+        ("snapshots_fine", lambda d, g: SnapshotSet.load(d), "romkit-snapshots-2", "u.bin"),
+        ("lifting", LiftingPair.load, "romkit-lifting-2", "chi_p.bin"),
+        ("basis_u", ReducedBasis.load, "romkit-basis-2", "eigenvalues.bin"),
+        ("operators", lambda d, g: ReducedOperators.load(d), "romkit-operators-1", "Ct.bin"),
+        ("nn_0", lambda d, g: load_model(d), "romkit-nn-1", "W1.bin"),
+    ]
+    PART_IDS = [p[0] for p in PARTS]
+
+    @pytest.mark.parametrize("part, load, old, array", PARTS, ids=PART_IDS)
+    def test_load_save_roundtrip_bit_exact(self, bundle_dir, bundle, tmp_path, part, load,
+                                           old, array):
+        obj = load(bundle_dir / part, bundle.grid)
+        if part == "nn_0":
+            save_model(obj, tmp_path / part)
+        else:
+            obj.save(tmp_path / part)
+        names = sorted(p.name for p in (bundle_dir / part).iterdir())
+        assert sorted(p.name for p in (tmp_path / part).iterdir()) == names
+        for name in names:
+            assert (tmp_path / part / name).read_bytes() == \
+                (bundle_dir / part / name).read_bytes(), name
+
+    @pytest.mark.parametrize("part, load, old, array", PARTS, ids=PART_IDS)
+    def test_bad_part_rejected(self, bundle_dir, bundle, tmp_path, part, load, old, array):
+        d = tmp_path / part
+        shutil.copytree(bundle_dir / part, d)
+        raw = (d / array).read_bytes()
+        (d / array).write_bytes(raw[:-8])
+        with pytest.raises(FormatError, match=array):
+            load(d, bundle.grid)
+        (d / array).unlink()
+        with pytest.raises(FormatError, match=f"missing array file.*{array}"):
+            load(d, bundle.grid)
+        (d / array).write_bytes(raw)
+        meta = json.loads((d / "meta.json").read_text())
+        (d / "meta.json").write_text(json.dumps({**meta, "format": old}))
+        with pytest.raises(FormatError, match=old):
+            load(d, bundle.grid)
+
+    def test_previous_bundle_format_rejected(self, bundle_dir, bundle, tmp_path):
+        d = tmp_path / "old"
+        shutil.copytree(bundle_dir, d)
+        rom_json = json.loads((d / "rom.json").read_text())
+        (d / "rom.json").write_text(json.dumps({**rom_json, "format": "romkit-bundle-2"}))
+        bundle._write_manifest(d)
+        with pytest.raises(FormatError, match="romkit-bundle-2"):
+            Bundle.load(d)
+
+    @pytest.mark.parametrize("sub", [1, 2])
+    def test_training_set_taken_from_fine(self, small_fom, tmp_path, sub):
+        built, _ = offline({**SMALL_CONFIG, "train_subsample": str(sub)}, out_dir=tmp_path / "b",
+                           fom_result=small_fom)
+        assert not (tmp_path / "b" / "snapshots_train").exists()
+        loaded = Bundle.load(tmp_path / "b")
+        taken = loaded.fine.take(slice(0, None, sub))
+        for s in (built.train, taken):
+            for name in ("times", "outlet_pressure"):
+                assert getattr(loaded.train, name).tobytes() == getattr(s, name).tobytes()
+            assert loaded.train.velocity.values.tobytes() == s.velocity.values.tobytes()
+            assert loaded.train.pressure.values.tobytes() == s.pressure.values.tobytes()
+        assert len(loaded.train) == (len(small_fom.snapshots) + sub - 1) // sub
 
 
 class TestOnline:
@@ -284,6 +361,19 @@ class TestOnline:
         monkeypatch.setattr(pipeline, "integrate_rom", no_work)
         with pytest.raises(ConfigurationError, match="query times"):
             online(bundle, query_times=bad, timing_reps=1)
+
+    def test_dt_r_past_window_rejected(self, bundle, monkeypatch):
+        times = bundle.train.times
+        span = float(times[-1] - times[0])
+        rec, _ = online(bundle, dt_r=span, timing_reps=1)   # one step spans the window
+        assert np.all(np.isfinite(rec.velocity.values))
+
+        def no_work(*args, **kw):
+            raise AssertionError("online() integrated past the window")
+
+        monkeypatch.setattr(pipeline, "integrate_rom", no_work)
+        with pytest.raises(ConfigurationError, match="dt_r .* exceeds the training window"):
+            online(bundle, dt_r=1.01 * span, timing_reps=1)
 
     @pytest.mark.parametrize("dt_mult", [1, 2])
     def test_window_end_does_not_extrapolate(self, bundle, dt_mult):
@@ -450,7 +540,7 @@ class TestPressureLiftAblation:
         b = Bundle.load(ablation_dir)
         rec, _ = online(b, timing_reps=1)
         rec.save(tmp_path / "rec")
-        assert cli_main(["compare", "--fom", str(ablation_dir / "snapshots_train"),
+        assert cli_main(["compare", "--fom", str(ablation_dir / "snapshots_fine"),
                          "--rom", str(tmp_path / "rec"), "--bundle", str(ablation_dir),
                          "--out", str(tmp_path / "cmp")]) == 0
         rows = (tmp_path / "cmp" / "errors.csv").read_text().splitlines()
@@ -524,7 +614,7 @@ class TestCli:
         assert (tmp_path / "run" / "errors.csv").exists()
         assert (tmp_path / "run" / "report.json").exists()
         assert cli_main(["compare",
-                         "--fom", str(tmp_path / "bundle" / "snapshots_train"),
+                         "--fom", str(tmp_path / "bundle" / "snapshots_fine"),
                          "--rom", str(tmp_path / "run" / "reconstruction"),
                          "--bundle", str(tmp_path / "bundle"),
                          "--out", str(tmp_path / "cmp")]) == 0
@@ -580,11 +670,11 @@ def _hash_mismatch(tmp, bundle_dir, monkeypatch):
 
 
 def _compare_copied_snapshots(tmp, bundle_dir, edit):
-    """`compare` on a copy of the bundle's training snapshots after ``edit(copy)``."""
-    shutil.copytree(bundle_dir / "snapshots_train", tmp / "snaps")
+    """`compare` on a copy of the bundle's snapshots after ``edit(copy)``."""
+    shutil.copytree(bundle_dir / "snapshots_fine", tmp / "snaps")
     edit(tmp / "snaps")
     return ["compare", "--fom", str(tmp / "snaps"),
-            "--rom", str(bundle_dir / "snapshots_train"), "--out", str(tmp / "cmp")]
+            "--rom", str(bundle_dir / "snapshots_fine"), "--out", str(tmp / "cmp")]
 
 
 def _truncated_snapshots(tmp, bundle_dir, monkeypatch):
@@ -627,6 +717,7 @@ EXIT_CODES = [
     pytest.param(2, _modes_out_of_range, id="modes_out_of_range"),
     pytest.param(2, _dt_r("0"), id="dt_r_zero"),
     pytest.param(2, _dt_r("nan"), id="dt_r_nan"),
+    pytest.param(2, _dt_r("10"), id="dt_r_past_window"),
     pytest.param(3, _failed_residual, id="failed_residual_check"),
 ]
 

@@ -272,9 +272,9 @@ class TestPersistence:
         (d / "modes.bin").write_bytes(modes[:-8])
         with pytest.raises(FormatError, match="modes.bin"):
             ReducedBasis.load(d, grid)
-        meta = json.loads((d / "basis.json").read_text())
-        (d / "basis.json").write_text(json.dumps({**meta, "format": "romkit-basis-1"}))
-        with pytest.raises(FormatError, match="romkit-basis-1"):
+        meta = json.loads((d / "meta.json").read_text())
+        (d / "meta.json").write_text(json.dumps({**meta, "format": "romkit-basis-2"}))
+        with pytest.raises(FormatError, match="romkit-basis-2"):
             ReducedBasis.load(d, grid)
 
 

@@ -262,11 +262,11 @@ class TestAssemble:
         s = stokes_setup
         enriched = supremizer_enrich(s["basis_u"], s["basis_p"], s["grid"])
         ops = assemble_operators(enriched, s["basis_p"], s["lift"], s["cfg"].nu, s["grid"])
-        ops.save(tmp_path / "operators.bin")
-        back = ReducedOperators.load(tmp_path / "operators.bin")
-        for name in ReducedOperators._ARRAY_ORDER:
-            assert np.array_equal(getattr(ops, name), getattr(back, name)), name
-        assert back.nu == ops.nu
+        ops.save(tmp_path / "operators")
+        back = ReducedOperators.load(tmp_path / "operators")
+        assert vars(back).keys() == vars(ops).keys()
+        for name, a in vars(ops).items():
+            assert np.asarray(a).tobytes() == np.asarray(getattr(back, name)).tobytes(), name
 
     def test_subset_matches_direct_slices(self, stokes_setup):
         s = stokes_setup
