@@ -11,13 +11,18 @@ coupling:
                  flux of the current velocity; the resulting downstream
                  pressure becomes the Dirichlet datum of the Poisson solve
   4. pressure    div(grad(p)) = div(u*)/dt, a direct solve with the Poisson
-                 matrix factored once, checked to relative residual 1e-10
+                 matrix factored once (symmetric minimum-degree ordering),
+                 checked to relative residual 1e-10
   5. corrector   u = u* - dt grad(p)
 
-Because divergence/gradient/Laplacian come from operators.py, the reduced
-model assembled over the same functions is operator-consistent with this
-solver.  The outlet pressure datum applied at each step is recorded next to
-the snapshots: that series is what the outflow-pressure network trains on.
+The Laplacian of step 1 is the matrix operators.py reads off its stencil,
+applied as one sparse matvec on the flat (u block, v block) state;
+convection, divergence and gradient are the stencils themselves.  So the
+reduced model assembled over the same functions is operator-consistent
+with this solver.  With convection on, a state at convective CFL 1 or
+more is not advanced.  The outlet pressure datum applied at each step is
+recorded next to the snapshots: that series is what the outflow-pressure
+network trains on.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from scipy.sparse.linalg import splu
 from .errors import ConfigurationError, NumericalError
 from .grid import (SIDE_INDEX, FieldRows, Grid, SnapshotSet, normal_faces, normal_flux,
                    set_inward)
-from .operators import center_laplacian, convection, divergence, gradient, vec_laplacian
+from .operators import (center_laplacian, convection, divergence, flat_faces, gradient,
+                        vec_laplacian_matrix)
+from .operators import vec_laplacian  # noqa: F401  (unused: perfbench/spans.py traces it)
 from .windkessel import WindkesselParams, WindkesselState, wk_step
 
 POISSON_RTOL = 1e-10
@@ -162,14 +169,19 @@ class FomState:
 
 
 class FomSolver:
-    """Holds the factored Poisson operator and advances FOM states."""
+    """Holds the grid's operator matrices, factors the Poisson matrix once and
+    advances FOM states."""
 
     def __init__(self, cfg: FomConfig):
         self.cfg = cfg
         self.grid = cfg.grid
         outlet_sides = frozenset(side for _, side in self.grid.outlets)
         self._A, self._bc = center_laplacian(self.grid, outlet_sides)
-        self._lu = splu(self._A)
+        # A is symmetric: a minimum-degree ordering of A + A^T with diagonal
+        # pivots leaves about a third less fill than SuperLU's default COLAMD
+        self._lu = splu(self._A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True})
+        self._lap = vec_laplacian_matrix(self.grid).tocsr()
         self._profile = cfg.waveform.profile(self.grid)
 
     def initial_state(self) -> FomState:
@@ -188,15 +200,24 @@ class FomSolver:
         dt, nu = cfg.dt, cfg.nu
         t_new = state.t + dt
 
-        lu, lv = vec_laplacian(g, state.u, state.v)
         if cfg.include_convection:
-            cu, cv = convection(g, state.u, state.v, state.u, state.v)
-        else:
-            cu = cv = 0.0
-        us = state.u + dt * (nu * lu - cu)
-        vs = state.v + dt * (nu * lv - cv)
+            # the explicit convection of this state is stable only below CFL 1
+            cfl = dt * max(np.abs(state.u).max() / g.hx, np.abs(state.v).max() / g.hy)
+            if not cfl < 1.0:  # also catches nan
+                raise NumericalError(
+                    f"convective CFL {cfl:.3g} >= 1 in the state of step "
+                    f"{round((state.t - cfg.t0) / dt)} (t = {state.t:.6g}): the explicit "
+                    f"step would be unstable")
+
+        # predictor on the flat (u block, v block) layout; us, vs are its views
+        w = flat_faces((state.u, state.v))
+        rate = nu * (self._lap @ w)
+        if cfg.include_convection:
+            rate -= flat_faces(convection(g, state.u, state.v, state.u, state.v))
+        ws = w + dt * rate
+        us, vs = ws[:g.n_u].reshape(state.u.shape), ws[g.n_u:].reshape(state.v.shape)
         set_inward(us, vs, g.inlet_side, cfg.waveform.magnitude(t_new) * self._profile)
-        for side in g.sides_with("wall"):  # +0.0: set_inward would store -0.0 on right/top
+        for side in g.wall_sides:  # +0.0: set_inward would store -0.0 on right/top
             normal_faces(us, vs, side)[SIDE_INDEX[side]] = 0.0
 
         fluxes = [normal_flux(g, state.u, state.v, side) for _, side in g.outlets]

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -123,15 +126,40 @@ class Grid:
             raise ConfigurationError(f"exactly one inlet side required, got {sides}")
         return sides[0]
 
-    @property
-    def outlets(self) -> list[tuple[int, str]]:
+    # Boundary data that depends only on the tags, computed once per Grid and
+    # handed out read-only (tuples, a mapping proxy, frozen arrays).
+    @cached_property
+    def outlets(self) -> tuple[tuple[int, str], ...]:
         """Sorted (index, side) pairs of all outlet_k tags."""
-        out = []
-        for s in SIDES:
-            m = _OUTLET_RE.match(self.tags[s])
-            if m:
-                out.append((int(m.group(1)), s))
-        return sorted(out)
+        return tuple(sorted((int(m.group(1)), s) for s in SIDES
+                            if (m := _OUTLET_RE.match(self.tags[s]))))
+
+    @cached_property
+    def wall_sides(self) -> tuple[str, ...]:
+        return tuple(self.sides_with("wall"))
+
+    @cached_property
+    def ghost_sign(self) -> Mapping[str, float]:
+        """Ghost multiplier of the tangential velocity across each side: +1 on
+        outlets (zero gradient), -1 on walls and the inlet (value 0)."""
+        return MappingProxyType({s: 1.0 if _OUTLET_RE.match(self.tags[s]) else -1.0
+                                 for s in SIDES})
+
+    @cached_property
+    def advanced_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean masks of the u/v faces the momentum equation advances:
+        every face but the normal faces of the inlet and wall sides."""
+        mu = np.ones((self.ny, self.nx + 1), dtype=bool)
+        mv = np.ones((self.ny + 1, self.nx), dtype=bool)
+        for side in SIDES:
+            if not _OUTLET_RE.match(self.tags[side]):
+                normal_faces(mu, mv, side)[SIDE_INDEX[side]] = False
+        return _frozen(mu), _frozen(mv)
+
+    @cached_property
+    def fixed_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Complements of ``advanced_masks``: the faces that hold boundary data."""
+        return tuple(_frozen(~m) for m in self.advanced_masks)
 
     def outlet_side(self, k: int) -> str:
         for kk, s in self.outlets:
@@ -153,11 +181,21 @@ class Grid:
     def _key(self) -> tuple:
         return (self.nx, self.ny, self.lx, self.ly, tuple(sorted(self.tags.items())))
 
+    def __getstate__(self):
+        # pickle and copy the fields only; the cached boundary data (a mapping
+        # proxy among it) is recomputed on first use
+        return {name: getattr(self, name) for name in ("nx", "ny", "lx", "ly", "tags")}
+
     def __eq__(self, other):
         return isinstance(other, Grid) and self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def build_grid(nx: int, ny: int, lx: float, ly: float, tags: Mapping[str, str]) -> Grid:
@@ -309,6 +347,15 @@ def outlet_flux(f: Field, k: int) -> float:
     return side_flux(f, f.grid.outlet_side(k))
 
 
+def read_file(path) -> bytearray:
+    """The bytes of a file, in a writable buffer (arrays parsed from it stay
+    writable)."""
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+    return data
+
+
 # -- snapshot containers -------------------------------------------------------
 
 class FieldRows(Sequence):
@@ -423,8 +470,8 @@ class SnapshotSet:
                      "nu": float(self.nu), "waveform": self.waveform}, arrays)
 
     @classmethod
-    def load(cls, directory) -> "SnapshotSet":
-        meta, arrays = load_arrays(directory, "romkit-snapshots-3")
+    def load(cls, directory, read=read_file) -> "SnapshotSet":
+        meta, arrays = load_arrays(directory, "romkit-snapshots-3", read)
         grid = Grid(meta["nx"], meta["ny"], meta["lx"], meta["ly"], meta["tags"])
         return cls(arrays["times"], FieldRows(grid, "vector2", arrays["u"]),
                    FieldRows(grid, "scalar", arrays["p"]), meta["nu"], meta["waveform"],
@@ -454,13 +501,16 @@ def save_arrays(directory, fmt: str, meta: dict, arrays: Mapping[str, np.ndarray
     (d / "meta.json").write_text(json.dumps({"format": fmt, **meta, "arrays": shapes}, indent=1))
 
 
-def load_arrays(directory, fmt: str) -> tuple[dict, dict]:
+def load_arrays(directory, fmt: str, read=read_file) -> tuple[dict, dict]:
     """(meta, arrays) of a directory ``save_arrays`` wrote in format ``fmt``;
     FormatError names the meta.json that is missing or of another format, or
-    the array file that is missing or does not hold its recorded shape."""
+    the array file that is missing or does not hold its recorded shape.
+    ``read(path)`` returns a file's bytes (a caller that has already read and
+    checked them hands them over) and raises FileNotFoundError for a missing
+    file."""
     d = Path(directory)
     try:
-        meta = json.loads((d / "meta.json").read_text())
+        meta = json.loads(read(d / "meta.json"))
     except FileNotFoundError:
         raise FormatError(f"no meta.json under {d}") from None
     if meta.get("format") != fmt:
@@ -469,10 +519,10 @@ def load_arrays(directory, fmt: str) -> tuple[dict, dict]:
     for name, shape in meta.pop("arrays").items():
         path = d / f"{name}.bin"
         try:
-            size = path.stat().st_size
+            data = read(path)
         except FileNotFoundError:
             raise FormatError(f"missing array file {path}") from None
-        if size != 8 * math.prod(shape):
-            raise FormatError(f"{path} holds {size} bytes, not a {tuple(shape)} float64 array")
-        arrays[name] = np.fromfile(path, "<f8").reshape(shape)
+        if len(data) != 8 * math.prod(shape):
+            raise FormatError(f"{path} holds {len(data)} bytes, not a {tuple(shape)} float64 array")
+        arrays[name] = np.frombuffer(data, "<f8").reshape(shape)
     return meta, arrays

@@ -24,7 +24,7 @@ from scipy.sparse.linalg import cg, splu  # noqa: F401  (cg: perfbench/spans.py 
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .grid import (SIDE_INDEX, Field, FieldRows, Grid, SnapshotSet, inlet_flux, load_arrays,
-                   save_arrays, set_inward)
+                   read_file, save_arrays, set_inward)
 from .operators import _face_gradient, center_laplacian, divergence
 
 LIFT_RESIDUAL_TOL = 1e-10
@@ -47,8 +47,8 @@ class LiftingPair:
                     {"chi_u": self.chi_u.values, "chi_p": self.chi_p.values})
 
     @classmethod
-    def load(cls, directory, grid: Grid) -> "LiftingPair":
-        meta, arrays = load_arrays(directory, "romkit-lifting-3")
+    def load(cls, directory, grid: Grid, read=read_file) -> "LiftingPair":
+        meta, arrays = load_arrays(directory, "romkit-lifting-3", read)
         return cls(Field(grid, "vector2", arrays["chi_u"]),
                    FieldRows(grid, "scalar", arrays["chi_p"]), meta["records"])
 

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, TrainingError
-from .grid import load_arrays, save_arrays
+from .grid import load_arrays, read_file, save_arrays
 
 REFERENCE_NN_DEFAULTS = {
     "hidden_neurons": 150,
@@ -396,8 +396,8 @@ def save_model(model: NNModel, directory) -> None:
                  "x_range": list(model.x_range), "y_range": list(model.y_range)}, arrays)
 
 
-def load_model(directory) -> NNModel:
-    meta, arrays = load_arrays(directory, "romkit-nn-2")
+def load_model(directory, read=read_file) -> NNModel:
+    meta, arrays = load_arrays(directory, "romkit-nn-2", read)
     layers = range(len(meta["layer_sizes"]) - 1)
     return NNModel(tuple(meta["layer_sizes"]), tuple(arrays[f"W{l}"] for l in layers),
                    tuple(arrays[f"b{l}"] for l in layers), meta["activation"],

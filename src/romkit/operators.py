@@ -27,38 +27,21 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, ShapeError
-from .grid import OUTWARD, SIDE_INDEX, SIDES, Grid, normal_faces
-
-
-def _is_outlet(grid: Grid, side: str) -> bool:
-    return grid.tags[side].startswith("outlet_")
-
-
-def _tang_sign(grid: Grid, side: str) -> float:
-    """Ghost multiplier for tangential components: -1 walls/inlet, +1 outlets."""
-    return 1.0 if _is_outlet(grid, side) else -1.0
-
-
-def advanced_masks(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks of the u/v faces the momentum equation advances."""
-    mu = np.ones((grid.ny, grid.nx + 1), dtype=bool)
-    mv = np.ones((grid.ny + 1, grid.nx), dtype=bool)
-    for side in SIDES:
-        if not _is_outlet(grid, side):
-            normal_faces(mu, mv, side)[SIDE_INDEX[side]] = False
-    return mu, mv
+from .grid import OUTWARD, SIDE_INDEX, Grid, normal_faces
 
 
 def _ext_u_y(grid: Grid, u: np.ndarray) -> np.ndarray:
     """u with ghost rows below/above per bottom/top closure."""
-    return np.concatenate([_tang_sign(grid, "bottom") * u[..., :1, :], u,
-                           _tang_sign(grid, "top") * u[..., -1:, :]], axis=-2)
+    sign = grid.ghost_sign
+    return np.concatenate([sign["bottom"] * u[..., :1, :], u,
+                           sign["top"] * u[..., -1:, :]], axis=-2)
 
 
 def _ext_v_x(grid: Grid, v: np.ndarray) -> np.ndarray:
     """v with ghost columns left/right per side closure."""
-    return np.concatenate([_tang_sign(grid, "left") * v[..., :1], v,
-                           _tang_sign(grid, "right") * v[..., -1:]], axis=-1)
+    sign = grid.ghost_sign
+    return np.concatenate([sign["left"] * v[..., :1], v,
+                           sign["right"] * v[..., -1:]], axis=-1)
 
 
 def flat_faces(arrays) -> np.ndarray:
@@ -98,9 +81,9 @@ def vec_laplacian(grid: Grid, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray,
     lv = ((ve[..., :-2, :] - 2.0 * v + ve[..., 2:, :]) / hy2
           + (vg[..., :-2] - 2.0 * v + vg[..., 2:]) / hx2)
 
-    mu, mv = advanced_masks(grid)
-    np.copyto(lu, 0.0, where=~mu)
-    np.copyto(lv, 0.0, where=~mv)
+    fu, fv = grid.fixed_masks
+    np.copyto(lu, 0.0, where=fu)
+    np.copyto(lv, 0.0, where=fv)
     return lu, lv
 
 
@@ -181,9 +164,9 @@ def convection(grid: Grid, au: np.ndarray, av: np.ndarray,
     gx_flux = a_node2 * b_node2
     cv = (fye[..., 1:, :] - fye[..., :-1, :]) / hy + (gx_flux[..., 1:] - gx_flux[..., :-1]) / hx
 
-    mu, mv = advanced_masks(grid)
-    np.copyto(cu, 0.0, where=~mu)
-    np.copyto(cv, 0.0, where=~mv)
+    fu, fv = grid.fixed_masks
+    np.copyto(cu, 0.0, where=fu)
+    np.copyto(cv, 0.0, where=fv)
     return cu, cv
 
 

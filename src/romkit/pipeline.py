@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, ShapeError
 from .fom import FomConfig, FomResult, Waveform, fom_run
-from .grid import SIDES, Grid, SnapshotSet
+from .grid import SIDES, Grid, SnapshotSet, read_file
 from .lifting import LiftingPair, compute_lifting, homogenize
 from .nn import (
     NNModel,
@@ -283,37 +283,48 @@ class Bundle:
         (d / "manifest.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
 
     @staticmethod
-    def _check_manifest(d: Path) -> None:
-        """FormatError unless every file manifest.json names exists with its SHA-256."""
+    def _checked_reader(d: Path):
+        """read(path) over the files manifest.json names.  Each is read once and
+        checked against its SHA-256 here, before any of it is used; FormatError
+        for a missing or altered file, and for a read of one the manifest does
+        not name."""
         try:
-            files = json.loads((d / "manifest.json").read_text())["files"]
+            files = json.loads(read_file(d / "manifest.json"))["files"]
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"no readable manifest.json under {d}: {exc}")
+        checked = {}
         for name, digest in files.items():
             try:
-                data = (d / name).read_bytes()
+                data = read_file(d / name)
             except OSError:
                 raise FormatError(f"bundle file {name!r} named in manifest.json is missing")
             if hashlib.sha256(data).hexdigest() != digest:
                 raise FormatError(f"bundle file {name!r} does not match its manifest hash")
+            checked[d / name] = data
+
+        def read(path: Path) -> bytearray:
+            try:
+                return checked[path]
+            except KeyError:
+                raise FormatError(f"bundle file {path} is not named in manifest.json") from None
+
+        return read
 
     @classmethod
     def load(cls, directory) -> "Bundle":
         d = Path(directory)
-        cls._check_manifest(d)
-        try:
-            rom = json.loads((d / "rom.json").read_text())
-        except FileNotFoundError:
-            raise FormatError(f"no rom.json under {d}")
+        read = cls._checked_reader(d)
+        rom = json.loads(read(d / "rom.json"))
         if rom.get("format") != BUNDLE_FORMAT:
             raise FormatError(f"unsupported bundle format {rom.get('format')!r}")
-        fine = SnapshotSet.load(d / "snapshots_fine")
+        fine = SnapshotSet.load(d / "snapshots_fine", read)
         grid = fine.grid
-        lifting = LiftingPair.load(d / "lifting", grid)
-        basis_u = ReducedBasis.load(d / "basis_u", grid)
-        basis_p = ReducedBasis.load(d / "basis_p", grid) if (d / "basis_p").exists() else None
-        operators = ReducedOperators.load(d / "operators")
-        nn_models = {int(k): load_model(d / f"nn_{k}") for k in rom.get("nn_outlets", [])}
+        lifting = LiftingPair.load(d / "lifting", grid, read)
+        basis_u = ReducedBasis.load(d / "basis_u", grid, read)
+        basis_p = (ReducedBasis.load(d / "basis_p", grid, read) if (d / "basis_p").exists()
+                   else None)
+        operators = ReducedOperators.load(d / "operators", read)
+        nn_models = {int(k): load_model(d / f"nn_{k}", read) for k in rom.get("nn_outlets", [])}
         try:
             runtime = json.loads((d / "runtime.json").read_text())
         except FileNotFoundError:

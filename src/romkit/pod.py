@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError, RankError, ShapeError
-from .grid import Field, FieldRows, Grid, field_rows, load_arrays, save_arrays
+from .grid import Field, FieldRows, Grid, field_rows, load_arrays, read_file, save_arrays
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
 from .grid import snapshot_matrix  # noqa: F401
 
@@ -109,8 +109,8 @@ class ReducedBasis:
                     {"modes": self.modes.values, "eigenvalues": self.eigenvalues})
 
     @classmethod
-    def load(cls, directory, grid: Grid) -> "ReducedBasis":
-        meta, arrays = load_arrays(directory, "romkit-basis-3")
+    def load(cls, directory, grid: Grid, read=read_file) -> "ReducedBasis":
+        meta, arrays = load_arrays(directory, "romkit-basis-3", read)
         return cls(FieldRows(grid, meta["field_kind"], arrays["modes"]), arrays["eigenvalues"],
                    meta["kind"], meta["M"], meta["n_supremizer"])
 

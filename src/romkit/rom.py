@@ -37,12 +37,12 @@ from scipy.sparse.linalg import cg, splu  # noqa: F401  (cg: perfbench/spans.py 
 
 from .errors import NumericalError, ShapeError, StabilityError
 from .fom import Waveform
-from .grid import FieldRows, Grid, SnapshotSet, load_arrays, save_arrays
+from .grid import FieldRows, Grid, SnapshotSet, load_arrays, read_file, save_arrays
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
 from .grid import snapshot_matrix  # noqa: F401
 from .lifting import LiftingPair, _outlet_array
-from .operators import (advanced_masks, convection, divergence, flat_faces, gradient,
-                        vec_laplacian, vec_laplacian_matrix)
+from .operators import (convection, divergence, flat_faces, gradient, vec_laplacian,
+                        vec_laplacian_matrix)
 from .pod import ReducedBasis, _mgs
 
 SADDLE_COND_LIMIT = 1e12
@@ -119,8 +119,8 @@ class ReducedOperators:
         save_arrays(directory, "romkit-operators-2", {"nu": float(self.nu)}, arrays)
 
     @classmethod
-    def load(cls, directory) -> "ReducedOperators":
-        meta, arrays = load_arrays(directory, "romkit-operators-2")
+    def load(cls, directory, read=read_file) -> "ReducedOperators":
+        meta, arrays = load_arrays(directory, "romkit-operators-2", read)
         return cls(nu=meta["nu"], **arrays)
 
 
@@ -160,7 +160,7 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
         raise ShapeError("bases must live on the provided grid")
 
     # the unknowns are the advanced faces, in the flat (u block, v block) layout
-    unknown = np.flatnonzero(flat_faces(advanced_masks(grid)))
+    unknown = np.flatnonzero(flat_faces(grid.advanced_masks))
     A = -vec_laplacian_matrix(grid)[unknown][:, unknown]
     Psi = basis_p.modes.values.reshape(-1, grid.ny, grid.nx)
     rhs = -flat_faces(gradient(grid, Psi))[:, unknown].T
@@ -239,7 +239,8 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
     ``p_d`` is the (T, n_outlets) array of outlet pressures at the times, or
     None for homogeneous outlet pressure.  The saddle matrix of the one step
     size is inverted once and all boundary forcing is mapped through that
-    inverse before the loop, so a step is one outer product and one matvec.
+    inverse before the loop, so a step is one outer product into a reused
+    buffer, one matvec and one in-place add.
     The pressure multiplier only exists from the first step onward; ``b0``
     seeds the reported initial value (backfilled from step one when omitted).
     The trajectory carries the saddle matrix's condition number as checked
@@ -276,30 +277,36 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
         - waveform.magnitude_dot(times[1:])[:, None] * ops.d6 - (g[:-1, None] ** 2) * ops.d4,
         -g[1:, None] * ops.d7,
     ])
-    sol = np.empty((times.size, n_u + n_p))
-    sol[0, :n_u] = a0
-    sol[1:] = forcing @ S.T
+    # row m of sol is [1, g_m, a_m, b_m]: its first n_u + 2 entries are the
+    # z = [1, g_m, a_m] that the rest of step m -> m+1 is linear in
+    sol = np.empty((times.size, n_u + n_p + 2))
+    sol[:, 0] = 1.0
+    sol[:, 1] = g
+    sol[0, 2:n_u + 2] = a0
+    sol[1:, 2:] = forcing @ S.T
 
     # the rest of a step is one matvec on the rows of outer([1, g_m, a], a),
     # i.e. on [a; g_m a; a (x) a]: L = S[:, :n_u] [I/dt, -(d2 + d3), -Ct]
     L = S[:, :n_u] @ np.hstack([np.eye(n_u) / dt, -(ops.d2 + ops.d3),
                                 -ops.Ct.reshape(n_u, n_u * n_u)])
-    z = np.ones(n_u + 2)
-    z[2:] = a0
-    for m in range(times.size - 1):
-        z[1] = g[m]
-        sol[m + 1] += L @ np.outer(z, z[2:]).ravel()
-        z[2:] = sol[m + 1, :n_u]
-    if not np.all(np.isfinite(sol[1:])):
+    outer = np.empty((n_u + 2, n_u))
+    flat, inc = outer.reshape(-1), np.empty(n_u + n_p)
+    z, a_row, tail = sol[:-1, :n_u + 2, None], sol[:-1, None, 2:n_u + 2], sol[1:, 2:]
+    for z_m, a_m, row in zip(z, a_row, tail):   # views of rows m and m + 1
+        np.multiply(z_m, a_m, out=outer)
+        np.dot(L, flat, out=inc)
+        np.add(row, inc, out=row)
+    a, b = sol[:, 2:n_u + 2], sol[:, n_u + 2:]
+    if not np.all(np.isfinite(sol[1:, 2:])):
         raise NumericalError("reduced trajectory diverged")
     if b0 is None:
-        sol[0, n_u:] = sol[1, n_u:]
+        b[0] = b[1]
     else:
         b0 = np.asarray(b0, dtype=np.float64)
         if b0.shape != (n_p,):
             raise ShapeError(f"b0 must have length {n_p}")
-        sol[0, n_u:] = b0
-    return ReducedTrajectory(times.copy(), sol[:, :n_u], sol[:, n_u:], saddle_cond=float(cond))
+        b[0] = b0
+    return ReducedTrajectory(times.copy(), a, b, saddle_cond=float(cond))
 
 
 def reconstruct(basis_u: ReducedBasis, basis_p: ReducedBasis | None,

@@ -54,9 +54,9 @@ def wrapped_splu(residuals=None, scale=1.0):
     """A stand-in for scipy's `splu`.  Each solve returns `scale` times the
     exact factorization's answer and, given a list `residuals`, appends the
     relative residual ||b - A x|| / ||b|| of each right-hand side to it (one
-    per column of a block)."""
-    def factor(A):
-        lu = splu(A)
+    per column of a block).  Keyword arguments go on to `splu`."""
+    def factor(A, **kwargs):
+        lu = splu(A, **kwargs)
 
         def solve(b):
             x = lu.solve(b) * scale

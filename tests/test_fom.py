@@ -3,14 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
 from romkit import fom, lifting
 from romkit.errors import ConfigurationError, NumericalError
 from romkit.fom import FomConfig, FomSolver, Waveform, fom_run
-from romkit.grid import Grid, side_flux
+from romkit.grid import SIDE_INDEX, Grid, normal_faces, normal_flux, set_inward, side_flux
 from romkit.lifting import compute_lifting
-from romkit.operators import advanced_masks, divergence
-from romkit.windkessel import WindkesselParams
+from romkit.operators import (center_laplacian, convection, divergence, flat_faces, gradient,
+                              vec_laplacian)
+from romkit.windkessel import WindkesselParams, wk_step
 
 from conftest import CHANNEL_TAGS, layouts, wrapped_splu
 
@@ -89,7 +91,7 @@ class TestAdvance:
         cfg = channel_cfg(waveform=Waveform(kind="constant", u_sys=0.0), t_end=0.05)
         solver = FomSolver(cfg)
         state = solver.initial_state()
-        mu, mv = advanced_masks(cfg.grid)
+        mu, mv = cfg.grid.advanced_masks
         state.u[mu.nonzero()] = 0.01 * rng.standard_normal(mu.sum())
         state.v[mv.nonzero()] = 0.01 * rng.standard_normal(mv.sum())
         state = solver.advance(state)
@@ -100,7 +102,7 @@ class TestAdvance:
         cfg = channel_cfg(waveform=Waveform(kind="constant", u_sys=0.0), nu=5e-3, dt=0.01)
         solver = FomSolver(cfg)
         state = solver.initial_state()
-        mu, mv = advanced_masks(cfg.grid)
+        mu, mv = cfg.grid.advanced_masks
         state.u[mu.nonzero()] = 0.01 * rng.standard_normal(mu.sum())
         state.v[mv.nonzero()] = 0.01 * rng.standard_normal(mv.sum())
         state = solver.advance(state)  # project the impulse first
@@ -152,6 +154,20 @@ class TestAdvance:
         monkeypatch.setattr(fom, "splu", wrapped_splu(scale=1 + 1e-6))
         with pytest.raises(NumericalError, match="residual check"):
             FomSolver(channel_cfg()).advance(state)
+
+    @pytest.mark.parametrize("convection", [True, False])
+    def test_convective_cfl_checked(self, convection):
+        """With convection on, a state at CFL 2 is not advanced: the error
+        names its step and CFL number.  A Stokes step has no such limit."""
+        cfg = channel_cfg(convection=convection)
+        solver = FomSolver(cfg)
+        state = solver.advance(solver.initial_state())
+        state.u[:, 1:-1] = 2.0 * cfg.grid.hx / cfg.dt
+        if convection:
+            with pytest.raises(NumericalError, match=r"CFL 2 >= 1 in the state of step 1 "):
+                solver.advance(state)
+        else:
+            solver.advance(state)
 
 
 class TestRun:
@@ -217,9 +233,9 @@ class TestRun:
         assert np.all(res.outlet_flux[1:] > 0)
 
 
-def _layout_step(grid, t0=0.0, shape="plug", seed=None):
-    """(waveform, state after one step) from rest or, given a seed, from a
-    random state, at a stable step for the grid."""
+def _layout_solver(grid, t0=0.0, shape="plug", seed=None):
+    """(solver at a stable step for the grid, its state at t0): at rest or,
+    given a seed, random."""
     wf = Waveform(kind="pulse", u_sys=1.0, t_cycle=0.6, systole_frac=0.4, shape=shape)
     nu = 0.04
     dt = 0.5 * min(min(grid.hx, grid.hy) / wf.u_sys,
@@ -232,7 +248,34 @@ def _layout_step(grid, t0=0.0, shape="plug", seed=None):
         rng = np.random.default_rng(seed)
         s = dataclasses.replace(s, u=rng.uniform(-1, 1, s.u.shape),
                                 v=rng.uniform(-1, 1, s.v.shape))
-    return wf, solver.advance(s)
+    return solver, s
+
+
+def _layout_step(grid, t0=0.0, shape="plug", seed=None):
+    """(waveform, state after one step) from rest or, given a seed, from a
+    random state, at a stable step for the grid."""
+    solver, s = _layout_solver(grid, t0, shape, seed)
+    return solver.cfg.waveform, solver.advance(s)
+
+
+def _stencil_step(solver, s):
+    """(u, v, p) after one step of the projection scheme written with the
+    vec_laplacian, convection and gradient stencils and a default-ordered
+    splu solve of the Poisson matrix."""
+    cfg, g = solver.cfg, solver.grid
+    dt, nu, t = cfg.dt, cfg.nu, s.t + cfg.dt
+    lu, lv = vec_laplacian(g, s.u, s.v)
+    cu, cv = convection(g, s.u, s.v, s.u, s.v)
+    us, vs = s.u + dt * (nu * lu - cu), s.v + dt * (nu * lv - cv)
+    set_inward(us, vs, g.inlet_side, cfg.waveform.magnitude(t) * cfg.waveform.profile(g))
+    for side in g.sides_with("wall"):
+        normal_faces(us, vs, side)[SIDE_INDEX[side]] = 0.0
+    q = [wk_step(wk, normal_flux(g, s.u, s.v, side), dt, cfg.windkessel[k]).p
+         for (k, side), wk in zip(g.outlets, s.wk)]
+    A, bc = center_laplacian(g, frozenset(side for _, side in g.outlets))
+    p = splu(A).solve(bc(q) - divergence(g, us, vs).ravel() / dt).reshape(g.ny, g.nx)
+    gx, gy = gradient(g, p, q)
+    return us - dt * gx, vs - dt * gy, p
 
 
 class TestLayouts:
@@ -251,6 +294,24 @@ class TestLayouts:
             assert not inward[side].any()
 
     @settings(max_examples=40, deadline=None)
+    @given(layouts(), st.floats(0.0, 0.2), st.none() | st.integers(0, 2**32 - 1))
+    def test_step_matches_stencil_step(self, grid, t0, seed):
+        """FomSolver.advance (the probed Laplacian as one matvec, the Poisson
+        matrix factored in a symmetric ordering) gives the step written with
+        the stencils to 1e-12 relative, from rest or from a random state.
+        Two backward-stable solves in different orderings agree only to about
+        cond(A) eps, so where the Poisson matrix's condition number passes
+        ~450 (long cells, a short outlet) the bound is 10 cond(A) eps."""
+        solver, s = _layout_solver(grid, t0, seed=seed)
+        new = solver.advance(s)
+        u, v, p = _stencil_step(solver, s)
+        A, _ = center_laplacian(grid, frozenset(side for _, side in grid.outlets))
+        tol = max(1e-12, 10 * np.linalg.cond(A.toarray()) * np.finfo(float).eps)
+        for got, want in (((new.u, new.v), (u, v)), ((new.p,), (p,))):
+            got, want = flat_faces(got), flat_faces(want)
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+    @settings(max_examples=40, deadline=None)
     @given(layouts(), st.integers(0, 2**32 - 1))
     def test_direct_solves_reach_residual(self, grid, seed):
         """The FOM Poisson step, the velocity-lifting potential and the block
@@ -259,9 +320,9 @@ class TestLayouts:
         or better."""
         residuals, factored = [], []
 
-        def factor(A):
+        def factor(A, **kwargs):
             factored.append(A)
-            return wrapped_splu(residuals)(A)
+            return wrapped_splu(residuals)(A, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fom, "splu", factor)

@@ -1,10 +1,14 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from romkit.errors import ConfigurationError, FormatError, ShapeError
 from romkit.grid import (
+    SIDES,
     Field,
     FieldRows,
     Grid,
@@ -22,7 +26,7 @@ from romkit.grid import (
     side_flux,
 )
 
-from conftest import CHANNEL_TAGS, random_scalar, random_vector
+from conftest import CHANNEL_TAGS, layouts, random_scalar, random_vector
 
 
 class TestBuildGrid:
@@ -57,7 +61,38 @@ class TestBuildGrid:
     def test_outlet_enumeration(self):
         tags = {"left": "inlet", "right": "outlet_0", "top": "outlet_1", "bottom": "wall"}
         g = build_grid(8, 8, 1.0, 1.0, tags)
-        assert g.outlets == [(0, "right"), (1, "top")]
+        assert g.outlets == ((0, "right"), (1, "top"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts())
+def test_cached_boundary_data(grid):
+    """The boundary data a Grid computes once equals a fresh computation from
+    its tags, every piece of it refuses a write, and a pickled or deep-copied
+    Grid recomputes it."""
+    outlets = sorted((int(t.split("_")[1]), s) for s, t in grid.tags.items()
+                     if t.startswith("outlet_"))
+    assert grid.outlets == tuple(outlets)
+    assert grid.wall_sides == tuple(s for s in SIDES if grid.tags[s] == "wall")
+    assert dict(grid.ghost_sign) == {s: 1.0 if grid.tags[s].startswith("outlet_") else -1.0
+                                     for s in SIDES}
+    mu, mv = np.ones((grid.ny, grid.nx + 1), bool), np.ones((grid.ny + 1, grid.nx), bool)
+    fixed = {"left": mu[:, 0], "right": mu[:, -1], "bottom": mv[0, :], "top": mv[-1, :]}
+    for side in SIDES:
+        if not grid.tags[side].startswith("outlet_"):
+            fixed[side][:] = False
+    for got, want in zip(grid.advanced_masks + grid.fixed_masks, (mu, mv, ~mu, ~mv)):
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0, 0] = not got[0, 0]
+    assert grid.outlets is grid.outlets and grid.advanced_masks is grid.advanced_masks
+    with pytest.raises(TypeError):
+        grid.ghost_sign["left"] = 0.0
+    with pytest.raises(TypeError):
+        grid.outlets[0] = (9, "left")
+    for twin in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid)):
+        assert twin == grid and twin.outlets == grid.outlets
+        assert np.array_equal(twin.advanced_masks[0], grid.advanced_masks[0])
 
 
 class TestInnerProduct:

@@ -8,7 +8,6 @@ from romkit.errors import ConfigurationError, ShapeError
 from romkit.grid import SIDES, Field, Grid, inner_product, side_flux
 from romkit.operators import (
     _face_gradient,
-    advanced_masks,
     center_laplacian,
     convection,
     divergence,
@@ -168,7 +167,7 @@ def test_neumann_laplacian_nullspace_is_constant(grid):
 
 def test_vec_laplacian_symmetric_negative(grid, rng):
     """(f, L g) = (L f, g) and (f, L f) <= 0 over advanced faces."""
-    mu, mv = advanced_masks(grid)
+    mu, mv = grid.advanced_masks
 
     def lap_field(f):
         lu, lv = vec_laplacian(grid, f.u, f.v)

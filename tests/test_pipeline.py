@@ -1,6 +1,7 @@
 import json
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,32 @@ class TestOffline:
         (missing / "nn_0" / "W1.bin").unlink()
         with pytest.raises(FormatError, match="missing"):
             Bundle.load(missing)
+
+    def test_bundle_files_read_once(self, bundle_dir, monkeypatch):
+        """Bundle.load reads each file the manifest names once, hashing and
+        parsing the same bytes, and opens no other bundle file than the
+        unhashed runtime.json."""
+        files = json.loads((bundle_dir / "manifest.json").read_text())["files"]
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(Path(path).relative_to(bundle_dir).as_posix())
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr("io.open", counting_open)
+        Bundle.load(bundle_dir)
+        assert sorted(opened) == sorted([*files, "manifest.json", "runtime.json"])
+
+    def test_unlisted_bundle_file_rejected(self, bundle_dir, tmp_path):
+        d = tmp_path / "unlisted"
+        shutil.copytree(bundle_dir, d)
+        manifest = json.loads((d / "manifest.json").read_text())
+        del manifest["files"]["basis_u/modes.bin"]
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="modes.bin is not named in manifest.json"):
+            Bundle.load(d)
 
     def test_stored_config_not_rechecked(self, bundle, bundle_dir, tmp_path):
         """A bundle written while ``energy`` was a config key still loads."""
@@ -652,6 +679,17 @@ def _failed_residual(tmp, bundle_dir, monkeypatch):
     return _tiny_fom(tmp, bundle_dir, monkeypatch)
 
 
+def _two_outlet_cfl(nx, ny):
+    """The convective channel with a second outlet on top: its inflow through
+    that outlet drives the explicit step past CFL 1 (at step 22 on 64x16, at
+    step 15 on 40x20), which stops the run with exit 3."""
+    def make_argv(tmp, bundle_dir, monkeypatch):
+        cfg = tmp / "two_outlet.txt"
+        cfg.write_text(f"nx = {nx}\nny = {ny}\ntag_top = outlet_1\nwk_1 = 50,800,6e-4\n")
+        return ["fom", "--config", str(cfg), "--out", str(tmp / "snaps")]
+    return make_argv
+
+
 def _unknown_key(tmp, bundle_dir, monkeypatch):
     cfg = tmp / "typo.txt"
     cfg.write_text("nn_epoch = 5\n")
@@ -719,6 +757,8 @@ EXIT_CODES = [
     pytest.param(2, _dt_r("nan"), id="dt_r_nan"),
     pytest.param(2, _dt_r("10"), id="dt_r_past_window"),
     pytest.param(3, _failed_residual, id="failed_residual_check"),
+    pytest.param(3, _two_outlet_cfl(64, 16), id="two_outlet_cfl_64x16"),
+    pytest.param(3, _two_outlet_cfl(40, 20), id="two_outlet_cfl_40x20"),
 ]
 
 
