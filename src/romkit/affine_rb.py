@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericalError, RankError, ShapeError, StabilityError
 from .pod import numerical_rank, symmetric_eig
@@ -88,6 +86,9 @@ class AffineProblem:
 
 def fom_solve(problem: AffineProblem, mu):
     """High-fidelity solve; returns (u, s) with s = f(mu)' u."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     A, f = problem.assemble(mu)
     sym_dev = abs(A - A.T)
     if (sym_dev.max() if sp.issparse(A) else np.abs(sym_dev).max()) > 1e-12 * abs(A).max():
@@ -192,6 +193,8 @@ def demo_problem(n_dof: int = 4096, kind: str = "two_domain") -> AffineProblem:
     two_domain: kappa = mu on (0, 1/2), 1 on (1/2, 1)  ->  Q_a = 2, Q_f = 1.
     uniform:    kappa = mu everywhere                   ->  Q_a = 1, Q_f = 1.
     """
+    import scipy.sparse as sp
+
     n_el = n_dof + 1
     h = 1.0 / n_el
 

@@ -31,15 +31,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import cg  # noqa: F401  (unused: perfbench/spans.py traces fom.cg)
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError
 from .grid import (SIDE_INDEX, FieldRows, Grid, SnapshotSet, normal_faces, normal_flux,
                    set_inward)
-from .operators import (center_laplacian, convection, divergence, flat_faces, gradient,
+from .operators import (center_laplacian, convection, divergence, flat_faces, gradient, splu,
                         vec_laplacian_matrix)
-from .operators import vec_laplacian  # noqa: F401  (unused: perfbench/spans.py traces it)
+from .operators import cg, vec_laplacian  # noqa: F401  (unused: perfbench/spans.py traces them)
 from .windkessel import WindkesselParams, WindkesselState, wk_step
 
 POISSON_RTOL = 1e-10

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import cg, splu  # noqa: F401  (cg: perfbench/spans.py traces lifting.cg)
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .grid import (SIDE_INDEX, Field, FieldRows, Grid, SnapshotSet, inlet_flux, load_arrays,
                    read_file, save_arrays, set_inward)
-from .operators import _face_gradient, center_laplacian, divergence
+from .operators import _face_gradient, center_laplacian, divergence, splu
+from .operators import cg  # noqa: F401  (unused: perfbench/spans.py traces lifting.cg)
 
 LIFT_RESIDUAL_TOL = 1e-10
 

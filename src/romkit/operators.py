@@ -19,12 +19,19 @@ are a batch and broadcast.
 The sparse matrices are read off these stencils with five colored probes (the
 Poisson matrix is minus the divergence of the face gradient), so each
 discrete operator has one representation.
+
+scipy is imported only where a sparse matrix is built or factored, so that
+loading a bundle and running the online stage import numpy alone.  ``splu``
+and ``cg`` stand in for scipy's functions of the same name and import them
+on their first call; the FOM, the liftings and the supremizer solve factor
+through their own module's ``splu`` global.  ``cg`` is called nowhere: fom,
+lifting and rom import it only so that the benchmark's tracer, which names
+``fom.cg``, ``lifting.cg`` and ``rom.cg``, still finds its targets.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError, ShapeError
 from .grid import OUTWARD, SIDE_INDEX, Grid, normal_faces
@@ -51,12 +58,25 @@ def flat_faces(arrays) -> np.ndarray:
                            for a in arrays], axis=-1)
 
 
-def _probed_matrix(stencil, shapes) -> sp.csc_matrix:
+def splu(A, **kwargs):
+    """scipy.sparse.linalg.splu, imported on the first call."""
+    from scipy.sparse.linalg import splu
+    return splu(A, **kwargs)
+
+
+def cg(A, b, **kwargs):
+    """scipy.sparse.linalg.cg, imported on the first call."""
+    from scipy.sparse.linalg import cg
+    return cg(A, b, **kwargs)
+
+
+def _probed_matrix(stencil, shapes):
     """The matrix of a linear 5-point ``stencil`` of arrays of the given
     (ny, nx) shapes, on their flat layout, read off five probes.  Color
     (i + 2j) mod 5 of entry (j, i) differs across every 5-point stencil
     (Curtis, Powell & Reid 1974) and the arrays do not couple, so probe c
-    holds at entry r the coefficient of r's one neighbour of color c."""
+    holds at entry r the coefficient of r's one neighbour of color c.
+    Returns a scipy CSC matrix."""
     colors = [(np.arange(nx) + 2 * np.arange(ny)[:, None]) % 5 for ny, nx in shapes]
     probes = [(c == np.arange(5)[:, None, None]).astype(np.float64) for c in colors]
     probed, color = flat_faces(stencil(*probes)), flat_faces(colors)
@@ -64,7 +84,8 @@ def _probed_matrix(stencil, shapes) -> sp.csc_matrix:
     # color c - color[r] (mod 5) is the neighbour's step: 0, +i, +j, -j or -i
     width = np.concatenate([np.full(ny * nx, nx) for ny, nx in shapes])[r]
     step = np.choose((c - color[r]) % 5, [0, 1, width, -width, -1])
-    return sp.csc_matrix((probed[c, r], (r, r + step)), shape=(color.size,) * 2)
+    from scipy.sparse import csc_matrix
+    return csc_matrix((probed[c, r], (r, r + step)), shape=(color.size,) * 2)
 
 
 def vec_laplacian(grid: Grid, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +113,7 @@ def divergence(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., 1:] - u[..., :-1]) / grid.hx + (v[..., 1:, :] - v[..., :-1, :]) / grid.hy
 
 
-def vec_laplacian_matrix(grid: Grid) -> sp.csc_matrix:
+def vec_laplacian_matrix(grid: Grid):
     """vec_laplacian as a matrix on the flat (u block, v block) layout."""
     return _probed_matrix(lambda u, v: vec_laplacian(grid, u, v),
                           [(grid.ny, grid.nx + 1), (grid.ny + 1, grid.nx)])

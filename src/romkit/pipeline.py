@@ -325,10 +325,6 @@ class Bundle:
                    else None)
         operators = ReducedOperators.load(d / "operators", read)
         nn_models = {int(k): load_model(d / f"nn_{k}", read) for k in rom.get("nn_outlets", [])}
-        try:
-            runtime = json.loads((d / "runtime.json").read_text())
-        except FileNotFoundError:
-            runtime = {"fom_wall_time": float("nan")}
         return cls(
             config=rom["config"],
             grid=grid,
@@ -342,12 +338,27 @@ class Bundle:
             basis_p=basis_p,
             operators=operators,
             nn_models=nn_models,
-            fom_wall_time=float(runtime["fom_wall_time"]),
+            fom_wall_time=_read_fom_wall_time(d / "runtime.json"),
             cycle_drift=rom.get("cycle_drift"),
             lift_pressure=bool(rom.get("lift_pressure", True)),
             n_u=int(rom["n_u"]),
             n_p=int(rom["n_p"]),
         )
+
+
+def _read_fom_wall_time(path: Path) -> float:
+    """The FOM wall time in the unhashed runtime.json: NaN without the file,
+    FormatError naming it when it is there but holds no number."""
+    try:
+        value = json.loads(path.read_text())["fom_wall_time"]
+    except FileNotFoundError:
+        return float("nan")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"unreadable {path.name} under {path.parent}: {exc!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{path.name} under {path.parent}: fom_wall_time {value!r} "
+                          "is not a number")
+    return float(value)
 
 
 def _training_set(fine: SnapshotSet, cfg: dict) -> SnapshotSet:
@@ -422,6 +433,9 @@ def _offline_stages(config, out_dir, fom_result):
             raise ConfigurationError("the reduced pipeline requires the plug inlet shape "
                                      "(the velocity lifting carries a uniform unit trace)")
         seed = _i(cfg, "seed")
+        # the stages below build and factor sparse matrices; importing scipy
+        # here keeps its import time out of their timers
+        import scipy.sparse.linalg  # noqa: F401
     timings = {}
 
     with _stage("fom"):

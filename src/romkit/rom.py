@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import cg, splu  # noqa: F401  (cg: perfbench/spans.py traces rom.cg)
 
 from .errors import NumericalError, ShapeError, StabilityError
 from .fom import Waveform
@@ -41,8 +40,9 @@ from .grid import FieldRows, Grid, SnapshotSet, load_arrays, read_file, save_arr
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
 from .grid import snapshot_matrix  # noqa: F401
 from .lifting import LiftingPair, _outlet_array
-from .operators import (convection, divergence, flat_faces, gradient, vec_laplacian,
+from .operators import (convection, divergence, flat_faces, gradient, splu, vec_laplacian,
                         vec_laplacian_matrix)
+from .operators import cg  # noqa: F401  (unused: perfbench/spans.py traces rom.cg)
 from .pod import ReducedBasis, _mgs
 
 SADDLE_COND_LIMIT = 1e12

@@ -1,5 +1,9 @@
 import json
+import os
+import pickle
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -28,6 +32,14 @@ from romkit.pipeline import (
 
 from conftest import wrapped_splu
 
+# runtime.json contents that Bundle.load refuses, naming the file
+DAMAGED_RUNTIME = {
+    "empty_object": "{}",
+    "list": "[1]",
+    "invalid_json": "{",
+    "non_numeric": '{"fom_wall_time": "fast"}',
+}
+
 SMALL_CONFIG = {
     "nx": "24", "ny": "8", "lx": "2.0", "ly": "0.5",
     "nu": "0.04", "dt": "2.5e-3", "t0": "0.0", "t_end": "0.9",
@@ -38,6 +50,16 @@ SMALL_CONFIG = {
     "nn_split": "0.8",
     "seed": "0",
 }
+
+
+def _run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    this romkit; fails the test if the code raises."""
+    src = str(Path(pipeline.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def _scale(rows, grid) -> float:
@@ -216,6 +238,64 @@ class TestOffline:
         monkeypatch.setattr("io.open", counting_open)
         Bundle.load(bundle_dir)
         assert sorted(opened) == sorted([*files, "manifest.json", "runtime.json"])
+
+    @pytest.mark.parametrize("text", DAMAGED_RUNTIME.values(), ids=DAMAGED_RUNTIME.keys())
+    def test_damaged_runtime_json_rejected(self, bundle_dir, tmp_path, text):
+        d = tmp_path / "damaged"
+        shutil.copytree(bundle_dir, d)
+        (d / "runtime.json").write_text(text)
+        with pytest.raises(FormatError, match="runtime.json"):
+            Bundle.load(d)
+
+    def test_missing_runtime_json_reads_nan(self, bundle_dir, tmp_path):
+        d = tmp_path / "no_runtime"
+        shutil.copytree(bundle_dir, d)
+        (d / "runtime.json").unlink()
+        assert np.isnan(Bundle.load(d).fom_wall_time)
+
+    def test_online_imports_no_scipy(self, bundle_dir, tmp_path):
+        """Loading a bundle and querying it, in the API and through the CLI,
+        never imports scipy: only building and factoring sparse matrices does."""
+        code = f"""
+import sys
+import numpy as np
+import romkit
+from romkit import cli, fom, lifting, operators, rom
+from romkit.pipeline import Bundle, online
+bundle = Bundle.load({str(bundle_dir)!r})
+online(bundle, timing_reps=1)
+t = bundle.train.times
+online(bundle, query_times=np.linspace(t[0], t[-1] + 0.05 * (t[-1] - t[0]), 7),
+       dt_r=2 * bundle.dt_fom, modes=(3, 2), timing_reps=1)
+assert cli.main(["online", "--bundle", {str(bundle_dir)!r},
+                 "--out", {str(tmp_path / "run")!r}]) == 0
+assert fom.cg is lifting.cg is rom.cg is operators.cg
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        assert _run_fresh(code).splitlines()[-1] == "[]"
+        assert (tmp_path / "run" / "errors.csv").exists()
+
+    def test_scipy_imported_before_stage_timers(self, small_fom, tmp_path):
+        """offline(fom_result=...) in a process that has not imported scipy
+        imports it before the lifting stage's timer starts, so no row of
+        timings.csv counts the import."""
+        (tmp_path / "fom.pkl").write_bytes(pickle.dumps(small_fom))
+        code = f"""
+import pickle, sys
+from pathlib import Path
+from romkit import pipeline
+fom_result = pickle.loads(Path({str(tmp_path / "fom.pkl")!r}).read_bytes())
+assert "scipy" not in sys.modules
+compute_lifting = pipeline.compute_lifting
+
+def checked_lifting(grid):
+    assert "scipy.sparse.linalg" in sys.modules
+    return compute_lifting(grid)
+
+pipeline.compute_lifting = checked_lifting
+pipeline.offline({SMALL_CONFIG!r}, fom_result=fom_result)
+"""
+        _run_fresh(code)
 
     def test_unlisted_bundle_file_rejected(self, bundle_dir, tmp_path):
         d = tmp_path / "unlisted"
@@ -732,6 +812,14 @@ def _old_format(tmp, bundle_dir, monkeypatch):
     return _compare_copied_snapshots(tmp, bundle_dir, downgrade)
 
 
+def _damaged_runtime(key):
+    def make_argv(tmp, bundle_dir, monkeypatch):
+        shutil.copytree(bundle_dir, tmp / "bundle")
+        (tmp / "bundle" / "runtime.json").write_text(DAMAGED_RUNTIME[key])
+        return ["online", "--bundle", str(tmp / "bundle"), "--out", str(tmp / "run")]
+    return make_argv
+
+
 def _modes_out_of_range(tmp, bundle_dir, monkeypatch):
     return ["online", "--bundle", str(bundle_dir), "--out", str(tmp / "run"),
             "--modes", "99,1"]
@@ -752,6 +840,7 @@ EXIT_CODES = [
     pytest.param(2, _truncated_snapshots, id="truncated_snapshots"),
     pytest.param(2, _missing_snapshot_array, id="missing_snapshot_array"),
     pytest.param(2, _old_format, id="old_format"),
+    *[pytest.param(2, _damaged_runtime(key), id=f"runtime_{key}") for key in DAMAGED_RUNTIME],
     pytest.param(2, _modes_out_of_range, id="modes_out_of_range"),
     pytest.param(2, _dt_r("0"), id="dt_r_zero"),
     pytest.param(2, _dt_r("nan"), id="dt_r_nan"),
