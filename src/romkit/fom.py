@@ -15,29 +15,38 @@ coupling:
                  checked to relative residual 1e-10
   5. corrector   u = u* - dt grad(p)
 
-The Laplacian of step 1 is the matrix operators.py reads off its stencil,
-applied as one sparse matvec on the flat (u block, v block) state;
-convection, divergence and gradient are the stencils themselves.  So the
-reduced model assembled over the same functions is operator-consistent
-with this solver.  With convection on, a state at convective CFL 1 or
-more is not advanced.  The outlet pressure datum applied at each step is
+The state advances as one flat (u block, v block) vector w, and each linear
+map of the step is a sparse matrix that operators.py reads off its stencil,
+built once per solver:
+
+  predictor   u* = [I + dt nu L, -dt D] [w; (S_a w) * (S_b w)], with
+              self-advection div(w (x) w) = D ((S_a w) * (S_b w)) the flux
+              divergence D of products of two face-mean maps
+  pressure    rhs = bc(q) - (Div/dt) u*
+  corrector   u = u* - (dt Grad) [p; q], the outlet data q as extra columns
+
+So the reduced model assembled over the same stencils is operator-consistent
+with this solver.  The post-correction divergence check applies the
+divergence stencil itself.  With convection on, a state at convective CFL 1
+or more is not advanced.  The outlet pressure datum applied at each step is
 recorded next to the snapshots: that series is what the outflow-pressure
 network trains on.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .grid import (SIDE_INDEX, FieldRows, Grid, SnapshotSet, normal_faces, normal_flux,
-                   set_inward)
-from .operators import (center_laplacian, convection, divergence, flat_faces, gradient, splu,
-                        vec_laplacian_matrix)
-from .operators import cg, vec_laplacian  # noqa: F401  (unused: perfbench/spans.py traces them)
+from .grid import OUTWARD, SIDE_INDEX, FieldRows, Grid, SnapshotSet, normal_faces
+from .operators import (center_laplacian, convection_matrices, divergence, divergence_matrix,
+                        flat_faces, gradient_matrix, splu, vec_laplacian_matrix)
+# unused: perfbench/spans.py traces them here
+from .operators import cg, convection, gradient, vec_laplacian  # noqa: F401
 from .windkessel import WindkesselParams, WindkesselState, wk_step
 
 POISSON_RTOL = 1e-10
@@ -154,8 +163,8 @@ class FomConfig:
 @dataclass
 class FomState:
     grid: Grid
-    u: np.ndarray
-    v: np.ndarray
+    u: np.ndarray                   # in the states FomSolver makes, u and v are views
+    v: np.ndarray                   # of one flat (u block, v block) vector
     p: np.ndarray
     wk: tuple                       # WindkesselState per outlet, grid.outlets order
     t: float
@@ -167,27 +176,56 @@ class FomState:
 
 
 class FomSolver:
-    """Holds the grid's operator matrices, factors the Poisson matrix once and
-    advances FOM states."""
+    """Holds the step's matrices, factors the Poisson matrix once and advances
+    FOM states."""
 
     def __init__(self, cfg: FomConfig):
+        from scipy.sparse import hstack, identity
+
         self.cfg = cfg
-        self.grid = cfg.grid
-        outlet_sides = frozenset(side for _, side in self.grid.outlets)
-        self._A, self._bc = center_laplacian(self.grid, outlet_sides)
+        g = self.grid = cfg.grid
+        dt = cfg.dt
+        outlet_sides = frozenset(side for _, side in g.outlets)
+        self._A, self._bc = center_laplacian(g, outlet_sides)
         # A is symmetric: a minimum-degree ordering of A + A^T with diagonal
         # pivots leaves about a third less fill than SuperLU's default COLAMD
         self._lu = splu(self._A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options={"SymmetricMode": True})
-        self._lap = vec_laplacian_matrix(self.grid).tocsr()
-        self._profile = cfg.waveform.profile(self.grid)
+        # the step's maps on the flat (u block, v block) layout, each read off
+        # its stencil: the predictor acts on [w, fluxes], the fluxes being the
+        # products of the two face-mean maps of self-advection
+        predictor = identity(g.n_vector) + (dt * cfg.nu) * vec_laplacian_matrix(g)
+        if cfg.include_convection:
+            means, flux_div = convection_matrices(g)
+            self._means = means.tocsr()
+            predictor = hstack([predictor, -dt * flux_div])
+        self._predictor = predictor.tocsr()
+        self._div_dt = (divergence_matrix(g) / dt).tocsr()
+        self._dt_grad = (dt * gradient_matrix(g)).tocsr()      # on [p, q]
+
+        # the faces that hold boundary data: the inward g(t) profile on the
+        # inlet, zero on the walls; and each outlet's faces with the factor
+        # OUTWARD times face length that turns their sum into the outward flux
+        u_idx = np.arange(g.n_u).reshape(g.ny, g.nx + 1)
+        v_idx = np.arange(g.n_u, g.n_vector).reshape(g.ny + 1, g.nx)
+
+        def faces(side):
+            return normal_faces(u_idx, v_idx, side)[SIDE_INDEX[side]]
+
+        inlet = faces(g.inlet_side)
+        self._fixed = np.concatenate([inlet] + [faces(side) for side in g.wall_sides])
+        self._fixed_data = np.zeros(self._fixed.size)
+        self._fixed_data[:inlet.size] = -OUTWARD[g.inlet_side] * cfg.waveform.profile(g)
+        self._outlets = [(faces(side), OUTWARD[side] * g.side_measure(side), cfg.windkessel[k])
+                         for k, side in g.outlets]
 
     def initial_state(self) -> FomState:
         g = self.grid
+        w = np.zeros(g.n_vector)
         return FomState(
             grid=g,
-            u=np.zeros((g.ny, g.nx + 1)),
-            v=np.zeros((g.ny + 1, g.nx)),
+            u=w[:g.n_u].reshape(g.ny, g.nx + 1),
+            v=w[g.n_u:].reshape(g.ny + 1, g.nx),
             p=np.zeros((g.ny, g.nx)),
             wk=tuple(WindkesselState(t=self.cfg.t0) for _ in g.outlets),
             t=self.cfg.t0,
@@ -195,51 +233,51 @@ class FomSolver:
 
     def advance(self, state: FomState) -> FomState:
         cfg, g = self.cfg, self.grid
-        dt, nu = cfg.dt, cfg.nu
+        dt = cfg.dt
         t_new = state.t + dt
+        w = flat_faces((state.u, state.v))
 
+        x = w
         if cfg.include_convection:
             # the explicit convection of this state is stable only below CFL 1
-            cfl = dt * max(np.abs(state.u).max() / g.hx, np.abs(state.v).max() / g.hy)
+            speed = np.abs(w)
+            cfl = dt * max(speed[:g.n_u].max() / g.hx, speed[g.n_u:].max() / g.hy)
             if not cfl < 1.0:  # also catches nan
                 raise NumericalError(
                     f"convective CFL {cfl:.3g} >= 1 in the state of step "
                     f"{round((state.t - cfg.t0) / dt)} (t = {state.t:.6g}): the explicit "
                     f"step would be unstable")
+            means = self._means @ w
+            half = means.size // 2
+            x = np.concatenate((w, means[:half] * means[half:]))
 
-        # predictor on the flat (u block, v block) layout; us, vs are its views
-        w = flat_faces((state.u, state.v))
-        rate = nu * (self._lap @ w)
-        if cfg.include_convection:
-            rate -= flat_faces(convection(g, state.u, state.v, state.u, state.v))
-        ws = w + dt * rate
-        us, vs = ws[:g.n_u].reshape(state.u.shape), ws[g.n_u:].reshape(state.v.shape)
-        set_inward(us, vs, g.inlet_side, cfg.waveform.magnitude(t_new) * self._profile)
-        for side in g.wall_sides:  # +0.0: set_inward would store -0.0 on right/top
-            normal_faces(us, vs, side)[SIDE_INDEX[side]] = 0.0
+        # predictor w + dt (nu Lap(w) - div(w (x) w)), then the boundary data
+        ws = self._predictor @ x
+        ws[self._fixed] = cfg.waveform.magnitude(t_new) * self._fixed_data
 
-        fluxes = [normal_flux(g, state.u, state.v, side) for _, side in g.outlets]
-        wk_new = tuple(wk_step(wk, Q, dt, cfg.windkessel[k])
-                       for (k, _), wk, Q in zip(g.outlets, state.wk, fluxes))
-        q = [wk.p for wk in wk_new]
+        fluxes, wk_new = [], []
+        for (faces, scale, params), wk in zip(self._outlets, state.wk):
+            fluxes.append(scale * float(np.sum(w[faces])))
+            wk_new.append(wk_step(wk, fluxes[-1], dt, params))
+        q = np.array([wk.p for wk in wk_new])
 
-        rhs = self._bc(q) - divergence(g, us, vs).ravel() / dt
+        rhs = self._bc(q) - self._div_dt @ ws
         p_flat = self._lu.solve(rhs)
-        res = np.linalg.norm(rhs - self._A @ p_flat)
-        rhs_norm = np.linalg.norm(rhs)
-        res = float(res / rhs_norm) if rhs_norm > 0 else 0.0
+        r = rhs - self._A @ p_flat     # both norms as np.linalg.norm takes them
+        rhs_norm = math.sqrt(rhs.dot(rhs))
+        res = math.sqrt(r.dot(r)) / rhs_norm if rhs_norm > 0 else 0.0
         if not res <= POISSON_RTOL:  # also catches nan
             raise NumericalError(
                 f"pressure Poisson solve failed its residual check (relative residual "
                 f"{res:.3e}, tolerance {POISSON_RTOL:.0e})"
             )
-        p_new = p_flat.reshape(g.ny, g.nx)
 
-        gx, gy = gradient(g, p_new, q)
-        u_new = us - dt * gx
-        v_new = vs - dt * gy
+        # corrector ws - dt grad(p, q); the new u and v are views of it
+        w_new = ws - self._dt_grad @ np.concatenate((p_flat, q))
+        u_new = w_new[:g.n_u].reshape(g.ny, g.nx + 1)
+        v_new = w_new[g.n_u:].reshape(g.ny + 1, g.nx)
 
-        u_ref = max(cfg.waveform.u_sys, np.abs(u_new).max(), np.abs(v_new).max())
+        u_ref = max(cfg.waveform.u_sys, np.abs(w_new).max())
         div_inf = np.abs(divergence(g, u_new, v_new)).max()
         if div_inf > DIV_TOL_FACTOR * u_ref / min(g.hx, g.hy):
             raise NumericalError(
@@ -247,9 +285,9 @@ class FomSolver:
                 f"{DIV_TOL_FACTOR * u_ref / min(g.hx, g.hy):.3e}"
             )
 
-        return FomState(grid=g, u=u_new, v=v_new, p=p_new, wk=wk_new, t=t_new,
-                        poisson_residual=res, div_max=float(div_inf),
-                        outlet_flux=tuple(fluxes))
+        return FomState(grid=g, u=u_new, v=v_new, p=p_flat.reshape(g.ny, g.nx),
+                        wk=tuple(wk_new), t=t_new, poisson_residual=res,
+                        div_max=float(div_inf), outlet_flux=tuple(fluxes))
 
     def run(self) -> "FomResult":
         cfg, g = self.cfg, self.grid

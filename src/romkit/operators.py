@@ -16,9 +16,11 @@ tensor relies on.  The stencils take cell arrays of shape (..., ny, nx) and
 face arrays of shape (..., ny, nx + 1) and (..., ny + 1, nx): leading axes
 are a batch and broadcast.
 
-The sparse matrices are read off these stencils with five colored probes (the
-Poisson matrix is minus the divergence of the face gradient), so each
-discrete operator has one representation.
+The sparse matrices are read off these stencils with colored probes, so each
+discrete operator has one representation: the Poisson matrix (minus the
+divergence of the face gradient), the vector Laplacian, the divergence, the
+gradient with its outlet-datum columns, and self-advection as the flux
+divergence of products of two face-mean maps of the velocity.
 
 scipy is imported only where a sparse matrix is built or factored, so that
 loading a bundle and running the online stage import numpy alone.  ``splu``
@@ -71,21 +73,32 @@ def cg(A, b, **kwargs):
 
 
 def _probed_matrix(stencil, shapes):
-    """The matrix of a linear 5-point ``stencil`` of arrays of the given
-    (ny, nx) shapes, on their flat layout, read off five probes.  Color
-    (i + 2j) mod 5 of entry (j, i) differs across every 5-point stencil
-    (Curtis, Powell & Reid 1974) and the arrays do not couple, so probe c
-    holds at entry r the coefficient of r's one neighbour of color c.
-    Returns a scipy CSC matrix."""
-    colors = [(np.arange(nx) + 2 * np.arange(ny)[:, None]) % 5 for ny, nx in shapes]
-    probes = [(c == np.arange(5)[:, None, None]).astype(np.float64) for c in colors]
-    probed, color = flat_faces(stencil(*probes)), flat_faces(colors)
-    c, r = np.nonzero(probed)
-    # color c - color[r] (mod 5) is the neighbour's step: 0, +i, +j, -j or -i
-    width = np.concatenate([np.full(ny * nx, nx) for ny, nx in shapes])[r]
-    step = np.choose((c - color[r]) % 5, [0, 1, width, -width, -1])
+    """The matrix of a linear ``stencil`` from arrays of the given (ny, nx)
+    shapes to one or more output arrays, on their flat layouts, read off
+    colored probes; the arrays may differ in shape and number on either side.
+    Color (i + 2j) mod 5 of entry (j, i) differs across every 5-point
+    neighbourhood (Curtis, Powell & Reid 1974), and each input array has five
+    colors of its own, so an output entry that depends on a 5-point
+    neighbourhood of each input sees at most one entry per color: probe c,
+    ones on color c, gives that entry's coefficient, and probe c weighted by
+    each entry's flat index + 1 names its column.  So ten probes per input
+    array, whatever the grid, and no dense identity.  Returns a scipy CSC
+    matrix; raises ValueError for a stencil that reaches further."""
+    color = flat_faces([5 * k + (np.arange(nx) + 2 * np.arange(ny)[:, None]) % 5
+                        for k, (ny, nx) in enumerate(shapes)])
+    n_colors = 5 * len(shapes)
+    ones = (color == np.arange(n_colors)[:, None]).astype(np.float64)
+    probes = np.concatenate([ones, ones * np.arange(1, color.size + 1)])
+    ends = np.cumsum([ny * nx for ny, nx in shapes])
+    out = flat_faces(stencil(*(a.reshape(-1, ny, nx) for a, (ny, nx)
+                               in zip(np.split(probes, ends[:-1], axis=1), shapes))))
+    value, named = out[:n_colors], out[n_colors:]
+    c, r = np.nonzero(value)
+    column = np.rint(named[c, r] / value[c, r]).astype(np.int64) - 1
+    if not (np.all((column >= 0) & (column < color.size)) and np.array_equal(color[column], c)):
+        raise ValueError("the stencil couples two entries of one color of an input")
     from scipy.sparse import csc_matrix
-    return csc_matrix((probed[c, r], (r, r + step)), shape=(color.size,) * 2)
+    return csc_matrix((value[c, r], (r, column)), shape=(out.shape[1], color.size))
 
 
 def vec_laplacian(grid: Grid, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,6 +130,22 @@ def vec_laplacian_matrix(grid: Grid):
     """vec_laplacian as a matrix on the flat (u block, v block) layout."""
     return _probed_matrix(lambda u, v: vec_laplacian(grid, u, v),
                           [(grid.ny, grid.nx + 1), (grid.ny + 1, grid.nx)])
+
+
+def divergence_matrix(grid: Grid):
+    """divergence as a matrix from the flat (u block, v block) layout to cells."""
+    return _probed_matrix(lambda u, v: (divergence(grid, u, v),),
+                          [(grid.ny, grid.nx + 1), (grid.ny + 1, grid.nx)])
+
+
+def gradient_matrix(grid: Grid):
+    """gradient as a matrix from the flat [p, q] -- the cells, then one outlet
+    datum per outlet in ``grid.outlets`` order -- to the flat (u block,
+    v block) layout."""
+    def stencil(p, q):   # q: (..., 1, n_outlets)
+        return _face_gradient(grid, p, [(side, q[..., k]) for k, (_, side)
+                                        in enumerate(grid.outlets)])
+    return _probed_matrix(stencil, [(grid.ny, grid.nx), (1, len(grid.outlets))])
 
 
 def _outlet_data(grid: Grid, q) -> np.ndarray:
@@ -159,36 +188,72 @@ def gradient(grid: Grid, p: np.ndarray, q=None) -> tuple[np.ndarray, np.ndarray]
     return _face_gradient(grid, p, [(side, d) for (_, side), d in zip(grid.outlets, q)])
 
 
-def convection(grid: Grid, au: np.ndarray, av: np.ndarray,
-               bu: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """div(a (x) b) at advanced faces: a advects b. Bilinear in (a, b)."""
-    hx, hy = grid.hx, grid.hy
+def _x_means(u: np.ndarray) -> np.ndarray:
+    """u at the cell centers (means of x-face pairs), with its left and right
+    boundary faces at either end: (..., ny, nx + 2)."""
+    return np.concatenate([u[..., :1], 0.5 * (u[..., :-1] + u[..., 1:]), u[..., -1:]], axis=-1)
 
-    # x-momentum: d/dx(a_u b_u) + d/dy(a_v b_u)
-    fx = 0.25 * (au[..., :-1] + au[..., 1:]) * (bu[..., :-1] + bu[..., 1:])  # (ny, nx) centers
-    fxe = np.concatenate([au[..., :1] * bu[..., :1], fx, au[..., -1:] * bu[..., -1:]], axis=-1)
-    ave = _ext_v_x(grid, av)
-    bue = _ext_u_y(grid, bu)
-    a_node = 0.5 * (ave[..., :-1] + ave[..., 1:])                       # (ny+1, nx+1)
-    b_node = 0.5 * (bue[..., :-1, :] + bue[..., 1:, :])                 # (ny+1, nx+1)
-    gy_flux = a_node * b_node
-    cu = (fxe[..., 1:] - fxe[..., :-1]) / hx + (gy_flux[..., 1:, :] - gy_flux[..., :-1, :]) / hy
 
-    # y-momentum: d/dy(a_v b_v) + d/dx(a_u b_v)
-    fy = 0.25 * (av[..., :-1, :] + av[..., 1:, :]) * (bv[..., :-1, :] + bv[..., 1:, :])
-    fye = np.concatenate([av[..., :1, :] * bv[..., :1, :], fy, av[..., -1:, :] * bv[..., -1:, :]],
-                         axis=-2)
-    aue = _ext_u_y(grid, au)
-    bve = _ext_v_x(grid, bv)
-    a_node2 = 0.5 * (aue[..., :-1, :] + aue[..., 1:, :])                # (ny+1, nx+1)
-    b_node2 = 0.5 * (bve[..., :-1] + bve[..., 1:])                      # (ny+1, nx+1)
-    gx_flux = a_node2 * b_node2
-    cv = (fye[..., 1:, :] - fye[..., :-1, :]) / hy + (gx_flux[..., 1:] - gx_flux[..., :-1]) / hx
+def _y_means(v: np.ndarray) -> np.ndarray:
+    """v at the cell centers, with its bottom and top boundary faces at either
+    end: (..., ny + 2, nx)."""
+    return np.concatenate([v[..., :1, :], 0.5 * (v[..., :-1, :] + v[..., 1:, :]), v[..., -1:, :]],
+                          axis=-2)
 
+
+def _u_nodes(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """u at the cell corners, with the ghost rows: (..., ny + 1, nx + 1)."""
+    ue = _ext_u_y(grid, u)
+    return 0.5 * (ue[..., :-1, :] + ue[..., 1:, :])
+
+
+def _v_nodes(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """v at the cell corners, with the ghost columns: (..., ny + 1, nx + 1)."""
+    ve = _ext_v_x(grid, v)
+    return 0.5 * (ve[..., :-1] + ve[..., 1:])
+
+
+def _flux_divergence(grid: Grid, fxx, fyx, fyy, fxy) -> tuple[np.ndarray, np.ndarray]:
+    """Momentum-flux divergence at advanced faces: x-momentum from the
+    center flux fxx and node flux fyx, y-momentum from fyy and fxy."""
+    cu = (fxx[..., 1:] - fxx[..., :-1]) / grid.hx + (fyx[..., 1:, :] - fyx[..., :-1, :]) / grid.hy
+    cv = (fyy[..., 1:, :] - fyy[..., :-1, :]) / grid.hy + (fxy[..., 1:] - fxy[..., :-1]) / grid.hx
     fu, fv = grid.fixed_masks
     np.copyto(cu, 0.0, where=fu)
     np.copyto(cv, 0.0, where=fv)
     return cu, cv
+
+
+def convection(grid: Grid, au: np.ndarray, av: np.ndarray,
+               bu: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """div(a (x) b) at advanced faces: a advects b. Bilinear in (a, b).
+
+    Each flux is a product of a face mean of a and one of b: d/dx(a_u b_u) +
+    d/dy(a_v b_u) for u, d/dy(a_v b_v) + d/dx(a_u b_v) for v.
+    Self-advection (``bu is au`` and ``bv is av``) takes each mean and the
+    node flux the two components share once, with the same result bit for
+    bit."""
+    xa, ya, ua, va = _x_means(au), _y_means(av), _u_nodes(grid, au), _v_nodes(grid, av)
+    if au is bu and av is bv:
+        node = va * ua
+        return _flux_divergence(grid, xa * xa, node, ya * ya, node)
+    return _flux_divergence(grid, xa * _x_means(bu), va * _u_nodes(grid, bu),
+                            ya * _y_means(bv), ua * _v_nodes(grid, bv))
+
+
+def convection_matrices(grid: Grid):
+    """Self-advection as matrices on the flat (u block, v block) layout w:
+    convection(w, w) = D ((S w)[:n] * (S w)[n:]).  The first half of S w
+    holds the x-means of u, v at the nodes and the y-means of v, the second
+    half the same with u at the nodes; D is the flux divergence of their
+    products, whose node flux serves both components.  Returns (S, D)."""
+    ny, nx = grid.ny, grid.nx
+    S = _probed_matrix(lambda u, v: (_x_means(u), _v_nodes(grid, v), _y_means(v),
+                                     _x_means(u), _u_nodes(grid, u), _y_means(v)),
+                       [(ny, nx + 1), (ny + 1, nx)])
+    D = _probed_matrix(lambda fxx, node, fyy: _flux_divergence(grid, fxx, node, fyy, node),
+                       [(ny, nx + 2), (ny + 1, nx + 1), (ny + 2, nx)])
+    return S, D
 
 
 def center_laplacian(grid: Grid, dirichlet_sides: frozenset | set = frozenset()):

@@ -232,15 +232,71 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
                             d5=d5, d6=d6, d7=d7, nu=float(nu))
 
 
+@dataclass(frozen=True, eq=False)
+class ReducedStep:
+    """The trajectory-independent part of a semi-implicit step of size ``dt``.
+
+    With S the inverse of the saddle matrix [[I/dt - nu B, K], [P, 0]], step
+    m -> m+1 is [a_{m+1}; b_{m+1}] = S times the explicit right-hand side.
+    That is linear in the boundary data s_m = [g_{m+1}, q_{m+1}, dg/dt_{m+1},
+    g_m^2] through ``forcing`` and bilinear in z_m = [1, g_m, a_m] and a_m
+    through ``quad``: row k (n_u + n_p) + i, column j of ``quad`` is the
+    coefficient of z_k a_j in entry i of [a_{m+1}; b_{m+1}].
+    """
+
+    dt: float
+    cond: float            # 2-norm condition number of the saddle matrix
+    forcing: np.ndarray    # (n_u + n_p, n_outlets + 3)
+    quad: np.ndarray       # ((n_u + 2)(n_u + n_p), n_u), Fortran order
+
+
+def prepare_step(ops: ReducedOperators, dt: float) -> ReducedStep:
+    """Check, invert and fold the saddle matrix of step size ``dt``.
+
+    Raises StabilityError when the saddle matrix is numerically singular
+    (condition number above SADDLE_COND_LIMIT), as it is on a velocity
+    basis without supremizers.
+    """
+    n_u, n_p = ops.n_u, ops.n_p
+    M = np.block([[np.eye(n_u) / dt - ops.nu * ops.B, ops.K],
+                  [ops.P, np.zeros((n_p, n_p))]])
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > SADDLE_COND_LIMIT:
+        raise StabilityError(
+            f"reduced saddle matrix is numerically singular "
+            f"(cond ~ {cond:.2e}); enrich the velocity basis with "
+            f"supremizer modes before integrating"
+        )
+    S = np.linalg.inv(M)
+    # one right-hand-side column per entry of s_m: the lifting terms at
+    # t_{m+1}, the explicit g^2 d4 convection term at t_m
+    boundary = np.zeros((n_u + n_p, ops.n_outlets + 3))
+    boundary[:n_u] = np.column_stack([ops.nu * ops.d1, -ops.d5.T, -ops.d6, -ops.d4])
+    boundary[n_u:, 0] = -ops.d7
+    # the rest of the right-hand side, on the entries of outer([1, g_m, a_m], a_m)
+    L = S[:, :n_u] @ np.hstack([np.eye(n_u) / dt, -(ops.d2 + ops.d3),
+                                -ops.Ct.reshape(n_u, n_u * n_u)])
+    # in Fortran order the matvec with a_m adds up n_u long columns instead of
+    # taking (n_u + 2)(n_u + n_p) short dot products: about 15% off a step
+    quad = L.reshape(n_u + n_p, n_u + 2, n_u).transpose(1, 0, 2).reshape(-1, n_u)
+    return ReducedStep(dt=float(dt), cond=float(cond), forcing=S @ boundary,
+                       quad=np.asfortranarray(quad))
+
+
 def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Waveform,
-                  p_d=None, b0=None) -> ReducedTrajectory:
+                  p_d=None, b0=None, *, step: ReducedStep | None = None) -> ReducedTrajectory:
     """Semi-implicit Euler integration of the reduced system on a uniform grid.
 
     ``p_d`` is the (T, n_outlets) array of outlet pressures at the times, or
-    None for homogeneous outlet pressure.  The saddle matrix of the one step
-    size is inverted once and all boundary forcing is mapped through that
-    inverse before the loop, so a step is one outer product into a reused
-    buffer, one matvec and one in-place add.
+    None for homogeneous outlet pressure.  ``step`` is prepare_step of these
+    operators at the times' spacing, made once for any number of calls; a
+    call without it prepares its own, and so checks and inverts the saddle
+    matrix itself.  Row m of one trajectory array holds [s_m, 1, g_m, a_m,
+    b_m], the boundary data s_m of step m -> m+1 filled in before the loop,
+    so a step is two matvecs: ``quad`` times a_m gives the a_m-dependent rows
+    of a buffer whose other rows are ``forcing``, and the buffer times the
+    head [s_m, 1, g_m, a_m] of row m is the tail [a_{m+1}, b_{m+1}] of row
+    m + 1.
     The pressure multiplier only exists from the first step onward; ``b0``
     seeds the reported initial value (backfilled from step one when omitted).
     The trajectory carries the saddle matrix's condition number as checked
@@ -256,48 +312,34 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
     if a0.shape != (ops.n_u,):
         raise ShapeError(f"a0 must have length {ops.n_u}")
     q = _outlet_array(p_d, times.size, ops.n_outlets)
+    n_u, n_p, n_s = ops.n_u, ops.n_p, ops.n_outlets + 3
+    if step is None:
+        step = prepare_step(ops, dt)
+    elif not (abs(step.dt - dt) <= 1e-6 * dt
+              and step.forcing.shape == (n_u + n_p, n_s)
+              and step.quad.shape == ((n_u + 2) * (n_u + n_p), n_u)):
+        raise ShapeError(f"the prepared step (dt {step.dt!r}) is not one of these operators "
+                         f"at step {dt!r}")
 
-    n_u, n_p = ops.n_u, ops.n_p
-    M = np.block([[np.eye(n_u) / dt - ops.nu * ops.B, ops.K],
-                  [ops.P, np.zeros((n_p, n_p))]])
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > SADDLE_COND_LIMIT:
-        raise StabilityError(
-            f"reduced saddle matrix is numerically singular "
-            f"(cond ~ {cond:.2e}); enrich the velocity basis with "
-            f"supremizer modes before integrating"
-        )
-    S = np.linalg.inv(M)
-
-    # boundary forcing of step m -> m+1, mapped through S: lifting terms at
-    # t_{m+1}, the explicit g^2 d4 convection term at t_m
     g = waveform.magnitude(times)
-    forcing = np.hstack([
-        (ops.nu * g[1:, None]) * ops.d1 - q[1:] @ ops.d5
-        - waveform.magnitude_dot(times[1:])[:, None] * ops.d6 - (g[:-1, None] ** 2) * ops.d4,
-        -g[1:, None] * ops.d7,
-    ])
-    # row m of sol is [1, g_m, a_m, b_m]: its first n_u + 2 entries are the
-    # z = [1, g_m, a_m] that the rest of step m -> m+1 is linear in
-    sol = np.empty((times.size, n_u + n_p + 2))
-    sol[:, 0] = 1.0
-    sol[:, 1] = g
-    sol[0, 2:n_u + 2] = a0
-    sol[1:, 2:] = forcing @ S.T
+    sol = np.empty((times.size, n_s + n_u + n_p + 2))
+    sol[:-1, 0] = g[1:]
+    sol[:-1, 1:n_s - 2] = q[1:]
+    sol[:-1, n_s - 2] = waveform.magnitude_dot(times[1:])
+    np.square(g[:-1], out=sol[:-1, n_s - 1])
+    sol[:, n_s] = 1.0
+    sol[:, n_s + 1] = g
+    sol[0, n_s + 2:n_s + 2 + n_u] = a0
 
-    # the rest of a step is one matvec on the rows of outer([1, g_m, a], a),
-    # i.e. on [a; g_m a; a (x) a]: L = S[:, :n_u] [I/dt, -(d2 + d3), -Ct]
-    L = S[:, :n_u] @ np.hstack([np.eye(n_u) / dt, -(ops.d2 + ops.d3),
-                                -ops.Ct.reshape(n_u, n_u * n_u)])
-    outer = np.empty((n_u + 2, n_u))
-    flat, inc = outer.reshape(-1), np.empty(n_u + n_p)
-    z, a_row, tail = sol[:-1, :n_u + 2, None], sol[:-1, None, 2:n_u + 2], sol[1:, 2:]
-    for z_m, a_m, row in zip(z, a_row, tail):   # views of rows m and m + 1
-        np.multiply(z_m, a_m, out=outer)
-        np.dot(L, flat, out=inc)
-        np.add(row, inc, out=row)
-    a, b = sol[:, 2:n_u + 2], sol[:, n_u + 2:]
-    if not np.all(np.isfinite(sol[1:, 2:])):
+    buf = np.empty((n_s + n_u + 2, n_u + n_p))
+    buf[:n_s] = step.forcing.T
+    quad_rows, buf_t, quad = buf[n_s:].reshape(-1), buf.T, step.quad
+    head, a_row, tail = sol[:-1, :n_s + n_u + 2], sol[:-1, n_s + 2:n_s + n_u + 2], sol[1:, n_s + 2:]
+    for h_m, a_m, row in zip(head, a_row, tail):   # views of rows m and m + 1
+        np.dot(quad, a_m, out=quad_rows)
+        np.dot(buf_t, h_m, out=row)
+    a, b = sol[:, n_s + 2:n_s + n_u + 2], sol[:, n_s + n_u + 2:]
+    if not np.all(np.isfinite(sol[1:, n_s + 2:])):
         raise NumericalError("reduced trajectory diverged")
     if b0 is None:
         b[0] = b[1]
@@ -306,7 +348,7 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
         if b0.shape != (n_p,):
             raise ShapeError(f"b0 must have length {n_p}")
         b[0] = b0
-    return ReducedTrajectory(times.copy(), a, b, saddle_cond=float(cond))
+    return ReducedTrajectory(times.copy(), a, b, saddle_cond=step.cond)
 
 
 def reconstruct(basis_u: ReducedBasis, basis_p: ReducedBasis | None,

@@ -312,6 +312,31 @@ class TestLayouts:
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
     @settings(max_examples=40, deadline=None)
+    @given(layouts(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_step_matrices_match_stencils(self, grid, convective, seed):
+        """The solver's predictor (on [w, the self-advection fluxes] with
+        convection on, on w without), its Div/dt and its dt Grad on [p, q]
+        apply the stencils to 1e-13 relative, on random fields and outlet data."""
+        solver, s = _layout_solver(grid, seed=seed)
+        if not convective:
+            solver = FomSolver(dataclasses.replace(solver.cfg, include_convection=False))
+        cfg, rng = solver.cfg, np.random.default_rng(seed)
+        w = flat_faces((s.u, s.v))
+        rate = cfg.nu * flat_faces(vec_laplacian(grid, s.u, s.v))
+        x = w
+        if convective:
+            rate -= flat_faces(convection(grid, s.u, s.v, s.u, s.v))
+            means = solver._means @ w
+            x = np.concatenate([w, means[:means.size // 2] * means[means.size // 2:]])
+        p = rng.standard_normal((grid.ny, grid.nx))
+        q = rng.uniform(-5.0, 5.0, len(grid.outlets))
+        for got, want in ((solver._predictor @ x, w + cfg.dt * rate),
+                          (solver._div_dt @ w, divergence(grid, s.u, s.v).ravel() / cfg.dt),
+                          (solver._dt_grad @ np.concatenate([p.ravel(), q]),
+                           cfg.dt * flat_faces(gradient(grid, p, q)))):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @settings(max_examples=40, deadline=None)
     @given(layouts(), st.integers(0, 2**32 - 1))
     def test_direct_solves_reach_residual(self, grid, seed):
         """The FOM Poisson step, the velocity-lifting potential and the block

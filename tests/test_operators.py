@@ -8,10 +8,15 @@ from romkit.errors import ConfigurationError, ShapeError
 from romkit.grid import SIDES, Field, Grid, inner_product, side_flux
 from romkit.operators import (
     _face_gradient,
+    _probed_matrix,
     center_laplacian,
     convection,
+    convection_matrices,
     divergence,
+    divergence_matrix,
+    flat_faces,
     gradient,
+    gradient_matrix,
     vec_laplacian,
     vec_laplacian_matrix,
 )
@@ -98,6 +103,37 @@ class TestLayoutProperties:
         direct = np.concatenate([lu.ravel(), lv.ravel()])
         probed = vec_laplacian_matrix(grid) @ f.values
         assert np.abs(probed - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts(), st.integers(0, 2**32 - 1))
+    def test_step_matrices_match_stencils(self, grid, seed):
+        """The divergence, the gradient on [p, q] with random outlet data q,
+        and self-advection as D((S w)[:n] * (S w)[n:]) each apply their
+        stencil to 1e-13 relative; self-advection also equals convection(a, b)
+        with b a copy of a, bit for bit."""
+        rng = np.random.default_rng(seed)
+        f = random_vector(grid, rng)
+        p = rng.standard_normal((grid.ny, grid.nx))
+        q = rng.uniform(-5.0, 5.0, len(grid.outlets))
+        S, D = convection_matrices(grid)
+        means = S @ f.values
+        half = means.size // 2
+        shared = convection(grid, f.u, f.v, f.u, f.v)
+        for got, want in ((divergence_matrix(grid) @ f.values, divergence(grid, f.u, f.v).ravel()),
+                          (gradient_matrix(grid) @ np.concatenate([p.ravel(), q]),
+                           flat_faces(gradient(grid, p, q))),
+                          (D @ (means[:half] * means[half:]), flat_faces(shared))):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        general = convection(grid, f.u, f.v, f.u.copy(), f.v.copy())
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(shared, general))
+
+
+def test_probe_refuses_a_wider_stencil(grid):
+    """A stencil that couples two entries of one color cannot be read off
+    the colored probes, and the probe says so."""
+    with pytest.raises(ValueError, match="two entries of one color"):
+        _probed_matrix(lambda p: (p[..., :, 5:] + p[..., :, :-5],), [(grid.ny, grid.nx)])
 
 
 def test_stacked_stencils_match_per_field_calls(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -12,7 +13,7 @@ import pytest
 
 from romkit import fom, pipeline, rom
 from romkit.cli import main as cli_main
-from romkit.errors import ConfigurationError, FormatError
+from romkit.errors import ConfigurationError, FormatError, StabilityError
 from romkit.fom import fom_run
 from romkit.grid import SnapshotSet
 from romkit.lifting import LiftingPair
@@ -255,7 +256,8 @@ class TestOffline:
 
     def test_online_imports_no_scipy(self, bundle_dir, tmp_path):
         """Loading a bundle and querying it, in the API and through the CLI,
-        never imports scipy: only building and factoring sparse matrices does."""
+        never imports scipy: only building and factoring sparse matrices does.
+        Nor numpy.ma, which np.median imports on its first call."""
         code = f"""
 import sys
 import numpy as np
@@ -270,7 +272,8 @@ online(bundle, query_times=np.linspace(t[0], t[-1] + 0.05 * (t[-1] - t[0]), 7),
 assert cli.main(["online", "--bundle", {str(bundle_dir)!r},
                  "--out", {str(tmp_path / "run")!r}]) == 0
 assert fom.cg is lifting.cg is rom.cg is operators.cg
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
 """
         assert _run_fresh(code).splitlines()[-1] == "[]"
         assert (tmp_path / "run" / "errors.csv").exists()
@@ -491,6 +494,33 @@ class TestOnline:
             rec, _ = online(bundle, query_times=np.array([times[3], t_end]),
                             dt_r=dt_mult * bundle.dt_fom, timing_reps=1)
         assert np.all(np.isfinite(rec.velocity.values)) and np.all(np.isfinite(rec.pressure.values))
+
+    def test_timed_solve_evaluates_the_curve(self, bundle, monkeypatch):
+        """Each timed repetition reads every outlet's curve at the steps once,
+        and the reconstruction reads it once more at the query instants."""
+        calls = []
+        predict = pipeline.predict_outflow
+
+        def counted(model, t):
+            calls.append(np.size(t))
+            return predict(model, t)
+
+        monkeypatch.setattr(pipeline, "predict_outflow", counted)
+        online(bundle, timing_reps=3)
+        n_out = len(bundle.nn_models)
+        t = bundle.train.times
+        n_steps = round((t[-1] - t[0]) / bundle.dt_fom) + 1     # dt_r = dt_fom over the window
+        assert calls == [n_steps] * (3 * n_out) + [bundle.train.times.size] * n_out
+
+    def test_supremizer_free_operators_raise(self, bundle):
+        """With the supremizer columns of the divergence constraint zeroed the
+        saddle matrix is singular, and online() says so before any solve."""
+        P = bundle.operators.P.copy()
+        P[:, bundle.basis_u.n_primary:] = 0.0
+        crippled = dataclasses.replace(bundle,
+                                       operators=dataclasses.replace(bundle.operators, P=P))
+        with pytest.raises(StabilityError, match="supremizer"):
+            online(crippled, timing_reps=1)
 
     def test_saddle_condition_reported(self, bundle, tmp_path):
         _, report = online(bundle, timing_reps=1)

@@ -15,6 +15,7 @@ from romkit.rom import (
     ReducedTrajectory,
     assemble_operators,
     integrate_rom,
+    prepare_step,
     reconstruct,
     supremizer_enrich,
 )
@@ -45,6 +46,23 @@ def _stokes(ops):
     """The operators with every convection tensor zeroed."""
     return dataclasses.replace(ops, Ct=np.zeros_like(ops.Ct), d2=np.zeros_like(ops.d2),
                                d3=np.zeros_like(ops.d3), d4=np.zeros_like(ops.d4))
+
+
+def _random_problem(rng, n_p, n_u=6, n_out=2):
+    """(ops, a0, times, waveform, q): random operators, so that every
+    convection and lifting term counts, on 25 uniform steps."""
+    A = rng.standard_normal((n_u, n_u))
+    K = rng.standard_normal((n_u, n_p))
+    ops = ReducedOperators(
+        B=-(A @ A.T) - np.eye(n_u), Ct=0.3 * rng.standard_normal((n_u,) * 3), K=K, P=-K.T,
+        d1=rng.standard_normal(n_u), d2=rng.standard_normal((n_u, n_u)),
+        d3=rng.standard_normal((n_u, n_u)), d4=rng.standard_normal(n_u),
+        d5=rng.standard_normal((n_out, n_u)), d6=rng.standard_normal(n_u),
+        d7=rng.standard_normal(n_p), nu=0.05)
+    wf = Waveform(kind="pulse", u_sys=1.0, t_cycle=0.24, systole_frac=0.4)
+    times = np.linspace(0.0, 0.12, 25)
+    q = rng.standard_normal((times.size, n_out))
+    return ops, 0.1 * rng.standard_normal(n_u), times, wf, q
 
 
 def _dense_oracle(ops, a0, times, wf, q):
@@ -313,6 +331,31 @@ class TestIntegrate:
         with pytest.raises(StabilityError):
             integrate_rom(ops, np.zeros(ops.n_u), np.linspace(0, 0.1, 11), s["wf"], None)
 
+    def test_prepare_step_rejects_missing_supremizers(self, stokes_setup):
+        s = stokes_setup
+        ops = assemble_operators(s["basis_u"], s["basis_p"], s["lift"], s["cfg"].nu, s["grid"])
+        with pytest.raises(StabilityError):
+            prepare_step(ops, 0.01)
+
+    @pytest.mark.parametrize("n_p", [0, 3])
+    def test_prepared_step_matches_plain_call(self, rng, n_p):
+        """integrate_rom with a step prepared once gives the trajectory of a
+        call that prepares its own, to 1e-12 relative; a step of another size
+        or of other operators is refused."""
+        ops, a0, times, wf, q = _random_problem(rng, n_p)
+        step = prepare_step(ops, times[1] - times[0])
+        plain = integrate_rom(ops, a0, times, wf, q)
+        for _ in range(2):   # a prepared step serves any number of calls
+            traj = integrate_rom(ops, a0, times, wf, q, step=step)
+            for got, want in ((traj.a, plain.a), (traj.b, plain.b)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert traj.saddle_cond == step.cond == plain.saddle_cond
+        with pytest.raises(ShapeError, match="prepared step"):
+            integrate_rom(ops, a0, times, wf, q, step=prepare_step(ops, 2 * (times[1] - times[0])))
+        fewer = ops.subset(np.arange(ops.n_u - 1), n_p)
+        with pytest.raises(ShapeError, match="prepared step"):
+            integrate_rom(fewer, a0[:-1], times, wf, q, step=step)
+
     def test_energy_decay_unforced(self, stokes_setup, rng):
         s = stokes_setup
         enriched = supremizer_enrich(s["basis_u"], s["basis_p"], s["grid"])
@@ -350,20 +393,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("n_p", [0, 3])
     def test_matches_dense_per_step_solve(self, rng, n_p):
-        # random operators, so that every convection and lifting term counts
-        n_u, n_out = 6, 2
-        A = rng.standard_normal((n_u, n_u))
-        K = rng.standard_normal((n_u, n_p))
-        ops = ReducedOperators(
-            B=-(A @ A.T) - np.eye(n_u), Ct=0.3 * rng.standard_normal((n_u,) * 3), K=K, P=-K.T,
-            d1=rng.standard_normal(n_u), d2=rng.standard_normal((n_u, n_u)),
-            d3=rng.standard_normal((n_u, n_u)), d4=rng.standard_normal(n_u),
-            d5=rng.standard_normal((n_out, n_u)), d6=rng.standard_normal(n_u),
-            d7=rng.standard_normal(n_p), nu=0.05)
-        wf = Waveform(kind="pulse", u_sys=1.0, t_cycle=0.24, systole_frac=0.4)
-        times = np.linspace(0.0, 0.12, 25)
-        q = rng.standard_normal((times.size, n_out))
-        a0 = 0.1 * rng.standard_normal(n_u)
+        ops, a0, times, wf, q = _random_problem(rng, n_p)
+        n_u, K = ops.n_u, ops.K
         a_ref, b_ref = _dense_oracle(ops, a0, times, wf, q)
         traj = integrate_rom(ops, a0, times, wf, q)
         assert np.abs(traj.a - a_ref).max() <= 1e-10 * np.abs(a_ref).max()
