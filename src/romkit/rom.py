@@ -318,7 +318,7 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
     elif not (abs(step.dt - dt) <= 1e-6 * dt
               and step.forcing.shape == (n_u + n_p, n_s)
               and step.quad.shape == ((n_u + 2) * (n_u + n_p), n_u)):
-        raise ShapeError(f"the prepared step (dt {step.dt!r}) is not one of these operators "
+        raise ShapeError(f"the prepared step (dt {step.dt!r}) does not fit these operators "
                          f"at step {dt!r}")
 
     g = waveform.magnitude(times)

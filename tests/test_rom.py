@@ -340,8 +340,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("n_p", [0, 3])
     def test_prepared_step_matches_plain_call(self, rng, n_p):
         """integrate_rom with a step prepared once gives the trajectory of a
-        call that prepares its own, to 1e-12 relative; a step of another size
-        or of other operators is refused."""
+        call that prepares its own, to 1e-12 relative; a step of another size,
+        or prepared for another number of modes, is refused."""
         ops, a0, times, wf, q = _random_problem(rng, n_p)
         step = prepare_step(ops, times[1] - times[0])
         plain = integrate_rom(ops, a0, times, wf, q)
