@@ -15,9 +15,9 @@ coupling:
                  checked to relative residual 1e-10
   5. corrector   u = u* - dt grad(p)
 
-The state advances as one flat (u block, v block) vector w, and each linear
-map of the step is a sparse matrix that operators.py reads off its stencil,
-built once per solver:
+A step works on the flat (u block, v block) vector w of the state, and each
+linear map of the step is a sparse matrix that operators.py reads off its
+stencil, built once per solver:
 
   predictor   u* = [I + dt nu L, -dt D] [w; (S_a w) * (S_b w)], with
               self-advection div(w (x) w) = D ((S_a w) * (S_b w)) the flux
@@ -163,8 +163,8 @@ class FomConfig:
 @dataclass
 class FomState:
     grid: Grid
-    u: np.ndarray                   # in the states FomSolver makes, u and v are views
-    v: np.ndarray                   # of one flat (u block, v block) vector
+    u: np.ndarray
+    v: np.ndarray
     p: np.ndarray
     wk: tuple                       # WindkesselState per outlet, grid.outlets order
     t: float
@@ -221,11 +221,10 @@ class FomSolver:
 
     def initial_state(self) -> FomState:
         g = self.grid
-        w = np.zeros(g.n_vector)
         return FomState(
             grid=g,
-            u=w[:g.n_u].reshape(g.ny, g.nx + 1),
-            v=w[g.n_u:].reshape(g.ny + 1, g.nx),
+            u=np.zeros((g.ny, g.nx + 1)),
+            v=np.zeros((g.ny + 1, g.nx)),
             p=np.zeros((g.ny, g.nx)),
             wk=tuple(WindkesselState(t=self.cfg.t0) for _ in g.outlets),
             t=self.cfg.t0,
@@ -272,7 +271,7 @@ class FomSolver:
                 f"{res:.3e}, tolerance {POISSON_RTOL:.0e})"
             )
 
-        # corrector ws - dt grad(p, q); the new u and v are views of it
+        # corrector ws - dt grad(p, q)
         w_new = ws - self._dt_grad @ np.concatenate((p_flat, q))
         u_new = w_new[:g.n_u].reshape(g.ny, g.nx + 1)
         v_new = w_new[g.n_u:].reshape(g.ny + 1, g.nx)

@@ -83,19 +83,32 @@ def _probed_matrix(stencil, shapes):
     ones on color c, gives that entry's coefficient, and probe c weighted by
     each entry's flat index + 1 names its column.  So ten probes per input
     array, whatever the grid, and no dense identity.  Returns a scipy CSC
-    matrix; raises ValueError for a stencil that reaches further."""
+    matrix.  A stencil that reaches further couples two entries of one
+    color; the named column then falls between them, and where it lands on
+    an entry of that color (a reach of 10 along a row) only applying the
+    matrix shows the fault, so the matrix is checked against the stencil on
+    one random input.  Raises ValueError on either fault."""
     color = flat_faces([5 * k + (np.arange(nx) + 2 * np.arange(ny)[:, None]) % 5
                         for k, (ny, nx) in enumerate(shapes)])
     n_colors = 5 * len(shapes)
     ones = (color == np.arange(n_colors)[:, None]).astype(np.float64)
     probes = np.concatenate([ones, ones * np.arange(1, color.size + 1)])
     ends = np.cumsum([ny * nx for ny, nx in shapes])
-    out = flat_faces(stencil(*(a.reshape(-1, ny, nx) for a, (ny, nx)
-                               in zip(np.split(probes, ends[:-1], axis=1), shapes))))
+
+    def apply(x):   # the stencil on the rows of x, flat in and out
+        return flat_faces(stencil(*(a.reshape(-1, ny, nx) for a, (ny, nx)
+                                    in zip(np.split(x, ends[:-1], axis=1), shapes))))
+
+    out = apply(probes)
     value, named = out[:n_colors], out[n_colors:]
     c, r = np.nonzero(value)
     column = np.rint(named[c, r] / value[c, r]).astype(np.int64) - 1
     if not (np.all((column >= 0) & (column < color.size)) and np.array_equal(color[column], c)):
+        raise ValueError("the stencil couples two entries of one color of an input")
+    x = np.random.default_rng(0).standard_normal(color.size)
+    terms = value[c, r] * x[column]
+    applied, scale = (np.bincount(r, t, out.shape[1]) for t in (terms, np.abs(terms)))
+    if not np.all(np.abs(applied - apply(x[None])[0]) <= 1e-12 * scale):
         raise ValueError("the stencil couples two entries of one color of an input")
     from scipy.sparse import csc_matrix
     return csc_matrix((value[c, r], (r, column)), shape=(out.shape[1], color.size))
@@ -229,16 +242,11 @@ def convection(grid: Grid, au: np.ndarray, av: np.ndarray,
     """div(a (x) b) at advanced faces: a advects b. Bilinear in (a, b).
 
     Each flux is a product of a face mean of a and one of b: d/dx(a_u b_u) +
-    d/dy(a_v b_u) for u, d/dy(a_v b_v) + d/dx(a_u b_v) for v.
-    Self-advection (``bu is au`` and ``bv is av``) takes each mean and the
-    node flux the two components share once, with the same result bit for
-    bit."""
-    xa, ya, ua, va = _x_means(au), _y_means(av), _u_nodes(grid, au), _v_nodes(grid, av)
-    if au is bu and av is bv:
-        node = va * ua
-        return _flux_divergence(grid, xa * xa, node, ya * ya, node)
-    return _flux_divergence(grid, xa * _x_means(bu), va * _u_nodes(grid, bu),
-                            ya * _y_means(bv), ua * _v_nodes(grid, bv))
+    d/dy(a_v b_u) for u, d/dy(a_v b_v) + d/dx(a_u b_v) for v."""
+    return _flux_divergence(grid, _x_means(au) * _x_means(bu),
+                            _v_nodes(grid, av) * _u_nodes(grid, bu),
+                            _y_means(av) * _y_means(bv),
+                            _u_nodes(grid, au) * _v_nodes(grid, bv))
 
 
 def convection_matrices(grid: Grid):

@@ -30,7 +30,7 @@ matrix invertible; without them the constraint rows vanish on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -241,9 +241,11 @@ class ReducedStep:
     That is linear in the boundary data s_m = [g_{m+1}, q_{m+1}, dg/dt_{m+1},
     g_m^2] through ``forcing`` and bilinear in z_m = [1, g_m, a_m] and a_m
     through ``quad``: row k (n_u + n_p) + i, column j of ``quad`` is the
-    coefficient of z_k a_j in entry i of [a_{m+1}; b_{m+1}].
+    coefficient of z_k a_j in entry i of [a_{m+1}; b_{m+1}].  ``ops`` is the
+    operator set it was prepared from: integrate_rom takes it for no other.
     """
 
+    ops: ReducedOperators = field(repr=False)
     dt: float
     cond: float            # 2-norm condition number of the saddle matrix
     forcing: np.ndarray    # (n_u + n_p, n_outlets + 3)
@@ -279,7 +281,7 @@ def prepare_step(ops: ReducedOperators, dt: float) -> ReducedStep:
     # in Fortran order the matvec with a_m adds up n_u long columns instead of
     # taking (n_u + 2)(n_u + n_p) short dot products: about 15% off a step
     quad = L.reshape(n_u + n_p, n_u + 2, n_u).transpose(1, 0, 2).reshape(-1, n_u)
-    return ReducedStep(dt=float(dt), cond=float(cond), forcing=S @ boundary,
+    return ReducedStep(ops=ops, dt=float(dt), cond=float(cond), forcing=S @ boundary,
                        quad=np.asfortranarray(quad))
 
 
@@ -289,9 +291,9 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
 
     ``p_d`` is the (T, n_outlets) array of outlet pressures at the times, or
     None for homogeneous outlet pressure.  ``step`` is prepare_step of these
-    operators at the times' spacing, made once for any number of calls; a
-    call without it prepares its own, and so checks and inverts the saddle
-    matrix itself.  Row m of one trajectory array holds [s_m, 1, g_m, a_m,
+    operators (the same object) at the times' spacing to rounding, made once
+    for any number of calls; a call without it prepares its own, and so
+    checks and inverts the saddle matrix itself.  Row m of one trajectory array holds [s_m, 1, g_m, a_m,
     b_m], the boundary data s_m of step m -> m+1 filled in before the loop,
     so a step is two matvecs: ``quad`` times a_m gives the a_m-dependent rows
     of a buffer whose other rows are ``forcing``, and the buffer times the
@@ -315,11 +317,9 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
     n_u, n_p, n_s = ops.n_u, ops.n_p, ops.n_outlets + 3
     if step is None:
         step = prepare_step(ops, dt)
-    elif not (abs(step.dt - dt) <= 1e-6 * dt
-              and step.forcing.shape == (n_u + n_p, n_s)
-              and step.quad.shape == ((n_u + 2) * (n_u + n_p), n_u)):
-        raise ShapeError(f"the prepared step (dt {step.dt!r}) does not fit these operators "
-                         f"at step {dt!r}")
+    elif step.ops is not ops or not abs(step.dt - dt) <= 1e-12 * dt:   # rounding only
+        raise ShapeError(f"the prepared step (dt {step.dt!r}) was not made from these "
+                         f"operators at step {dt!r}")
 
     g = waveform.magnitude(times)
     sol = np.empty((times.size, n_s + n_u + n_p + 2))

@@ -131,9 +131,13 @@ class TestLayoutProperties:
 
 def test_probe_refuses_a_wider_stencil(grid):
     """A stencil that couples two entries of one color cannot be read off
-    the colored probes, and the probe says so."""
-    with pytest.raises(ValueError, match="two entries of one color"):
-        _probed_matrix(lambda p: (p[..., :, 5:] + p[..., :, :-5],), [(grid.ny, grid.nx)])
+    the colored probes, and the probe says so: at a reach of 5 along a row
+    the named column falls on an entry of another color, at a reach of 10
+    on one of the same color, which only the check on a random input sees."""
+    for reach in (5, 10):
+        with pytest.raises(ValueError, match="two entries of one color"):
+            _probed_matrix(lambda p: (p[..., :, reach:] + p[..., :, :-reach],),
+                           [(grid.ny, 2 * reach + 3)])
 
 
 def test_stacked_stencils_match_per_field_calls(rng):

@@ -340,8 +340,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("n_p", [0, 3])
     def test_prepared_step_matches_plain_call(self, rng, n_p):
         """integrate_rom with a step prepared once gives the trajectory of a
-        call that prepares its own, to 1e-12 relative; a step of another size,
-        or prepared for another number of modes, is refused."""
+        call that prepares its own, to 1e-12 relative; a step of another size
+        (also by 1e-9 relative), or prepared from other operators (another
+        number of modes, another nu, an equal copy), is refused."""
         ops, a0, times, wf, q = _random_problem(rng, n_p)
         step = prepare_step(ops, times[1] - times[0])
         plain = integrate_rom(ops, a0, times, wf, q)
@@ -350,11 +351,16 @@ class TestIntegrate:
             for got, want in ((traj.a, plain.a), (traj.b, plain.b)):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert traj.saddle_cond == step.cond == plain.saddle_cond
-        with pytest.raises(ShapeError, match="prepared step"):
-            integrate_rom(ops, a0, times, wf, q, step=prepare_step(ops, 2 * (times[1] - times[0])))
+        for factor in (2.0, 1 + 1e-9):
+            with pytest.raises(ShapeError, match="prepared step"):
+                integrate_rom(ops, a0, times, wf, q,
+                              step=prepare_step(ops, factor * (times[1] - times[0])))
         fewer = ops.subset(np.arange(ops.n_u - 1), n_p)
         with pytest.raises(ShapeError, match="prepared step"):
             integrate_rom(fewer, a0[:-1], times, wf, q, step=step)
+        for other in (dataclasses.replace(ops, nu=2 * ops.nu), dataclasses.replace(ops)):
+            with pytest.raises(ShapeError, match="prepared step"):
+                integrate_rom(other, a0, times, wf, q, step=step)
 
     def test_energy_decay_unforced(self, stokes_setup, rng):
         s = stokes_setup
