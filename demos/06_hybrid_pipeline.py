@@ -47,7 +47,7 @@ print("\npressure-lifting ablation (same snapshots, no pressure lifting):")
 cfg = dict(DEFAULT_CONFIG)
 cfg["lift_pressure"] = "false"
 ablated, _ = offline(cfg, fom_result=fom_result)
-_, rep_ab = online(ablated, timing_reps=1, want_pressure=True)
+_, rep_ab = online(ablated, timing_reps=1)
 ratio = rep_ab.time_avg("err_p") / report.time_avg("err_p")
 print(f"  pressure error grows from {report.time_avg('err_p'):.2e} to "
       f"{rep_ab.time_avg('err_p'):.2e}  ({ratio:.0f}x)")

@@ -46,6 +46,7 @@ from .rom import (
     ReducedTrajectory,
     assemble_operators,
     integrate_rom,
+    prepare_step,
     reconstruct,
     supremizer_enrich,
 )
@@ -65,7 +66,7 @@ __all__ = [
     "error_vs_n", "fit_outflow", "fom_run", "fom_solve", "homogenize",
     "init_model", "inner_product", "integrate_rom", "l2_norm",
     "nn_backprop", "nn_forward", "nn_train", "offline", "online", "parse_config",
-    "pod_basis", "predict_outflow", "project_coefficients", "projection_error",
+    "pod_basis", "predict_outflow", "prepare_step", "project_coefficients", "projection_error",
     "rb_offline", "rb_online", "reconstruct", "supremizer_enrich", "symmetric_eig",
     "truncation_rank", "wk_steady_pressure", "wk_step",
 ]

@@ -105,9 +105,8 @@ def _cmd_compare(args):
         report = pipeline.compare(fom_set, rom_set)
     else:
         bundle = pipeline.Bundle.load(args.bundle)
-        idx, n_p = bundle.mode_selection()
-        report = pipeline.compare(fom_set, rom_set, bundle.sliced_basis_u(idx),
-                                  bundle.sliced_basis_p(n_p), bundle.lifting,
+        _, basis_u, basis_p = bundle.select()
+        report = pipeline.compare(fom_set, rom_set, basis_u, basis_p, bundle.lifting,
                                   bundle.lift_pressure)
     report.write(args.out)
     print(f"compare: time-avg err_u {report.time_avg('err_u'):.3e}, "

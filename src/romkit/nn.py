@@ -25,6 +25,7 @@ Two ways to fit it share one seeded train/test split:
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -116,8 +117,10 @@ class NNModel:
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
         sizes = self.layer_sizes
-        if len(sizes) < 2:
-            raise ConfigurationError("need at least input and output layers")
+        if len(sizes) < 2 or sizes[0] != 1 or sizes[-1] != 1 or not all(
+                isinstance(n, numbers.Integral) and n >= 1 for n in sizes):
+            raise ConfigurationError(f"layer sizes must be [1, H, ..., H, 1] with integer "
+                                     f"widths >= 1, got {tuple(sizes)}")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ShapeError("one weight/bias pair per layer transition required")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -138,6 +141,10 @@ def init_model(hidden_neurons: int = 150, hidden_layers: int = 2,
                activation: str = "softplus", seed: int = 0,
                x_range=(0.0, 1.0), y_range=(0.0, 1.0)) -> NNModel:
     """Seeded Glorot-uniform initialization of a [1, H, ..., H, 1] network."""
+    if not (isinstance(hidden_neurons, numbers.Integral) and hidden_neurons >= 1):
+        raise ConfigurationError(f"hidden_neurons must be an integer >= 1, got {hidden_neurons!r}")
+    if not (isinstance(hidden_layers, numbers.Integral) and hidden_layers >= 0):
+        raise ConfigurationError(f"hidden_layers must be an integer >= 0, got {hidden_layers!r}")
     sizes = (1,) + (hidden_neurons,) * hidden_layers + (1,)
     rng = np.random.default_rng(seed)
     weights, biases = [], []

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import re
 import time
 from dataclasses import dataclass, field
@@ -212,30 +213,24 @@ class Bundle:
         models = [self.nn_models[k] for k in sorted(self.nn_models)]
         return lambda t: np.stack([np.asarray(predict_outflow(m, t)) for m in models], axis=-1)
 
-    def mode_selection(self, n_u: int | None = None, n_p: int | None = None):
-        """Velocity index set (modes + matching supremizers) and n_p."""
+    def select(self, n_u: int | None = None, n_p: int | None = None):
+        """(operators, basis_u, basis_p or None) of the reduced model of the
+        first n_u primary velocity modes, the first n_p supremizers and the
+        first n_p pressure modes; the counts default to the bundle's n_u, n_p.
+        A count that is not an integer, or that the bundle does not store,
+        raises ConfigurationError."""
         n_u = self.n_u if n_u is None else n_u
         n_p = self.n_p if n_p is None else n_p
-        n_prim = self.basis_u.n_primary
-        n_sup = self.basis_u.n_supremizer
-        if n_u < 1 or n_u > n_prim:
-            raise ConfigurationError(f"n_u must be in [1, {n_prim}]")
-        if n_p < 0 or n_p > min(n_sup, self.basis_p.n_modes if self.basis_p else 0):
-            raise ConfigurationError(f"n_p must be in [0, {n_sup}]")
-        idx = list(range(n_u)) + [n_prim + j for j in range(n_p)]
-        return np.array(idx, dtype=int), n_p
-
-    def sliced_basis_u(self, idx) -> ReducedBasis:
-        idx = np.asarray(idx, dtype=int)
-        n_sup = int(np.sum(idx >= self.basis_u.n_primary))
-        return ReducedBasis(self.basis_u.modes[idx], self.basis_u.eigenvalues,
-                            self.basis_u.kind, self.basis_u.M, n_supremizer=n_sup)
-
-    def sliced_basis_p(self, n_p: int) -> ReducedBasis | None:
-        if n_p == 0 or self.basis_p is None:
-            return None
-        return ReducedBasis(self.basis_p.modes[:n_p], self.basis_p.eigenvalues,
-                            self.basis_p.kind, self.basis_p.M)
+        bu, bp = self.basis_u, self.basis_p
+        n_prim = bu.n_primary
+        p_max = min(bu.n_supremizer, 0 if bp is None else bp.n_modes)
+        for name, n, lo, hi in (("n_u", n_u, 1, n_prim), ("n_p", n_p, 0, p_max)):
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not lo <= n <= hi:
+                raise ConfigurationError(f"{name} must be an integer in [{lo}, {hi}], got {n!r}")
+        idx = np.r_[0:n_u, n_prim:n_prim + n_p]
+        basis_u = ReducedBasis(bu.modes[idx], bu.eigenvalues, bu.kind, bu.M, n_supremizer=n_p)
+        basis_p = ReducedBasis(bp.modes[:n_p], bp.eigenvalues, bp.kind, bp.M) if n_p else None
+        return self.operators.subset(idx, n_p), basis_u, basis_p
 
     # -- persistence -----------------------------------------------------------
     def save(self, directory) -> None:
@@ -652,26 +647,27 @@ def _interpolate(steps: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarr
 
 
 def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
-           modes: tuple | None = None, want_pressure: bool | None = None,
-           timing_reps: int = 5):
+           modes: tuple | None = None, timing_reps: int = 5):
     """Reduced solve + reconstruction at the query times, with a RunReport.
 
-    dt_r sets the reduced integration step (defaults to the full-order dt
-    recorded in the bundle).  The reduced system steps on the uniform dt_r
-    grid from the training-window start, where the stored initial state is;
-    the coefficients at an instant between two steps are interpolated
-    linearly from them, and only the query instants are reconstructed.
-    Query times must be a non-empty 1-D array of finite instants in
-    [t_lo, t_hi + 10% of the window span], and dt_r finite, positive and no
-    longer than the window.
+    ``modes`` is the (n_u, n_p) of Bundle.select, by default the bundle's;
+    pressure is answered iff n_p > 0.  dt_r sets the reduced step (default:
+    the full-order dt recorded in the bundle).  The reduced system steps on
+    the uniform dt_r grid from the training-window start, where the stored
+    initial state is; the coefficients at an instant between two steps are
+    interpolated linearly from them, and only the query instants are
+    reconstructed.  Query times must be a non-empty 1-D array of finite
+    instants in [t_lo, t_hi + 10% of the window span], and dt_r finite,
+    positive and no longer than the window.
 
     ``timings["rom_solve"]`` is the median over ``timing_reps`` runs of the
     online work of one solve: the outlet-pressure curve at every step, the
-    boundary forcing and the step loop.  The reduced step of these modes and
-    dt_r (the saddle matrix's condition check, its inverse and the folded
-    step matrices) is prepared once per call, before the clock starts, as
-    the recorded FOM wall time starts after its Poisson matrix is factored;
-    a singular saddle matrix still raises StabilityError on every call.
+    boundary forcing and the step loop.  prepare_step (the saddle matrix's
+    condition check, its inverse, the folded step matrices) runs once per
+    call, before the clock starts, as the recorded FOM wall time starts
+    after its Poisson matrix is factored; a singular saddle matrix still
+    raises StabilityError on every call, and ``extras["saddle_cond"]`` is
+    the condition number it checked.
     """
     substep = bundle.dt_fom if dt_r is None else float(dt_r)
     if not (np.isfinite(substep) and substep > 0):
@@ -695,18 +691,11 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     if query_times.max() > t_end:
         raise ConfigurationError("query times exceed the training window by more than 10%")
 
-    if want_pressure is None:
-        want_pressure = not bundle.velocity_only
-    if want_pressure and bundle.velocity_only:
-        raise ConfigurationError("bundle is velocity-only; pressure queries are not available")
-
-    n_u = n_p = None
-    if modes is not None:
-        n_u, n_p = modes
-    idx, n_p = bundle.mode_selection(n_u, n_p if want_pressure else 0)
-    ops = bundle.operators.subset(idx, n_p)
-    bu = bundle.sliced_basis_u(idx)
-    bp = bundle.sliced_basis_p(n_p)
+    try:
+        n_u, n_p = (None, None) if modes is None else modes
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"modes must be a pair (n_u, n_p), got {modes!r}") from None
+    ops, bu, bp = bundle.select(n_u, n_p)
 
     # steps k*dt_r from t_lo, covering the window and every instant; an
     # instant within 1e-9 steps past the last step counts as on it
@@ -729,7 +718,7 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     for _ in range(max(1, timing_reps)):
         t0 = time.perf_counter()
         q_steps = None if p_d is None else p_d(np.minimum(steps, t_end))
-        traj = integrate_rom(ops, a0, steps, bundle.waveform, q_steps, b0=b0, step=step)
+        traj = integrate_rom(step, a0, steps, bundle.waveform, q_steps, b0=b0)
         solve_times.append(time.perf_counter() - t0)
     # imported here, not at start-up (4 ms); np.median imports numpy.ma (13-17 ms)
     import statistics
@@ -760,9 +749,9 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
                       "fom_recorded": bundle.fom_wall_time}
     report.speedup = bundle.fom_wall_time / t_solve if t_solve > 0 else None
     report.extras = {
-        "n_u": int(len(idx) - n_p), "n_p": int(n_p), "n_supremizer": int(n_p),
+        "n_u": bu.n_primary, "n_p": ops.n_p, "n_supremizer": ops.n_p,
         "dt_r": substep, "velocity_only": bundle.velocity_only,
-        "saddle_cond": traj.saddle_cond,
+        "saddle_cond": step.cond,
         "windkessel_params": {k: str(v) for k, v in bundle.config.items()
                               if k.startswith("wk_")},
         "nn_hyperparameters": {"nn_split": bundle.config.get("nn_split")},
@@ -771,11 +760,12 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
 
 
 def error_vs_n(bundle: Bundle, n_values=None, dt_r: float | None = None) -> list:
-    """One-pass sweep over mode counts by slicing the stored basis/operators.
-
-    Follows the reference convention that one N counts velocity modes,
-    pressure modes and supremizers alike.  By default N runs up to the 99.99%
-    energy knee of the velocity spectrum, capped at the stored modes.
+    """Time-averaged errors and projection floors from one online() call per
+    mode count N; each call re-homogenizes the stored snapshots and projects
+    them on that N's bases.  One N counts velocity modes, pressure modes
+    (up to the stored ones) and supremizers alike, the reference convention.
+    By default N runs up to the 99.99% energy knee of the velocity spectrum,
+    capped at the stored modes.
     """
     if n_values is None:
         knee = truncation_rank(bundle.basis_u.eigenvalues, 0.9999)

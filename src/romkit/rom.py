@@ -25,7 +25,7 @@ are implicit (a saddle solve keeps P a^{n+1} exactly on the constraint),
 convection and the lifting forcings explicit.  Supremizer modes -- one
 factored vector-Laplacian solve for all pressure modes -- make the saddle
 matrix invertible; without them the constraint rows vanish on
-(divergence-free) velocity modes and integrate_rom reports the singularity.
+(divergence-free) velocity modes and prepare_step reports the singularity.
 """
 
 from __future__ import annotations
@@ -129,8 +129,6 @@ class ReducedTrajectory:
     times: np.ndarray
     a: np.ndarray          # (T, Nu)
     b: np.ndarray          # (T, Np)
-    saddle_cond: float | None = None   # 2-norm condition number of the saddle matrix
-                                       # integrate_rom inverted
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -242,7 +240,7 @@ class ReducedStep:
     g_m^2] through ``forcing`` and bilinear in z_m = [1, g_m, a_m] and a_m
     through ``quad``: row k (n_u + n_p) + i, column j of ``quad`` is the
     coefficient of z_k a_j in entry i of [a_{m+1}; b_{m+1}].  ``ops`` is the
-    operator set it was prepared from: integrate_rom takes it for no other.
+    operator set it was prepared from, the one integrate_rom integrates.
     """
 
     ops: ReducedOperators = field(repr=False)
@@ -285,25 +283,24 @@ def prepare_step(ops: ReducedOperators, dt: float) -> ReducedStep:
                        quad=np.asfortranarray(quad))
 
 
-def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Waveform,
-                  p_d=None, b0=None, *, step: ReducedStep | None = None) -> ReducedTrajectory:
-    """Semi-implicit Euler integration of the reduced system on a uniform grid.
+def integrate_rom(step: ReducedStep, a0: np.ndarray, times, waveform: Waveform,
+                  p_d=None, b0=None) -> ReducedTrajectory:
+    """Semi-implicit Euler integration of ``step.ops`` on a uniform time grid.
 
-    ``p_d`` is the (T, n_outlets) array of outlet pressures at the times, or
-    None for homogeneous outlet pressure.  ``step`` is prepare_step of these
-    operators (the same object) at the times' spacing to rounding, made once
-    for any number of calls; a call without it prepares its own, and so
-    checks and inverts the saddle matrix itself.  Row m of one trajectory array holds [s_m, 1, g_m, a_m,
-    b_m], the boundary data s_m of step m -> m+1 filled in before the loop,
-    so a step is two matvecs: ``quad`` times a_m gives the a_m-dependent rows
-    of a buffer whose other rows are ``forcing``, and the buffer times the
-    head [s_m, 1, g_m, a_m] of row m is the tail [a_{m+1}, b_{m+1}] of row
-    m + 1.
+    ``step`` is prepare_step of the operators at the times' spacing (to
+    rounding); prepared once, it serves any number of calls.  prepare_step,
+    not this function, checks the saddle matrix (StabilityError) and reports
+    its condition number.  ``p_d`` is the (T, n_outlets) array of outlet
+    pressures at the times, or None for homogeneous outlet pressure.
+    Row m of one trajectory array holds [s_m, 1, g_m, a_m, b_m], the boundary
+    data s_m of step m -> m+1 filled in before the loop, so a step is two
+    matvecs: ``quad`` times a_m gives the a_m-dependent rows of a buffer whose
+    other rows are ``forcing``, and the buffer times the head [s_m, 1, g_m,
+    a_m] of row m is the tail [a_{m+1}, b_{m+1}] of row m + 1.
     The pressure multiplier only exists from the first step onward; ``b0``
     seeds the reported initial value (backfilled from step one when omitted).
-    The trajectory carries the saddle matrix's condition number as checked
-    against SADDLE_COND_LIMIT.
     """
+    ops = step.ops
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
         raise ShapeError("need at least two time points")
@@ -315,11 +312,9 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
         raise ShapeError(f"a0 must have length {ops.n_u}")
     q = _outlet_array(p_d, times.size, ops.n_outlets)
     n_u, n_p, n_s = ops.n_u, ops.n_p, ops.n_outlets + 3
-    if step is None:
-        step = prepare_step(ops, dt)
-    elif step.ops is not ops or not abs(step.dt - dt) <= 1e-12 * dt:   # rounding only
-        raise ShapeError(f"the prepared step (dt {step.dt!r}) was not made from these "
-                         f"operators at step {dt!r}")
+    if not abs(step.dt - dt) <= 1e-12 * dt:   # rounding only
+        raise ShapeError(f"the prepared step (dt {step.dt!r}) does not match the "
+                         f"times' step {dt!r}")
 
     g = waveform.magnitude(times)
     sol = np.empty((times.size, n_s + n_u + n_p + 2))
@@ -348,7 +343,7 @@ def integrate_rom(ops: ReducedOperators, a0: np.ndarray, times, waveform: Wavefo
         if b0.shape != (n_p,):
             raise ShapeError(f"b0 must have length {n_p}")
         b[0] = b0
-    return ReducedTrajectory(times.copy(), a, b, saddle_cond=step.cond)
+    return ReducedTrajectory(times.copy(), a, b)
 
 
 def reconstruct(basis_u: ReducedBasis, basis_p: ReducedBasis | None,

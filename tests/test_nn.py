@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,58 @@ class TestForward:
         ts = np.linspace(0, 1, 7)
         vec = nn_forward(m, ts)
         assert np.allclose(vec, [nn_forward(m, float(t)) for t in ts], atol=1e-15)
+
+
+BAD_LAYOUTS = [(1, 0, 1), (2, 3, 1), (1, 3, 2)]
+
+
+def _random_layers(sizes, rng):
+    """Weights and biases of the given widths."""
+    pairs = [(rng.standard_normal((n_out, n_in)), rng.standard_normal(n_out))
+             for n_in, n_out in zip(sizes[:-1], sizes[1:])]
+    return tuple(w for w, _ in pairs), tuple(b for _, b in pairs)
+
+
+class TestLayout:
+    """Only [1, H, ..., H, 1] networks with widths >= 1 are accepted, at
+    construction, initialization and load, before any array is drawn or used."""
+
+    @pytest.mark.parametrize("sizes", BAD_LAYOUTS)
+    def test_model_refuses_layout(self, sizes, rng):
+        weights, biases = _random_layers(sizes, rng)
+        with pytest.raises(ConfigurationError, match="layer sizes"):
+            NNModel(sizes, weights, biases, "softplus")
+
+    def test_model_refuses_negative_width(self):
+        with pytest.raises(ConfigurationError, match="layer sizes"):
+            NNModel((1, -2, -2, 1), (np.zeros((1, 1)),) * 3, (np.zeros(1),) * 3, "softplus")
+
+    @pytest.mark.parametrize("kw, name", [({"hidden_neurons": 0}, "hidden_neurons"),
+                                          ({"hidden_neurons": -2}, "hidden_neurons"),
+                                          ({"hidden_neurons": 2.5}, "hidden_neurons"),
+                                          ({"hidden_layers": -1}, "hidden_layers")])
+    def test_init_refuses_layout(self, kw, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # no RuntimeWarning from a draw
+            with pytest.raises(ConfigurationError, match=name):
+                init_model(**kw)
+
+    def test_init_without_hidden_layers(self):
+        assert init_model(hidden_layers=0).layer_sizes == (1, 1)
+
+    @pytest.mark.parametrize("sizes", BAD_LAYOUTS)
+    def test_load_refuses_layout(self, sizes, tmp_path, rng):
+        from romkit.grid import save_arrays
+
+        weights, biases = _random_layers(sizes, rng)
+        arrays = {}
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            arrays[f"W{l}"], arrays[f"b{l}"] = w, b
+        save_arrays(tmp_path / "nn_0", "romkit-nn-2",
+                    {"layer_sizes": list(sizes), "activation": "softplus",
+                     "x_range": [0.0, 1.0], "y_range": [0.0, 1.0]}, arrays)
+        with pytest.raises(ConfigurationError, match="layer sizes"):
+            load_model(tmp_path / "nn_0")
 
 
 class TestBackprop:

@@ -554,11 +554,54 @@ class TestOnline:
         cfg["n_p"] = "0"
         cfg["n_p_max"] = "0"
         b, _ = offline(cfg)
-        with pytest.raises(ConfigurationError):
-            online(b, want_pressure=True)
+        with pytest.raises(ConfigurationError, match=r"n_p must be an integer in \[0, 0\]"):
+            online(b, modes=(3, 2), timing_reps=1)
         _, report = online(b, timing_reps=1)
         assert report.err_p is None
         assert report.err_u is not None
+
+    def test_n_p_zero_bundle_answers_pressure_modes(self):
+        """A bundle whose default query has no pressure still stores pressure
+        modes, and a query that asks for them gets them."""
+        b, _ = offline({**SMALL_CONFIG, "n_p": "0"})
+        assert b.velocity_only and b.basis_p.n_modes == 6
+        _, default = online(b, timing_reps=1)
+        assert default.extras["n_p"] == 0 and default.err_p is None
+        _, report = online(b, modes=(3, 2), timing_reps=1)
+        assert report.extras["n_p"] == report.extras["n_supremizer"] == 2
+        assert report.err_p is not None and report.proj_p is not None
+
+    def test_select_slices_the_stored_model(self, bundle):
+        ops, bu, bp = bundle.select(3, 2)
+        n_prim = bundle.basis_u.n_primary
+        idx = [0, 1, 2, n_prim, n_prim + 1]
+        assert np.array_equal(bu.modes.values, bundle.basis_u.modes.values[idx])
+        assert bu.n_primary == 3 and bu.n_supremizer == 2
+        assert np.array_equal(bp.modes.values, bundle.basis_p.modes.values[:2])
+        assert np.array_equal(ops.B, bundle.operators.B[np.ix_(idx, idx)])
+        assert ops.n_p == 2
+        assert bundle.select(3, 0)[2] is None
+        default = bundle.select()
+        assert (default[1].n_primary, default[0].n_p) == (bundle.n_u, bundle.n_p)
+
+    @pytest.mark.parametrize("modes, match", [
+        ((0, 1), r"n_u must be an integer in \[1, 10\]"),
+        ((11, 1), r"n_u must be an integer in \[1, 10\]"),
+        ((2.0, 1), "n_u must be an integer"),
+        ((3, 7), r"n_p must be an integer in \[0, 6\]"),
+        ((3, -1), "n_p must be an integer"),
+        ((3, True), "n_p must be an integer"),
+        ((3,), "modes must be a pair"),
+        ((3, 2, 1), "modes must be a pair"),
+        (3, "modes must be a pair"),
+    ])
+    def test_bad_modes_rejected_before_any_work(self, bundle, monkeypatch, modes, match):
+        def no_work(*args, **kw):
+            raise AssertionError("online() integrated an invalid query")
+
+        monkeypatch.setattr(pipeline, "integrate_rom", no_work)
+        with pytest.raises(ConfigurationError, match=match):
+            online(bundle, modes=modes, timing_reps=1)
 
     def test_error_vs_n_table_complete(self, bundle):
         sweep = error_vs_n(bundle, n_values=[1, 2, 3])
@@ -621,9 +664,7 @@ class TestCompare:
         from romkit.lifting import homogenize
         from romkit.pod import project_coefficients
 
-        idx, n_p = bundle.mode_selection()
-        bu = bundle.sliced_basis_u(idx)
-        bp = bundle.sliced_basis_p(n_p)
+        _, bu, bp = bundle.select()
         wf = bundle.waveform
         u_d = np.array([wf.magnitude(t) for t in bundle.train.times])
         hom = homogenize(bundle.train, u_d, bundle.train.outlet_pressure, bundle.lifting)
@@ -663,7 +704,7 @@ class TestPressureLiftAblation:
         from romkit.lifting import homogenize
 
         hom = homogenize(b.train, b.waveform.magnitude(b.train.times), None, b.lifting)
-        P, Psi, area = hom.pressure.values, b.sliced_basis_p(b.n_p).modes.values, b.grid.cell_area
+        P, Psi, area = hom.pressure.values, b.select()[2].modes.values, b.grid.cell_area
         R = P - ((P @ Psi.T) * area) @ Psi
         return np.sqrt(np.sum(R * R, axis=1) * area)
 
@@ -855,6 +896,12 @@ def _modes_out_of_range(tmp, bundle_dir, monkeypatch):
             "--modes", "99,1"]
 
 
+def _pressure_modes_on_velocity_only(tmp, bundle_dir, monkeypatch):
+    offline({"nx": "16", "ny": "4", "n_p": "0", "n_p_max": "0"}, out_dir=tmp / "vonly")
+    return ["online", "--bundle", str(tmp / "vonly"), "--out", str(tmp / "run"),
+            "--modes", "3,2"]
+
+
 def _dt_r(value):
     def make_argv(tmp, bundle_dir, monkeypatch):
         return ["online", "--bundle", str(bundle_dir), "--out", str(tmp / "run"),
@@ -872,6 +919,7 @@ EXIT_CODES = [
     pytest.param(2, _old_format, id="old_format"),
     *[pytest.param(2, _damaged_runtime(key), id=f"runtime_{key}") for key in DAMAGED_RUNTIME],
     pytest.param(2, _modes_out_of_range, id="modes_out_of_range"),
+    pytest.param(2, _pressure_modes_on_velocity_only, id="pressure_modes_on_velocity_only"),
     pytest.param(2, _dt_r("0"), id="dt_r_zero"),
     pytest.param(2, _dt_r("nan"), id="dt_r_nan"),
     pytest.param(2, _dt_r("10"), id="dt_r_past_window"),
