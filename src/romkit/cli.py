@@ -162,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two snapshot directories")
     p.add_argument("--fom", required=True)
     p.add_argument("--rom", required=True)
-    p.add_argument("--bundle")
+    p.add_argument("--bundle", help="also report projection floors, those of the bundle's "
+                                    "default (n_u, n_p) model whatever modes the reconstruction "
+                                    "used")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_compare)
 

@@ -21,6 +21,12 @@ Two ways to fit it share one seeded train/test split:
   Default hyperparameters (150 neurons per layer, two hidden layers,
   softplus, 50000 epochs, learning rate 5e-6) reproduce the reference
   setup.
+
+Every pass is plain numpy on per-layer weight and bias arrays: ``w @ y +
+b`` for each layer and fresh arrays for every intermediate.  No offline
+stage trains by gradient descent, so nothing is traded for speed here, and
+any change to the loop must keep its bits: at the learning rates that train
+fast, a last-bit change grows into a visibly different network.
 """
 
 from __future__ import annotations
@@ -45,12 +51,9 @@ REFERENCE_NN_DEFAULTS = {
 }
 
 
-def _softplus(u, out):
-    return np.logaddexp(0.0, u, out=out)
-
-
-def _softplus_d(u, out):
+def _softplus_d(u):
     # stable sigmoid: exp only ever sees non-positive arguments
+    out = np.empty_like(u)
     pos = u >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
     e = np.exp(u[~pos])
@@ -58,41 +61,14 @@ def _softplus_d(u, out):
     return out
 
 
-def _tanh_d(u, out):
-    # 1/cosh(u)**2 with u clipped to [-300, 300] so that cosh stays finite
-    np.maximum(u, -300.0, out=out)
-    np.minimum(out, 300.0, out=out)
-    np.cosh(out, out=out)
-    np.square(out, out=out)
-    return np.divide(1.0, out, out=out)
-
-
-def _relu(u, out):
-    return np.maximum(u, 0.0, out=out)
-
-
-def _relu_d(u, out):
-    return np.greater(u, 0.0, out=out)
-
-
-def _one(u, out):
-    out.fill(1.0)
-    return out
-
-
-def _cos_d(u, out):
-    np.sin(u, out=out)
-    return np.negative(out, out=out)
-
-
-# name: (activation(u, out), derivative(u, out)); each writes into `out` the
-# same bits as its allocating form
+# name: (activation(u), derivative(u))
 ACTIVATIONS = {
-    "softplus": (_softplus, _softplus_d),
-    "tanh": (np.tanh, _tanh_d),
-    "relu": (_relu, _relu_d),
-    "identity": (np.positive, _one),
-    "cos": (np.cos, _cos_d),
+    "softplus": (lambda u: np.logaddexp(0.0, u), _softplus_d),
+    # 1/cosh(u)**2 with u clipped to [-300, 300] so that cosh stays finite
+    "tanh": (np.tanh, lambda u: 1.0 / np.cosh(np.minimum(np.maximum(u, -300.0), 300.0)) ** 2),
+    "relu": (lambda u: np.maximum(u, 0.0), lambda u: np.heaviside(u, 0.0)),
+    "identity": (np.positive, np.ones_like),
+    "cos": (np.cos, lambda u: -np.sin(u)),
 }
 
 
@@ -128,10 +104,6 @@ class NNModel:
                 raise ShapeError(f"layer {l}: weight {w.shape} / bias {b.shape} "
                                  f"do not match sizes {sizes[l]}->{sizes[l + 1]}")
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def _span(lo: float, hi: float) -> float:
     return hi - lo if hi > lo else 1.0
@@ -156,67 +128,39 @@ def init_model(hidden_neurons: int = 150, hidden_layers: int = 2,
                    tuple(map(float, x_range)), tuple(map(float, y_range)))
 
 
-def _layer_views(flat: np.ndarray, sizes) -> list:
-    """(W_l, b_l) views of a flat parameter or gradient array, layer by layer."""
-    views, i = [], 0
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        w = flat[i:i + n_out * n_in].reshape(n_out, n_in)
-        i += n_out * n_in
-        views.append((w, flat[i:i + n_out]))
-        i += n_out
-    return views
-
-
-class _Batch:
-    """Normalized samples (inputs as a (1, m) row) and the buffers of a
-    forward pass over them; with targets `yn`, also those of a backward pass."""
-
-    def __init__(self, sizes, xn: np.ndarray, yn: np.ndarray | None = None):
-        m = xn.size
-        self.yn = yn
-        self.pre = [np.empty((s, m)) for s in sizes[1:]]
-        # post[l] is the input of layer l; the linear output layer's is its pre
-        self.post = [xn[None, :]] + [np.empty((s, m)) for s in sizes[1:-1]] + [self.pre[-1]]
-        if yn is not None:
-            self.delta = [np.empty((s, m)) for s in sizes[1:]]
-            self.dact = [np.empty((s, m)) for s in sizes[1:-1]]
-
-
-def _matmul(a, b, out):
-    # with K = 1 each entry is one product, which a broadcast gives faster
-    return np.multiply(a, b, out=out) if a.shape[1] == 1 else np.matmul(a, b, out=out)
-
-
-def _forward(layers, act, batch: _Batch) -> np.ndarray:
-    """Fill the batch's pre-activations and layer outputs; returns the output row."""
-    pre, post = batch.pre, batch.post
-    last = len(layers) - 1
-    for l, (w, b) in enumerate(layers):
-        u = _matmul(w, post[l], pre[l])
-        u += b[:, None]
-        if l < last:
-            act(u, out=post[l + 1])
-    return pre[last][0]
+def _forward(weights, biases, act, xn: np.ndarray):
+    """(pre, post) of normalized inputs xn: each layer's pre-activations, and
+    the layer inputs (post[0] is xn as a (1, m) row) followed by the output
+    row (post[-1]); the output layer is linear."""
+    y = xn[None, :]
+    pre, post = [], [y]
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        u = w @ y + b[:, None]
+        pre.append(u)
+        y = u if l == last else act(u)
+        post.append(y)
+    return pre, post
 
 
 def _mse(resid: np.ndarray) -> float:
+    # np.mean's sum and quotient, without its dispatch overhead
     return float(np.add.reduce(resid * resid) / resid.size)
 
 
-def _backprop(layers, grads, activation, batch: _Batch) -> float:
-    """Mean squared error over the batch; writes its gradients into `grads`."""
+def _backprop(weights, biases, activation, xn, yn):
+    """(grad_w, grad_b, mse) of the mean squared error over normalized samples."""
     act, dact = activation
-    resid = _forward(layers, act, batch) - batch.yn
-    delta = np.multiply(2.0 / resid.size, resid[None, :], out=batch.delta[-1])  # dL/du, output
-    for l in range(len(layers) - 1, -1, -1):
-        gw, gb = grads[l]
-        _matmul(delta, batch.post[l].T, gw)
-        np.add.reduce(delta, axis=1, out=gb)
+    pre, post = _forward(weights, biases, act, xn)
+    resid = post[-1][0] - yn
+    delta = (2.0 / resid.size) * resid[None, :]          # dL/du at the output
+    grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        grad_w[l] = delta @ post[l].T
+        grad_b[l] = delta.sum(axis=1)
         if l > 0:
-            back = _matmul(layers[l][0].T, delta, batch.delta[l - 1])
-            back *= dact(batch.pre[l - 1], out=batch.dact[l - 1])
-            delta = back
-    return _mse(resid)
+            delta = (weights[l].T @ delta) * dact(pre[l - 1])
+    return grad_w, grad_b, _mse(resid)
 
 
 def _normalize(v: np.ndarray, lo_hi: tuple) -> np.ndarray:
@@ -228,10 +172,10 @@ def nn_forward(model: NNModel, x) -> np.ndarray | float:
     xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(xa)):
         raise ShapeError("non-finite network input")
-    batch = _Batch(model.layer_sizes, _normalize(xa, model.x_range))
-    yn = _forward(list(zip(model.weights, model.biases)), ACTIVATIONS[model.activation][0], batch)
+    _, post = _forward(model.weights, model.biases, ACTIVATIONS[model.activation][0],
+                       _normalize(xa, model.x_range))
     ylo, yhi = model.y_range
-    out = yn * _span(ylo, yhi) + ylo
+    out = post[-1][0] * _span(ylo, yhi) + ylo
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -245,12 +189,8 @@ def nn_backprop(model: NNModel, x, y):
     ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if xa.size == 0 or xa.shape != ya.shape:
         raise ShapeError("backprop needs a nonempty batch of matching x/y")
-    sizes = model.layer_sizes
-    grads = _layer_views(np.empty(model.n_params), sizes)
-    batch = _Batch(sizes, _normalize(xa, model.x_range), _normalize(ya, model.y_range))
-    mse = _backprop(list(zip(model.weights, model.biases)), grads,
-                    ACTIVATIONS[model.activation], batch)
-    return [gw for gw, _ in grads], [gb for _, gb in grads], mse
+    return _backprop(model.weights, model.biases, ACTIVATIONS[model.activation],
+                     _normalize(xa, model.x_range), _normalize(ya, model.y_range))
 
 
 @dataclass(frozen=True)
@@ -261,10 +201,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
+        epochs, eta = self.epochs, self.learning_rate
+        if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 1:
+            raise ConfigurationError(f"epochs must be an integer >= 1, got {epochs!r}")
+        if not (isinstance(eta, numbers.Real) and np.isfinite(eta) and eta > 0):
+            raise ConfigurationError(f"learning rate must be finite and positive, got {eta!r}")
 
 
 def _samples(t, p):
@@ -286,10 +227,10 @@ def _split(n: int, train_fraction: float, seed: int):
     return perm[:n_train], perm[n_train:]
 
 
-def _batches(model: NNModel, ta, pa, split):
-    """The (train, test) batches of a split, normalized by the model's ranges."""
-    return tuple(_Batch(model.layer_sizes, _normalize(ta[idx], model.x_range),
-                        _normalize(pa[idx], model.y_range)) for idx in split)
+def _normalized(model: NNModel, ta, pa, split):
+    """The (x, y) samples of each part of a split, normalized by the model's ranges."""
+    return [(_normalize(ta[idx], model.x_range), _normalize(pa[idx], model.y_range))
+            for idx in split]
 
 
 def nn_train(model: NNModel, t, p, cfg: TrainConfig):
@@ -303,31 +244,26 @@ def nn_train(model: NNModel, t, p, cfg: TrainConfig):
     model = replace(model,
                     x_range=(float(ta.min()), float(ta.max())),
                     y_range=(float(pa.min()), float(pa.max())))
-
-    sizes = model.layer_sizes
-    train, test = _batches(model, ta, pa, _split(ta.size, cfg.train_fraction, cfg.seed))
-    # one flat parameter array and its gradient, so that a step is one update
-    theta = np.concatenate([a.ravel() for wb in zip(model.weights, model.biases) for a in wb])
-    grad = np.empty_like(theta)
-    layers, grads = _layer_views(theta, sizes), _layer_views(grad, sizes)
+    train, test = _normalized(model, ta, pa, _split(ta.size, cfg.train_fraction, cfg.seed))
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
     activation = ACTIVATIONS[model.activation]
     history = np.empty((cfg.epochs, 3))
-    history[:, 0] = np.arange(cfg.epochs)
     eta = cfg.learning_rate
 
     for epoch in range(cfg.epochs):
-        train_mse = _backprop(layers, grads, activation, train)
+        grad_w, grad_b, train_mse = _backprop(weights, biases, activation, *train)
         if not np.isfinite(train_mse):
             raise TrainingError(
                 f"training diverged at epoch {epoch} (loss={train_mse}); "
                 f"reduce the learning rate (eta={eta})"
             )
-        history[epoch, 1] = train_mse
-        history[epoch, 2] = _mse(_forward(layers, activation[0], test) - test.yn)
-        theta -= eta * grad
-    trained = replace(model, weights=tuple(w.copy() for w, _ in layers),
-                      biases=tuple(b.copy() for _, b in layers))
-    return trained, history
+        test_mse = _mse(_forward(weights, biases, activation[0], test[0])[1][-1][0] - test[1])
+        history[epoch] = (epoch, train_mse, test_mse)
+        for w, b, gw, gb in zip(weights, biases, grad_w, grad_b):
+            w -= eta * gw
+            b -= eta * gb
+    return replace(model, weights=tuple(weights), biases=tuple(biases)), history
 
 
 def fit_outflow(t, p, t_cycle: float,
@@ -363,17 +299,15 @@ def fit_outflow(t, p, t_cycle: float,
                     ((omega * _span(*x_range))[:, None], np.zeros((1, 2 * n_harm))),
                     (omega * x_range[0] + phase, np.zeros(1)), "cos",
                     x_range, (float(pa.min()), float(pa.max())))
-    train, test = _batches(model, ta, pa, split)
-    layers = list(zip(model.weights, model.biases))
-    _forward(layers, np.cos, train)
-    design = np.hstack([train.post[1].T, np.ones((train.yn.size, 1))])
-    coef = np.linalg.lstsq(design, train.yn, rcond=None)[0]
+    train, test = _normalized(model, ta, pa, split)
+    hidden = _forward(model.weights, model.biases, np.cos, train[0])[1][1]
+    design = np.hstack([hidden.T, np.ones((hidden.shape[1], 1))])
+    coef = np.linalg.lstsq(design, train[1], rcond=None)[0]
     model = replace(model, weights=(model.weights[0], coef[None, :-1]),
                     biases=(model.biases[0], coef[-1:]))
-    layers = list(zip(model.weights, model.biases))
-    history = np.array([[0.0] + [_mse(_forward(layers, np.cos, b) - b.yn)
-                                 for b in (train, test)]])
-    return model, history
+    train_mse, test_mse = (_mse(_forward(model.weights, model.biases, np.cos, xn)[1][-1][0] - yn)
+                           for xn, yn in (train, test))
+    return model, np.array([[0.0, train_mse, test_mse]])
 
 
 def predict_outflow(model: NNModel, t) -> np.ndarray | float:

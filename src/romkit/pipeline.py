@@ -372,27 +372,6 @@ def _homogenized(snaps: SnapshotSet, waveform: Waveform, lift: LiftingPair,
     return homogenize(snaps, waveform.magnitude(snaps.times), p_d, lift)
 
 
-class _StageFailure(Exception):
-    """Internal wrapper used to tag which offline stage failed."""
-
-    def __init__(self, stage, exc):
-        self.stage = stage
-        self.exc = exc
-
-
-class _stage:
-    def __init__(self, name):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(exc, _StageFailure):
-            raise _StageFailure(self.name, exc) from exc
-        return False
-
-
 def offline(config: dict | Path | str, out_dir=None, fom_result: FomResult | None = None):
     """Run the whole offline stage; returns (Bundle, timings dict).
 
@@ -404,20 +383,8 @@ def offline(config: dict | Path | str, out_dir=None, fom_result: FomResult | Non
     before the call is left in place.
     """
     created = out_dir is not None and not Path(out_dir).exists()
+    stage = "config"
     try:
-        return _offline_stages(config, out_dir, fom_result)
-    except _StageFailure as failure:
-        if created:
-            import shutil
-
-            shutil.rmtree(out_dir, ignore_errors=True)
-        exc = failure.exc
-        exc.args = (f"[offline stage {failure.stage!r}] {exc}",) + exc.args[1:]
-        raise exc from None
-
-
-def _offline_stages(config, out_dir, fom_result):
-    with _stage("config"):
         if isinstance(config, dict):
             cfg = {**DEFAULT_CONFIG, **config}
             _check_keys(cfg)
@@ -431,25 +398,25 @@ def _offline_stages(config, out_dir, fom_result):
         # the stages below build and factor sparse matrices; importing scipy
         # here keeps its import time out of their timers
         import scipy.sparse.linalg  # noqa: F401
-    timings = {}
+        timings = {}
 
-    with _stage("fom"):
+        stage = "fom"
         if fom_result is None:
             fom_result = fom_run(fom_cfg)
         timings["fom"] = fom_result.wall_time
         fine = fom_result.snapshots
         train = _training_set(fine, cfg)
 
-    with _stage("lifting"):
+        stage = "lifting"
         t0 = time.perf_counter()
         lifting = compute_lifting(fom_cfg.grid)
         timings["lifting"] = time.perf_counter() - t0
 
-    with _stage("homogenize"):
+        stage = "homogenize"
         lift_pressure = _b(cfg, "lift_pressure")
         hom = _homogenized(train, fom_cfg.waveform, lifting, lift_pressure)
 
-    with _stage("pod"):
+        stage = "pod"
         t0 = time.perf_counter()
         basis_u_plain = pod_basis(hom.velocity, n_modes=_i(cfg, "n_u_max"), kind="velocity")
         timings["pod_u"] = time.perf_counter() - t0
@@ -460,18 +427,18 @@ def _offline_stages(config, out_dir, fom_result):
         n_u = min(_i(cfg, "n_u"), basis_u_plain.n_modes)
         n_p = min(_i(cfg, "n_p"), basis_p.n_modes) if basis_p is not None else 0
 
-    with _stage("supremizer"):
+        stage = "supremizer"
         t0 = time.perf_counter()
         basis_u = supremizer_enrich(basis_u_plain, basis_p, fom_cfg.grid)
         timings["supremizer"] = time.perf_counter() - t0
 
-    with _stage("operators"):
+        stage = "operators"
         t0 = time.perf_counter()
         operators = assemble_operators(basis_u, basis_p, lifting, fom_cfg.nu, fom_cfg.grid,
                                        include_convection=fom_cfg.include_convection)
         timings["operators"] = time.perf_counter() - t0
 
-    with _stage("nn_train"):
+        stage = "nn_train"
         t0 = time.perf_counter()
         nn_models, histories = {}, {}
         split = _f(cfg, "nn_split")
@@ -480,36 +447,43 @@ def _offline_stages(config, out_dir, fom_result):
                 train.times, train.outlet_pressure[:, j], fom_cfg.waveform.t_cycle, split, seed)
         timings["nn_train"] = time.perf_counter() - t0
 
-    bundle = Bundle(
-        config=dict(cfg),
-        grid=fom_cfg.grid,
-        waveform=fom_cfg.waveform,
-        nu=fom_cfg.nu,
-        dt_fom=fom_cfg.dt,
-        train=train,
-        fine=fine,
-        lifting=lifting,
-        basis_u=basis_u,
-        basis_p=basis_p,
-        operators=operators,
-        nn_models=nn_models,
-        fom_wall_time=fom_result.wall_time,
-        cycle_drift=fom_result.cycle_drift,
-        lift_pressure=lift_pressure,
-        n_u=n_u,
-        n_p=n_p,
-    )
-    timings["total"] = sum(timings.values())
+        bundle = Bundle(
+            config=dict(cfg),
+            grid=fom_cfg.grid,
+            waveform=fom_cfg.waveform,
+            nu=fom_cfg.nu,
+            dt_fom=fom_cfg.dt,
+            train=train,
+            fine=fine,
+            lifting=lifting,
+            basis_u=basis_u,
+            basis_p=basis_p,
+            operators=operators,
+            nn_models=nn_models,
+            fom_wall_time=fom_result.wall_time,
+            cycle_drift=fom_result.cycle_drift,
+            lift_pressure=lift_pressure,
+            n_u=n_u,
+            n_p=n_p,
+        )
+        timings["total"] = sum(timings.values())
 
-    if out_dir is not None:
-        with _stage("save"):
+        if out_dir is not None:
+            stage = "save"
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             for k, hist in histories.items():
                 save_loss_history(out / f"loss_{k}.csv", hist)
             bundle.save(out)  # writes the manifest last, covering the loss files
             _write_timings(out / "timings.csv", timings)
-    return bundle, timings
+        return bundle, timings
+    except BaseException as exc:
+        if created:
+            import shutil
+
+            shutil.rmtree(out_dir, ignore_errors=True)
+        exc.args = (f"[offline stage {stage!r}] {exc}",) + exc.args[1:]
+        raise
 
 
 @dataclass(eq=False)
@@ -750,7 +724,7 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     report.speedup = bundle.fom_wall_time / t_solve if t_solve > 0 else None
     report.extras = {
         "n_u": bu.n_primary, "n_p": ops.n_p, "n_supremizer": ops.n_p,
-        "dt_r": substep, "velocity_only": bundle.velocity_only,
+        "dt_r": substep, "velocity_only": ops.n_p == 0,
         "saddle_cond": step.cond,
         "windkessel_params": {k: str(v) for k, v in bundle.config.items()
                               if k.startswith("wk_")},

@@ -2,10 +2,10 @@
 
 State equations for one outlet, discretized with explicit first-order Euler:
 
-    C dp_p/dt + (p_p - p_d)/R_d = Q
+    C dp_p/dt + p_p/R_d = Q
     p = p_p + R_p Q
 
-with distal reference pressure p_d fixed to zero.  The steady limit for a
+with the distal reference pressure fixed to zero.  The steady limit for a
 constant flow rate is p = (R_p + R_d) Q, which serves as a test oracle.
 """
 
@@ -25,15 +25,12 @@ class WindkesselParams:
     Rp: float
     Rd: float
     C: float
-    pd: float = 0.0
 
     def __post_init__(self):
         if not (self.Rp > 0 and self.Rd > 0 and self.C > 0):
             raise ConfigurationError(
                 f"Windkessel parameters must be positive: Rp={self.Rp}, Rd={self.Rd}, C={self.C}"
             )
-        if self.pd != 0.0:
-            raise ConfigurationError("distal reference pressure pd is fixed to 0")
 
     @property
     def tau(self) -> float:
@@ -64,13 +61,13 @@ def wk_step(state: WindkesselState, Q: float, dt: float, params: WindkesselParam
         raise ValueError(
             f"dt={dt} >= Rd*C={params.tau}: explicit Windkessel step rejected as unstable"
         )
-    pp = state.pp + (dt / params.C) * (Q - (state.pp - params.pd) / params.Rd)
+    pp = state.pp + (dt / params.C) * (Q - state.pp / params.Rd)
     return WindkesselState(pp=pp, p=pp + params.Rp * Q, t=state.t + dt)
 
 
 def wk_steady_pressure(Q: float, params: WindkesselParams) -> float:
-    """Fixed point of wk_step under constant Q: (Rp + Rd) Q + pd."""
-    return (params.Rp + params.Rd) * Q + params.pd
+    """Fixed point of wk_step under constant Q: (Rp + Rd) Q."""
+    return (params.Rp + params.Rd) * Q
 
 
 def load_params_csv(path) -> dict[int, WindkesselParams]:

@@ -132,7 +132,7 @@ class TestBackprop:
         assert gw[0][0, 0] == pytest.approx(2.0 * resid * 0.4, rel=1e-14)
         assert gb[0][0] == pytest.approx(2.0 * resid, rel=1e-14)
 
-    @pytest.mark.parametrize("activation", ["softplus", "tanh"])
+    @pytest.mark.parametrize("activation", ["softplus", "tanh", "identity"])
     def test_finite_difference_oracle(self, activation, rng):
         m = init_model(hidden_neurons=5, hidden_layers=2, activation=activation,
                        seed=int(rng.integers(1 << 30)))
@@ -162,6 +162,37 @@ class TestBackprop:
             bm[l][0] -= h
             fd = (loss(replace(m, biases=tuple(bp))) - loss(replace(m, biases=tuple(bm)))) / (2 * h)
             assert gb[l][0] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+
+    def test_relu_finite_difference_off_the_kinks(self, rng):
+        # a difference quotient is no oracle on relu's kink: with zero biases
+        # and the test above's draw for relu, the first layer is dead and every
+        # second-layer pre-activation is exactly 0.  Random biases keep each
+        # one well off it here; at 0 the derivative is 0.
+        sizes = (1, 5, 5, 1)
+        weights, biases = _random_layers(sizes, rng)
+        m = NNModel(sizes, weights, biases, "relu")
+        x, y = rng.uniform(0, 1, 12), rng.uniform(0, 1, 12)
+        u1 = weights[0] @ x[None, :] + biases[0][:, None]
+        u2 = weights[1] @ np.maximum(u1, 0.0) + biases[1][:, None]
+        assert min(np.abs(u1).min(), np.abs(u2).min()) > 1e-3
+        assert 0 < np.count_nonzero(u2 > 0) < u2.size
+        gw, gb, _ = nn_backprop(m, x, y)
+        h = 1e-6
+        for params, grads in (("weights", gw), ("biases", gb)):
+            for l, g in enumerate(grads):
+                for idx in np.ndindex(g.shape):
+                    losses = []
+                    for step in (h, -h):
+                        arrays = list(getattr(m, params))
+                        arrays[l] = arrays[l].copy()
+                        arrays[l][idx] += step
+                        losses.append(nn_backprop(replace(m, **{params: tuple(arrays)}), x, y)[2])
+                    fd = (losses[0] - losses[1]) / (2 * h)
+                    assert g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+        pre_kink = NNModel((1, 1, 1), (np.array([[1.0]]), np.array([[1.0]])),
+                           (np.array([0.0]), np.array([0.0])), "relu")
+        gw, gb, _ = nn_backprop(pre_kink, np.array([0.0]), np.array([1.0]))
+        assert gw[0][0, 0] == gb[0][0] == 0.0
 
     def test_empty_batch_rejected(self):
         m = linear_neuron()
@@ -220,6 +251,20 @@ class TestTraining:
         with pytest.raises(TrainingError), _warnings.catch_warnings():
             _warnings.simplefilter("ignore", RuntimeWarning)  # overflow precedes the raise
             nn_train(m, t, p, TrainConfig(epochs=5000, learning_rate=1e4, seed=0))
+
+    @pytest.mark.parametrize("kw", [
+        pytest.param({"epochs": 2.5}, id="epochs_float"),
+        pytest.param({"epochs": True}, id="epochs_bool"),
+        pytest.param({"epochs": "5"}, id="epochs_str"),
+        pytest.param({"epochs": 0}, id="epochs_zero"),
+        pytest.param({"learning_rate": float("nan")}, id="lr_nan"),
+        pytest.param({"learning_rate": float("inf")}, id="lr_inf"),
+        pytest.param({"learning_rate": "0.1"}, id="lr_str"),
+        pytest.param({"learning_rate": 0.0}, id="lr_zero"),
+    ])
+    def test_config_refused_when_built(self, kw):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**kw)
 
     def test_reference_defaults_recorded(self):
         cfg = TrainConfig()

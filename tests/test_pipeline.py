@@ -571,6 +571,15 @@ class TestOnline:
         assert report.extras["n_p"] == report.extras["n_supremizer"] == 2
         assert report.err_p is not None and report.proj_p is not None
 
+    def test_velocity_only_reports_the_query(self, bundle, small_fom):
+        """extras["velocity_only"] says whether the query answers pressure,
+        whatever the bundle's default query does."""
+        b, _ = offline({**SMALL_CONFIG, "n_p": "0"}, fom_result=small_fom)
+        assert b.velocity_only
+        assert online(b, modes=(3, 2), timing_reps=1)[1].extras["velocity_only"] is False
+        assert not bundle.velocity_only
+        assert online(bundle, modes=(3, 0), timing_reps=1)[1].extras["velocity_only"] is True
+
     def test_select_slices_the_stored_model(self, bundle):
         ops, bu, bp = bundle.select(3, 2)
         n_prim = bundle.basis_u.n_primary
