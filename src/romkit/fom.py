@@ -16,8 +16,8 @@ coupling:
   5. corrector   u = u* - dt grad(p)
 
 A step works on the flat (u block, v block) vector w of the state, and each
-linear map of the step is a sparse matrix that operators.py reads off its
-stencil, built once per solver:
+linear map of the step is a scaled copy of a sparse matrix that operators.py
+reads off its stencil once per grid:
 
   predictor   u* = [I + dt nu L, -dt D] [w; (S_a w) * (S_b w)], with
               self-advection div(w (x) w) = D ((S_a w) * (S_b w)) the flux
@@ -25,12 +25,12 @@ stencil, built once per solver:
   pressure    rhs = bc(q) - (Div/dt) u*
   corrector   u = u* - (dt Grad) [p; q], the outlet data q as extra columns
 
-So the reduced model assembled over the same stencils is operator-consistent
-with this solver.  The post-correction divergence check applies the
-divergence stencil itself.  With convection on, a state at convective CFL 1
-or more is not advanced.  The outlet pressure datum applied at each step is
-recorded next to the snapshots: that series is what the outflow-pressure
-network trains on.
+ROM assembly projects the same matrices, so the reduced model is
+operator-consistent with this solver.  The post-correction divergence check
+applies the divergence stencil itself.  With convection on, a state at
+convective CFL 1 or more is not advanced.  The outlet pressure datum applied
+at each step is recorded next to the snapshots: that series is what the
+outflow-pressure network trains on.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ class Waveform:
     shape: str = "plug"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u_sys, self.t_cycle, self.systole_frac))):
+            raise ConfigurationError(f"waveform values must be finite: {self}")
         if self.kind not in ("pulse", "constant"):
             raise ConfigurationError(f"unknown waveform kind {self.kind!r}")
         if self.shape not in ("plug", "parabola"):
@@ -129,12 +131,12 @@ class FomConfig:
     include_convection: bool = True
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ConfigurationError(f"nu must be positive, got {self.nu}")
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.t0 >= self.t_end:
-            raise ConfigurationError(f"need t0 < t_end, got [{self.t0}, {self.t_end}]")
+        if not 0 < self.nu < math.inf:
+            raise ConfigurationError(f"nu must be positive and finite, got {self.nu}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
+        if not -math.inf < self.t0 < self.t_end < math.inf:
+            raise ConfigurationError(f"need finite t0 < t_end, got [{self.t0}, {self.t_end}]")
         g = self.grid
         h_min = min(g.hx, g.hy)
         cfl = self.waveform.u_sys * self.dt / h_min
@@ -191,9 +193,9 @@ class FomSolver:
         # pivots leaves about a third less fill than SuperLU's default COLAMD
         self._lu = splu(self._A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options={"SymmetricMode": True})
-        # the step's maps on the flat (u block, v block) layout, each read off
-        # its stencil: the predictor acts on [w, fluxes], the fluxes being the
-        # products of the two face-mean maps of self-advection
+        # the step's maps on the flat (u block, v block) layout, scaled copies
+        # of the grid's matrices: the predictor acts on [w, fluxes], the fluxes
+        # being the products of the two face-mean maps of self-advection
         predictor = identity(g.n_vector) + (dt * cfg.nu) * vec_laplacian_matrix(g)
         if cfg.include_convection:
             means, flux_div = convection_matrices(g)

@@ -62,8 +62,8 @@ class Grid:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ConfigurationError(f"need nx, ny >= 3, got {self.nx} x {self.ny}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ConfigurationError(f"domain lengths must be positive, got {self.lx} x {self.ly}")
+        if not (0 < self.lx < math.inf and 0 < self.ly < math.inf):
+            raise ConfigurationError(f"lx, ly must be positive and finite, got {self.lx} x {self.ly}")
         missing = [s for s in SIDES if s not in self.tags]
         if missing:
             raise ConfigurationError(f"boundary sides without a tag: {missing}")

@@ -1,8 +1,7 @@
 """Discrete MAC-grid operators shared by the flow solver and ROM assembly.
 
-The reduced operators are Galerkin compressions of exactly these stencils,
-so the same functions serve both layers.  All closures are linear in the
-stored face values:
+Each operator is a stencil, and the stencils are linear in the stored face
+values under these closures:
 
   * normal faces on inlet/wall sides carry Dirichlet data in-array and are
     never advanced; derived quantities are zeroed there,
@@ -16,11 +15,13 @@ tensor relies on.  The stencils take cell arrays of shape (..., ny, nx) and
 face arrays of shape (..., ny, nx + 1) and (..., ny + 1, nx): leading axes
 are a batch and broadcast.
 
-The sparse matrices are read off these stencils with colored probes, so each
-discrete operator has one representation: the Poisson matrix (minus the
-divergence of the face gradient), the vector Laplacian, the divergence, the
-gradient with its outlet-datum columns, and self-advection as the flux
-divergence of products of two face-mean maps of the velocity.
+The sparse matrices are read off these stencils with colored probes: the
+Poisson matrix (minus the divergence of the face gradient), the vector
+Laplacian, the divergence, the gradient with its outlet-datum columns, and
+self-advection as the flux divergence of products of two face-mean maps of
+the velocity.  The last four are each probed once per grid and kept on
+it: the one representation that the full-order step scales, the supremizer
+solve factors and ROM assembly projects.
 
 scipy is imported only where a sparse matrix is built or factored, so that
 loading a bundle and running the online stage import numpy alone.  ``splu``
@@ -32,6 +33,8 @@ lifting and rom import it only so that the benchmark's tracer, which names
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 import numpy as np
 
@@ -114,6 +117,19 @@ def _probed_matrix(stencil, shapes):
     return csc_matrix((value[c, r], (r, column)), shape=(out.shape[1], color.size))
 
 
+def _kept_on_grid(build):
+    """``build(grid)``, computed once per Grid and kept on it as its cached
+    properties are; every caller gets that one matrix and must not modify it."""
+    name = f"_{build.__name__}"
+
+    @wraps(build)
+    def kept(grid: Grid):
+        if name not in vars(grid):
+            vars(grid)[name] = build(grid)
+        return vars(grid)[name]
+    return kept
+
+
 def vec_laplacian(grid: Grid, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise 5-point Laplacian at advanced faces (zero elsewhere)."""
     hx2, hy2 = grid.hx**2, grid.hy**2
@@ -139,18 +155,21 @@ def divergence(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., 1:] - u[..., :-1]) / grid.hx + (v[..., 1:, :] - v[..., :-1, :]) / grid.hy
 
 
+@_kept_on_grid
 def vec_laplacian_matrix(grid: Grid):
     """vec_laplacian as a matrix on the flat (u block, v block) layout."""
     return _probed_matrix(lambda u, v: vec_laplacian(grid, u, v),
                           [(grid.ny, grid.nx + 1), (grid.ny + 1, grid.nx)])
 
 
+@_kept_on_grid
 def divergence_matrix(grid: Grid):
     """divergence as a matrix from the flat (u block, v block) layout to cells."""
     return _probed_matrix(lambda u, v: (divergence(grid, u, v),),
                           [(grid.ny, grid.nx + 1), (grid.ny + 1, grid.nx)])
 
 
+@_kept_on_grid
 def gradient_matrix(grid: Grid):
     """gradient as a matrix from the flat [p, q] -- the cells, then one outlet
     datum per outlet in ``grid.outlets`` order -- to the flat (u block,
@@ -249,6 +268,7 @@ def convection(grid: Grid, au: np.ndarray, av: np.ndarray,
                             _u_nodes(grid, au) * _v_nodes(grid, bv))
 
 
+@_kept_on_grid
 def convection_matrices(grid: Grid):
     """Self-advection as matrices on the flat (u block, v block) layout w:
     convection(w, w) = D ((S w)[:n] * (S w)[n:]).  The first half of S w

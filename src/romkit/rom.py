@@ -12,8 +12,8 @@ into the momentum/continuity equations and projecting on the modes gives
     P a = -g d7,
 
 with B, Ct, K, P the Galerkin compressions of the discrete Laplacian,
-convection, gradient and divergence (the same stencils the full-order
-solver steps), and d1..d7 the lifting couplings:
+convection, gradient and divergence (the modes times the matrices the
+full-order solver steps with), and d1..d7 the lifting couplings:
 
     d1 = (phi, Lap chi_u)            d2 = (phi_i, div(phi_j (x) chi_u))
     d3 = (phi_i, div(chi_u (x) phi_j))   d4 = (phi, div(chi_u (x) chi_u))
@@ -40,9 +40,10 @@ from .grid import FieldRows, Grid, SnapshotSet, load_arrays, read_file, save_arr
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
 from .grid import snapshot_matrix  # noqa: F401
 from .lifting import LiftingPair, _outlet_array
-from .operators import (convection, divergence, flat_faces, gradient, splu, vec_laplacian,
-                        vec_laplacian_matrix)
-from .operators import cg  # noqa: F401  (unused: perfbench/spans.py traces rom.cg)
+from .operators import (convection_matrices, divergence_matrix, flat_faces, gradient,
+                        gradient_matrix, splu, vec_laplacian_matrix)
+# unused: perfbench/spans.py traces them here
+from .operators import cg, convection, divergence, vec_laplacian  # noqa: F401
 from .pod import ReducedBasis, _mgs
 
 SADDLE_COND_LIMIT = 1e12
@@ -67,20 +68,13 @@ class ReducedOperators:
     nu: float
 
     def __post_init__(self):
-        nu_modes, npr = self.K.shape
-        if self.B.shape != (nu_modes, nu_modes) or self.Ct.shape != (nu_modes,) * 3:
-            raise ShapeError("B/Ct shapes inconsistent with K")
-        if self.P.shape != (npr, nu_modes):
-            raise ShapeError("P shape inconsistent with K")
-        for name in ("d1", "d4", "d6"):
-            if getattr(self, name).shape != (nu_modes,):
-                raise ShapeError(f"{name} must have shape ({nu_modes},)")
-        if self.d2.shape != (nu_modes, nu_modes) or self.d3.shape != (nu_modes, nu_modes):
-            raise ShapeError("d2/d3 shape mismatch")
-        if self.d5.ndim != 2 or self.d5.shape[1] != nu_modes:
-            raise ShapeError("d5 must be (n_outlets, Nu)")
-        if self.d7.shape != (npr,):
-            raise ShapeError("d7 shape mismatch")
+        n, n_p = self.K.shape
+        for name, shape in (("B", (n, n)), ("Ct", (n, n, n)), ("P", (n_p, n)), ("d1", (n,)),
+                            ("d2", (n, n)), ("d3", (n, n)), ("d4", (n,)),
+                            ("d5", self.d5.shape[:1] + (n,)), ("d6", (n,)), ("d7", (n_p,))):
+            if getattr(self, name).shape != shape:
+                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, not {shape} "
+                                 f"as K's {self.K.shape} implies")
 
     @property
     def n_u(self) -> int:
@@ -97,21 +91,12 @@ class ReducedOperators:
     def subset(self, u_idx, n_p: int) -> "ReducedOperators":
         """Operators of the sub-basis given by velocity indices and the
         first n_p pressure modes (valid because modes are orthonormal)."""
-        u_idx = np.asarray(u_idx, dtype=int)
-        return ReducedOperators(
-            B=self.B[np.ix_(u_idx, u_idx)],
-            Ct=self.Ct[np.ix_(u_idx, u_idx, u_idx)],
-            K=self.K[np.ix_(u_idx, np.arange(n_p))] if n_p else np.zeros((u_idx.size, 0)),
-            P=self.P[:n_p][:, u_idx],
-            d1=self.d1[u_idx],
-            d2=self.d2[np.ix_(u_idx, u_idx)],
-            d3=self.d3[np.ix_(u_idx, u_idx)],
-            d4=self.d4[u_idx],
-            d5=self.d5[:, u_idx],
-            d6=self.d6[u_idx],
-            d7=self.d7[:n_p],
-            nu=self.nu,
-        )
+        u = np.asarray(u_idx, dtype=int)
+        uu = np.ix_(u, u)
+        return ReducedOperators(B=self.B[uu], Ct=self.Ct[np.ix_(u, u, u)], K=self.K[u, :n_p],
+                                P=self.P[:n_p, u], d1=self.d1[u], d2=self.d2[uu], d3=self.d3[uu],
+                                d4=self.d4[u], d5=self.d5[:, u], d6=self.d6[u], d7=self.d7[:n_p],
+                                nu=self.nu)
 
     # -- persistence: nu in meta.json, one array file per tensor
     def save(self, directory) -> None:
@@ -149,8 +134,8 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     Each s_j solves  -Lap s_j = -grad psi_j  with homogeneous velocity
     boundary closures, giving the constraint matrix P a strictly positive
     smallest singular value on the enriched basis.  One factorization of the
-    probed Laplacian on the advanced faces solves for all j, each to relative
-    residual SUPREMIZER_RTOL.
+    grid's Laplacian matrix on the advanced faces solves for all j, each to
+    relative residual SUPREMIZER_RTOL.
     """
     if basis_p is None or basis_p.n_modes == 0:
         return basis_u
@@ -182,52 +167,44 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
 def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
                        lift: LiftingPair, nu: float, grid: Grid,
                        include_convection: bool = True) -> ReducedOperators:
-    """Galerkin-compress the discrete operators over the given bases.
+    """Galerkin-compress the full-order step's matrices over the given bases.
 
-    Each stencil runs once on the stacked modes (Ct once per advecting mode).
-    ``include_convection`` is the full-order model's: without it (a Stokes
-    run) the convection terms Ct, d2, d3 and d4 are left zero, uncomputed.
+    Over X = [Phi', chi_u], Phi L X holds B and d1, Psi Div X holds P and d7,
+    and Phi Grad [Psi' chi_p'; 0 I] holds K and d5.  With (S, D) the
+    convection matrices, convection(a, b) = D_u ((S_a a) * (S_b b)) + D_v
+    ((S_a b) * (S_b a)) for the halves S_a, S_b of S and the u and v rows
+    D_u, D_v of D (D's node flux serves the u rows as a_v b_u and the v rows
+    as a_u b_v), so the flux products of all column pairs of X hold Ct, d2,
+    d3 and d4.  ``include_convection`` is the full-order model's: without
+    it (a Stokes run) those four are left zero, uncomputed.
     """
-    if basis_u.grid != grid:
-        raise ShapeError("velocity basis grid mismatch")
-    if basis_p is not None and basis_p.grid != grid:
-        raise ShapeError("pressure basis grid mismatch")
-    if lift.chi_u.grid != grid:
-        raise ShapeError("lifting grid mismatch")
+    grids = [basis_u.grid, lift.chi_u.grid] + ([basis_p.grid] if basis_p is not None else [])
+    if any(g != grid for g in grids):
+        raise ShapeError("bases and lifting must live on the provided grid")
 
-    area = grid.cell_area
-    Phi = basis_u.modes.values
-    n_u = Phi.shape[0]
+    area, Phi = grid.cell_area, basis_u.modes.values
     Psi = basis_p.modes.values if basis_p is not None else np.zeros((0, grid.n_scalar))
-    U = Phi[:, :grid.n_u].reshape(n_u, grid.ny, grid.nx + 1)
-    V = Phi[:, grid.n_u:].reshape(n_u, grid.ny + 1, grid.nx)
-    chi = lift.chi_u.u, lift.chi_u.v
-
-    def proj(fields):
-        """Galerkin projections (..., n_u) of flat vector fields (..., n_vector)."""
-        return area * (fields @ Phi.T)
-
-    B = proj(flat_faces(vec_laplacian(grid, U, V))).T
-    K = proj(flat_faces(gradient(grid, Psi.reshape(-1, grid.ny, grid.nx)))).T
-    P = area * (Psi @ divergence(grid, U, V).reshape(n_u, -1).T)
-    d7 = area * (Psi @ divergence(grid, *chi).ravel())
-
-    d1 = proj(flat_faces(vec_laplacian(grid, *chi)))
+    (n, n_p), n_out = (Phi.shape[0], Psi.shape[0]), lift.n_outlets
+    X = np.column_stack([Phi.T, lift.chi_u.values])
+    Y = np.block([[Psi.T, lift.chi_p.values.T], [np.zeros((n_out, n_p)), np.eye(n_out)]])
+    LX = area * (Phi @ (vec_laplacian_matrix(grid) @ X))
+    DX = area * (Psi @ (divergence_matrix(grid) @ X))
+    GY = area * (Phi @ (gradient_matrix(grid) @ Y))
+    T = np.zeros((2, n, n + 1, n + 1))       # T[:, i, j, k]: the u and the v rows' parts
     if include_convection:
-        Ct = np.empty((n_u, n_u, n_u))
-        for j in range(n_u):
-            Ct[:, j, :] = proj(flat_faces(convection(grid, U[j], V[j], U, V))).T
-        d2 = proj(flat_faces(convection(grid, U, V, *chi))).T
-        d3 = proj(flat_faces(convection(grid, *chi, U, V))).T
-        d4 = proj(flat_faces(convection(grid, *chi, *chi)))
-    else:
-        Ct, d2, d3, d4 = (np.zeros((n_u,) * r) for r in (3, 2, 2, 1))
-    d6 = proj(lift.chi_u.values)
-    d5 = proj(np.array([flat_faces(gradient(grid, c.c, e))
-                        for c, e in zip(lift.chi_p, np.eye(lift.n_outlets))]))
-
-    return ReducedOperators(B=B, Ct=Ct, K=K, P=P, d1=d1, d2=d2, d3=d3, d4=d4,
-                            d5=d5, d6=d6, d7=d7, nu=float(nu))
+        S, D = convection_matrices(grid)
+        A, Bs = np.split(S @ X, 2)              # S_a X, S_b X
+        G, nf = area * Phi, grid.n_u            # the projection, the u faces
+        block = max(1, 2**16 // A.size)
+        for j in range(0, n + 1, block):        # D (S_a X_j * S_b X_k), j in the block
+            div = D @ (A[:, j:j + block, None] * Bs[:, None, :]).reshape(A.shape[0], -1)
+            T[0, :, j:j + block] = (G[:, :nf] @ div[:nf]).reshape(n, -1, n + 1)
+            T[1, :, j:j + block] = (G[:, nf:] @ div[nf:]).reshape(n, -1, n + 1)
+    T = T[0] + T[1].transpose(0, 2, 1)       # the v rows take the products of (k, j)
+    return ReducedOperators(B=LX[:, :n], Ct=T[:, :n, :n], K=GY[:, :n_p], P=DX[:, :n],
+                            d1=LX[:, n], d2=T[:, :n, n], d3=T[:, n, :n], d4=T[:, n, n],
+                            d5=GY[:, n_p:].T, d6=area * (lift.chi_u.values @ Phi.T),
+                            d7=DX[:, n], nu=float(nu))
 
 
 @dataclass(frozen=True, eq=False)

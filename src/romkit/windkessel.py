@@ -27,10 +27,9 @@ class WindkesselParams:
     C: float
 
     def __post_init__(self):
-        if not (self.Rp > 0 and self.Rd > 0 and self.C > 0):
-            raise ConfigurationError(
-                f"Windkessel parameters must be positive: Rp={self.Rp}, Rd={self.Rd}, C={self.C}"
-            )
+        if not all(0 < x < np.inf for x in (self.Rp, self.Rd, self.C)):
+            raise ConfigurationError(f"Windkessel parameters must be positive and finite: "
+                                     f"Rp={self.Rp}, Rd={self.Rd}, C={self.C}")
 
     @property
     def tau(self) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from romkit import fom, pipeline, rom
+from romkit import fom, operators, pipeline, rom
 from romkit.cli import main as cli_main
 from romkit.errors import ConfigurationError, FormatError, StabilityError
 from romkit.fom import fom_run
@@ -337,6 +337,24 @@ pipeline.offline({SMALL_CONFIG!r}, fom_result=fom_result)
         res = fom_run(fom_cfg)
         b1, t1 = offline(SMALL_CONFIG, fom_result=res)
         assert np.array_equal(b1.train.times, res.snapshots.times[::2])
+
+    @pytest.mark.parametrize("convection", ["true", "false"])
+    def test_each_step_matrix_probed_once(self, monkeypatch, convection):
+        """One offline() reads each of the grid's step matrices off its stencil
+        once, shared by the FOM, the supremizer solve and assembly; a Stokes
+        run reads no convection matrices."""
+        probed, probe = [], operators._probed_matrix
+
+        def counted(stencil, shapes):
+            probed.append(sys._getframe(1).f_code.co_name)   # the matrix builder
+            return probe(stencil, shapes)
+
+        monkeypatch.setattr(operators, "_probed_matrix", counted)
+        offline({**SMALL_CONFIG, "include_convection": convection})
+        for name in ("vec_laplacian_matrix", "divergence_matrix", "gradient_matrix"):
+            assert probed.count(name) == 1, name
+        # S and D, each once
+        assert probed.count("convection_matrices") == (2 if convection == "true" else 0)
 
 
 class TestBundleParts:
@@ -834,6 +852,23 @@ def _tiny_fom(tmp, bundle_dir, monkeypatch):
     return ["fom", "--config", str(cfg), "--out", str(tmp / "snaps")]
 
 
+def _non_finite(line):
+    """The tiny run with one more config line that sets a value to inf or nan."""
+    def make_argv(tmp, bundle_dir, monkeypatch):
+        argv = _tiny_fom(tmp, bundle_dir, monkeypatch)
+        with open(tmp / "tiny.txt", "a") as fh:
+            fh.write(line + "\n")
+        return argv
+    return make_argv
+
+
+# one config line per value that Grid, FomConfig, Waveform or WindkesselParams
+# refuses as non-finite (a nan that fails a comparison check was refused before)
+NON_FINITE = {"t_end": "t_end = inf", "t0": "t0 = -inf", "lx": "lx = inf", "nu": "nu = nan",
+              "u_sys": "u_sys = nan", "t_cycle": "t_cycle = inf",
+              "Rd": "wk_0 = 35,inf,5e-4", "C": "wk_0 = 35,590,inf"}
+
+
 def _failed_residual(tmp, bundle_dir, monkeypatch):
     monkeypatch.setattr(fom, "splu", wrapped_splu(scale=1 + 1e-6))
     return _tiny_fom(tmp, bundle_dir, monkeypatch)
@@ -932,6 +967,8 @@ EXIT_CODES = [
     pytest.param(2, _dt_r("0"), id="dt_r_zero"),
     pytest.param(2, _dt_r("nan"), id="dt_r_nan"),
     pytest.param(2, _dt_r("10"), id="dt_r_past_window"),
+    *[pytest.param(2, _non_finite(line), id=f"non_finite_{name}")
+      for name, line in NON_FINITE.items()],
     pytest.param(3, _failed_residual, id="failed_residual_check"),
     pytest.param(3, _two_outlet_cfl(64, 16), id="two_outlet_cfl_64x16"),
     pytest.param(3, _two_outlet_cfl(40, 20), id="two_outlet_cfl_40x20"),

@@ -2,14 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romkit import rom
 from romkit.errors import NumericalError, ShapeError, StabilityError
 from romkit.fom import FomConfig, Waveform, fom_run
 from romkit.grid import Field, FieldRows, Grid, inner_product, l2_norm, snapshot_matrix
 from romkit.lifting import LiftingPair, compute_lifting, homogenize
-from romkit.operators import convection, divergence, gradient, vec_laplacian
-from romkit.pod import ReducedBasis, pod_basis, project_coefficients, symmetric_eig
+from romkit.operators import convection, divergence, flat_faces, gradient, vec_laplacian
+from romkit.pod import ReducedBasis, _mgs, pod_basis, project_coefficients, symmetric_eig
 from romkit.rom import (
     ReducedOperators,
     ReducedTrajectory,
@@ -21,7 +22,7 @@ from romkit.rom import (
 )
 from romkit.windkessel import WindkesselParams
 
-from conftest import CHANNEL_TAGS, wrapped_splu
+from conftest import CHANNEL_TAGS, layouts, wrapped_splu
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,54 @@ class TestAssemble:
         for name, ref in (("B", B), ("Ct", Ct), ("d2", d2), ("d3", d3), ("K", K), ("P", P)):
             got = getattr(ops, name)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(layouts(), st.integers(1, 4), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_every_operator_on_every_layout(self, grid, n_u, n_p, seed):
+        """All eleven operators, convection on, against one stencil call per
+        mode (pair) on every boundary layout, with random orthonormal modes and
+        the layout's own lifting.  Each array is bounded relative to its
+        largest entry; d4 and d7 also relative to d2 and P, which they
+        accompany in the step, since either can be zero to rounding."""
+        rng = np.random.default_rng(seed)
+        lift = compute_lifting(grid)
+        Phi = _mgs(rng.standard_normal((n_u, grid.n_vector)), grid.cell_area)
+        Psi = _mgs(rng.standard_normal((n_p, grid.n_scalar)), grid.cell_area)
+        bu = ReducedBasis(FieldRows(grid, "vector2", Phi), np.ones(n_u), "velocity", n_u)
+        bp = (ReducedBasis(FieldRows(grid, "scalar", Psi), np.ones(n_p), "pressure", n_p)
+              if n_p else None)
+        ops = assemble_operators(bu, bp, lift, 0.1, grid)
+
+        def uv(w):
+            f = Field(grid, "vector2", w)
+            return f.u, f.v
+
+        def proj(rows, fields):   # area-weighted dot products, a row per mode, a column per field
+            return grid.cell_area * np.array([[r @ f.ravel() for f in fields] for r in rows])
+
+        chi = lift.chi_u.values
+        cols = list(Phi) + [chi]
+        lap = [flat_faces(vec_laplacian(grid, *uv(w))) for w in cols]
+        conv = [[flat_faces(convection(grid, *uv(a), *uv(b))) for b in cols] for a in cols]
+        Ct = np.stack([proj(Phi, conv[j][:n_u]) for j in range(n_u)], axis=1)
+        want = {
+            "B": proj(Phi, lap[:n_u]), "d1": proj(Phi, lap[n_u:])[:, 0], "Ct": Ct,
+            "d2": proj(Phi, [conv[j][n_u] for j in range(n_u)]),
+            "d3": proj(Phi, conv[n_u][:n_u]), "d4": proj(Phi, conv[n_u][n_u:])[:, 0],
+            "K": proj(Phi, [flat_faces(gradient(grid, p.reshape(grid.ny, grid.nx)))
+                            for p in Psi]).reshape(n_u, n_p),
+            "P": proj(Psi, [divergence(grid, *uv(w)) for w in Phi]).reshape(n_p, n_u),
+            "d5": proj(Phi, [flat_faces(gradient(grid, c.c, e))
+                             for c, e in zip(lift.chi_p, np.eye(lift.n_outlets))]).T,
+            "d6": proj(Phi, [chi])[:, 0],
+            "d7": proj(Psi, [divergence(grid, *uv(chi))]).reshape(n_p),
+        }
+        scale = {name: np.abs(ref).max(initial=0.0) for name, ref in want.items()}
+        scale["d4"], scale["d7"] = max(scale["d4"], scale["d2"]), max(scale["d7"], scale["P"])
+        for name, ref in want.items():
+            got = getattr(ops, name)
+            assert got.shape == ref.shape, name
+            assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * scale[name], name
 
     def test_single_mode_diffusion_scalar(self, stokes_setup, rng):
         s = stokes_setup
