@@ -34,7 +34,10 @@ cfg = FomConfig(grid=grid, nu=0.04, dt=2.5e-3, t0=0.0, t_end=1.8, waveform=wf,
                 windkessel={0: WindkesselParams(35.0, 590.0, 8e-4)},
                 snap_stride=10, snap_start=1.2)
 res = fom_run(cfg)
-div_worst = max(np.abs(divergence(grid, f.u, f.v)).max() for f in res.snapshots.velocity)
+w = res.snapshots.velocity.values        # one snapshot per row: u faces, then v faces
+u = w[:, :grid.n_u].reshape(-1, grid.ny, grid.nx + 1)
+v = w[:, grid.n_u:].reshape(-1, grid.ny + 1, grid.nx)
+div_worst = np.abs(divergence(grid, u, v)).max()
 print(f"pulsatile channel: {res.n_steps} steps in {res.wall_time:.1f}s, "
       f"{len(res.snapshots)} snapshots")
 print(f"  worst divergence over snapshots: {div_worst:.2e}")

@@ -17,7 +17,7 @@ from .errors import (
     StabilityError,
     TrainingError,
 )
-from .grid import Field, FieldRows, Grid, SnapshotSet, build_grid, inner_product, l2_norm
+from .grid import Field, FieldRows, Grid, SnapshotSet, build_grid, l2_norm
 from .windkessel import WindkesselParams, WindkesselState, wk_steady_pressure, wk_step
 from .fom import FomConfig, FomResult, FomSolver, Waveform, fom_run
 from .lifting import LiftingPair, compute_lifting, dehomogenize, homogenize
@@ -64,7 +64,7 @@ __all__ = [
     "WindkesselState", "assemble_operators", "build_basis", "build_grid", "compare",
     "compute_lifting", "correlation_matrix", "dehomogenize", "demo_problem",
     "error_vs_n", "fit_outflow", "fom_run", "fom_solve", "homogenize",
-    "init_model", "inner_product", "integrate_rom", "l2_norm",
+    "init_model", "integrate_rom", "l2_norm",
     "nn_backprop", "nn_forward", "nn_train", "offline", "online", "parse_config",
     "pod_basis", "predict_outflow", "prepare_step", "project_coefficients", "projection_error",
     "rb_offline", "rb_online", "reconstruct", "supremizer_enrich", "symmetric_eig",

@@ -1,4 +1,4 @@
-"""Structured staggered (MAC) grid, discrete fields and L2 inner products.
+"""Structured staggered (MAC) grid, field rows, boundary fluxes and array files.
 
 Layout for an ``nx x ny`` cell grid over ``[0, lx] x [0, ly]``:
 
@@ -6,16 +6,16 @@ Layout for an ``nx x ny`` cell grid over ``[0, lx] x [0, ly]``:
     u[j, i]           at x-faces        x=i*hx,      y=(j+0.5)hy   shape (ny, nx+1)
     v[j, i]           at y-faces        x=(i+0.5)hx, y=j*hy        shape (ny+1, nx)
 
-A ``Field`` stores one flat float64 vector in this layout (u block then v
-block for vector fields).  Fields are immutable after construction so they
-can be shared freely across threads; all operations on them are pure.
-Snapshot sets and bases hold M fields of one kind as the rows of a single
-read-only (M, n) array (``FieldRows``); indexing it yields Field views of
-the rows without copying.  Every part of a bundle is stored by
-``save_arrays``: a meta.json plus one raw float64 file per array.
+A field is one flat float64 vector in this layout (u block then v block for
+vector fields).  Snapshot sets, bases and liftings hold M fields of one kind
+as the rows of a single read-only (M, n) array (``FieldRows``); ``rows[m]``
+is a ``Field``, the (grid, kind, values) view of row m, without a copy.
+Boundary fluxes are read off the face arrays (``normal_flux``).  Every part
+of a bundle is stored by ``save_arrays``: a meta.json plus one raw float64
+file per array.
 
-The discrete inner product is the unweighted L2 sum over unknowns times the
-cell area hx*hy, for both scalar and vector fields.
+The discrete L2 norm (``l2_norm``) is the sum of squares over unknowns times
+the cell area hx*hy, for both scalar and vector fields.
 """
 
 from __future__ import annotations
@@ -203,111 +203,19 @@ def build_grid(nx: int, ny: int, lx: float, ly: float, tags: Mapping[str, str]) 
     return Grid(int(nx), int(ny), float(lx), float(ly), tags)
 
 
+@dataclass(frozen=True, eq=False)
 class Field:
-    """Immutable scalar or vector2 field on a MAC grid (flat float64 storage)."""
+    """Row m of a FieldRows: its grid, its kind and a read-only view of the row."""
 
-    __slots__ = ("grid", "kind", "values")
-
-    def __init__(self, grid: Grid, kind: str, values):
-        if kind not in ("scalar", "vector2"):
-            raise ShapeError(f"unknown field kind {kind!r}")
-        vals = np.asarray(values, dtype=np.float64).reshape(-1)
-        expect = grid.n_scalar if kind == "scalar" else grid.n_vector
-        if vals.size != expect:
-            raise ShapeError(f"{kind} field needs {expect} values, got {vals.size}")
-        if not np.all(np.isfinite(vals)):
-            raise ShapeError(f"{kind} field contains non-finite entries")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Field is immutable")
-
-    @classmethod
-    def _view(cls, grid: Grid, kind: str, values: np.ndarray) -> "Field":
-        """Field over a read-only row the caller has already checked."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "kind", kind)
-        object.__setattr__(f, "values", values)
-        return f
-
-    # -- constructors ---------------------------------------------------------
-    @classmethod
-    def scalar(cls, grid: Grid, values=None) -> "Field":
-        if values is None:
-            values = np.zeros(grid.n_scalar)
-        return cls(grid, "scalar", values)
-
-    @classmethod
-    def vector2(cls, grid: Grid, u=None, v=None) -> "Field":
-        uu = np.zeros((grid.ny, grid.nx + 1)) if u is None else np.asarray(u, dtype=np.float64)
-        vv = np.zeros((grid.ny + 1, grid.nx)) if v is None else np.asarray(v, dtype=np.float64)
-        if uu.shape != (grid.ny, grid.nx + 1) or vv.shape != (grid.ny + 1, grid.nx):
-            raise ShapeError(
-                f"vector2 components need shapes {(grid.ny, grid.nx + 1)} and "
-                f"{(grid.ny + 1, grid.nx)}, got {uu.shape} and {vv.shape}"
-            )
-        return cls(grid, "vector2", np.concatenate([uu.ravel(), vv.ravel()]))
-
-    # -- views ---------------------------------------------------------------
-    @property
-    def u(self) -> np.ndarray:
-        if self.kind != "vector2":
-            raise ShapeError("u view only exists for vector2 fields")
-        return self.values[: self.grid.n_u].reshape(self.grid.ny, self.grid.nx + 1)
-
-    @property
-    def v(self) -> np.ndarray:
-        if self.kind != "vector2":
-            raise ShapeError("v view only exists for vector2 fields")
-        return self.values[self.grid.n_u :].reshape(self.grid.ny + 1, self.grid.nx)
-
-    @property
-    def c(self) -> np.ndarray:
-        if self.kind != "scalar":
-            raise ShapeError("c view only exists for scalar fields")
-        return self.values.reshape(self.grid.ny, self.grid.nx)
-
-    # -- arithmetic (pure, returns new Field) ---------------------------------
-    def _check_mate(self, other: "Field"):
-        if not isinstance(other, Field):
-            raise ShapeError(f"cannot combine Field with {type(other).__name__}")
-        if other.kind != self.kind or other.grid != self.grid:
-            raise ShapeError("field kind/grid mismatch")
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check_mate(other)
-        return Field(self.grid, self.kind, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_mate(other)
-        return Field(self.grid, self.kind, self.values - other.values)
-
-    def __mul__(self, alpha) -> "Field":
-        return Field(self.grid, self.kind, self.values * float(alpha))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, self.kind, -self.values)
-
-    def __repr__(self):
-        return f"Field({self.kind}, {self.grid.nx}x{self.grid.ny})"
-
-
-def inner_product(f: Field, g: Field) -> float:
-    """Discrete L2 inner product: sum over unknowns of f*g times cell area."""
-    if f.kind != g.kind or f.grid != g.grid:
-        raise ShapeError("inner_product needs fields of the same kind on the same grid")
-    return float(np.dot(f.values, g.values)) * f.grid.cell_area
+    grid: Grid
+    kind: str
+    values: np.ndarray
 
 
 def l2_norm(f: Field) -> float:
-    return float(np.sqrt(inner_product(f, f)))
+    """Discrete L2 norm of a row: the square root of its sum of squares times
+    the cell area."""
+    return float(np.sqrt(float(np.dot(f.values, f.values)) * f.grid.cell_area))
 
 
 # -- boundary traces and fluxes ----------------------------------------------
@@ -326,25 +234,6 @@ def normal_flux(grid: Grid, u: np.ndarray, v: np.ndarray, side: str) -> float:
     """Outward volume flux of the face arrays (u, v) through `side`."""
     vals = normal_faces(u, v, side)[SIDE_INDEX[side]]
     return OUTWARD[side] * float(np.sum(vals)) * grid.side_measure(side)
-
-
-def side_flux(f: Field, side: str) -> float:
-    """Outward volume flux through a side (sum of normal values times face length)."""
-    return normal_flux(f.grid, f.u, f.v, side)
-
-
-def inlet_trace(f: Field) -> np.ndarray:
-    """Inward-positive normal values on the (single) inlet side."""
-    side = f.grid.inlet_side
-    return -OUTWARD[side] * normal_faces(f.u, f.v, side)[SIDE_INDEX[side]]
-
-
-def inlet_flux(f: Field) -> float:
-    return -side_flux(f, f.grid.inlet_side)
-
-
-def outlet_flux(f: Field, k: int) -> float:
-    return side_flux(f, f.grid.outlet_side(k))
 
 
 def read_file(path) -> bytearray:
@@ -385,32 +274,18 @@ class FieldRows(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
-            return Field._view(self.grid, self.kind, self.values[i])
+            return Field(self.grid, self.kind, self.values[i])
         return FieldRows(self.grid, self.kind, self.values[i])
-
-
-def field_rows(fields) -> FieldRows:
-    """``fields`` itself if it is a FieldRows, else the stack of its Fields."""
-    if isinstance(fields, FieldRows):
-        return fields
-    fields = list(fields)
-    if not fields:
-        raise ShapeError("empty field list")
-    g, kind = fields[0].grid, fields[0].kind
-    if any(f.grid != g or f.kind != kind for f in fields):
-        raise ShapeError("fields must share one grid and kind")
-    return FieldRows(g, kind, snapshot_matrix(fields))
 
 
 @dataclass(eq=False)
 class SnapshotSet:
     """Time-ordered velocity/pressure snapshots plus run metadata.
 
-    ``velocity`` and ``pressure`` are FieldRows (given as FieldRows or as
-    sequences of Fields): ``velocity.values`` is the (M, n_vector) array,
-    ``velocity[m]`` a Field view of snapshot m.  ``outlet_pressure[m, k]``
-    is the outflow-pressure datum of outlet k that was in force when
-    snapshot m was recorded (the series the neural network trains on).
+    ``velocity`` and ``pressure`` are FieldRows: ``velocity.values`` is the
+    (M, n_vector) array.  ``outlet_pressure[m, k]`` is the outflow-pressure
+    datum of outlet k that was in force when snapshot m was recorded (the
+    series the neural network trains on).
     """
 
     times: np.ndarray
@@ -432,12 +307,11 @@ class SnapshotSet:
             )
         if m > 1 and not np.all(np.diff(self.times) > 0):
             raise ShapeError("snapshot times must be strictly increasing")
-        self.velocity = field_rows(self.velocity)
-        self.pressure = field_rows(self.pressure)
-        if self.velocity.kind != "vector2":
-            raise ShapeError("velocity snapshots must be vector2 fields")
-        if self.pressure.kind != "scalar" or self.pressure.grid != self.velocity.grid:
-            raise ShapeError("pressure snapshots must be scalar on the velocity grid")
+        if not isinstance(self.velocity, FieldRows) or self.velocity.kind != "vector2":
+            raise ShapeError("velocity snapshots must be vector2 FieldRows")
+        if (not isinstance(self.pressure, FieldRows) or self.pressure.kind != "scalar"
+                or self.pressure.grid != self.velocity.grid):
+            raise ShapeError("pressure snapshots must be scalar FieldRows on the velocity grid")
         if self.outlet_pressure is not None:
             op = np.asarray(self.outlet_pressure, dtype=np.float64)
             if op.ndim == 1:
@@ -478,11 +352,10 @@ class SnapshotSet:
                    arrays.get("outlet_pressure"))
 
 
-def snapshot_matrix(fields: Sequence[Field]) -> np.ndarray:
-    """Stack field values as rows of an (M, n) matrix."""
-    if not fields:
-        raise ShapeError("empty field list")
-    return np.stack([f.values for f in fields])
+def snapshot_matrix(rows: FieldRows) -> np.ndarray:
+    """A writable copy of the (M, n) array of the rows.  Nothing in romkit
+    calls it; perfbench/spans.py traces it here, in pod and in rom."""
+    return np.array(rows.values)
 
 
 # -- array files: the one on-disk format of every bundle part ------------------

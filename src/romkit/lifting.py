@@ -12,7 +12,9 @@ Snapshots are homogenized as
 
     u'(t) = u(t) - u_D(t) chi_u,      p'(t) = p(t) - sum_k p_Dk(t) chi_p_k,
 
-and de-homogenized by the inverse shift at reconstruction time.
+and de-homogenized by the inverse shift at reconstruction time.  Both
+liftings are FieldRows built from the solves' arrays: chi_u is one row,
+chi_p one row per outlet.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .grid import (SIDE_INDEX, Field, FieldRows, Grid, SnapshotSet, inlet_flux, load_arrays,
+from .grid import (SIDE_INDEX, FieldRows, Grid, SnapshotSet, load_arrays, normal_flux,
                    read_file, save_arrays, set_inward)
-from .operators import _face_gradient, center_laplacian, divergence, splu
+from .operators import _face_gradient, center_laplacian, divergence, flat_faces, splu
 from .operators import cg  # noqa: F401  (unused: perfbench/spans.py traces lifting.cg)
 
 LIFT_RESIDUAL_TOL = 1e-10
@@ -32,9 +34,10 @@ LIFT_RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LiftingPair:
-    """Velocity lifting, pressure liftings (one row per outlet) and normalization records."""
+    """Velocity lifting (one row), pressure liftings (one row per outlet) and
+    normalization records."""
 
-    chi_u: Field
+    chi_u: FieldRows
     chi_p: FieldRows
     records: dict
 
@@ -44,16 +47,17 @@ class LiftingPair:
 
     def save(self, directory) -> None:
         save_arrays(directory, "romkit-lifting-3", {"records": self.records},
-                    {"chi_u": self.chi_u.values, "chi_p": self.chi_p.values})
+                    {"chi_u": self.chi_u.values[0], "chi_p": self.chi_p.values})
 
     @classmethod
     def load(cls, directory, grid: Grid, read=read_file) -> "LiftingPair":
         meta, arrays = load_arrays(directory, "romkit-lifting-3", read)
-        return cls(Field(grid, "vector2", arrays["chi_u"]),
+        return cls(FieldRows(grid, "vector2", arrays["chi_u"][None]),
                    FieldRows(grid, "scalar", arrays["chi_p"]), meta["records"])
 
 
-def _velocity_lifting(grid: Grid) -> Field:
+def _velocity_lifting(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The face arrays (u, v) of chi_u."""
     inlet = grid.inlet_side  # exactly one inlet required
     outlet_area = sum(grid.side_area(s) for _, s in grid.outlets)
     q_out = grid.side_area(inlet) / outlet_area  # uniform outflow speed, flux-compatible
@@ -74,13 +78,11 @@ def _velocity_lifting(grid: Grid) -> Field:
     # the potential's gradient is zero on every boundary face, which keeps the data
     gx, gy = _face_gradient(grid, phi)
     u, v = ub + gx, vb + gy
-    chi_u = Field.vector2(grid, u, v)
-
     resid = np.abs(divergence(grid, u, v)).max()
     scale = max(np.abs(known_div).max(), 1.0 / min(grid.hx, grid.hy))
     if resid > LIFT_RESIDUAL_TOL * scale:
         raise NumericalError(f"velocity lifting divergence residual {resid:.3e} above tolerance")
-    return chi_u
+    return u, v
 
 
 def _pressure_liftings(grid: Grid) -> FieldRows:
@@ -104,14 +106,15 @@ def compute_lifting(grid: Grid) -> LiftingPair:
     if not grid.outlets:
         raise ConfigurationError("lifting needs at least one outlet")
     chi_p = _pressure_liftings(grid)
-    chi_u = _velocity_lifting(grid)
+    u, v = _velocity_lifting(grid)
+    cells = chi_p.values.reshape(-1, grid.ny, grid.nx)
     records = {
-        "chi_u_inlet_flux": inlet_flux(chi_u),
+        "chi_u_inlet_flux": -normal_flux(grid, u, v, grid.inlet_side),
         "chi_p_outlet_datum": [1.0] * len(chi_p),
-        "chi_p_adjacent_cell_mean": [float(f.c[SIDE_INDEX[side]].mean())
-                                     for (_, side), f in zip(grid.outlets, chi_p)],
+        "chi_p_adjacent_cell_mean": [float(c[SIDE_INDEX[side]].mean())
+                                     for (_, side), c in zip(grid.outlets, cells)],
     }
-    return LiftingPair(chi_u, chi_p, records)
+    return LiftingPair(FieldRows(grid, "vector2", flat_faces((u, v))[None]), chi_p, records)
 
 
 def _outlet_array(p_d, n_times: int, n_outlets: int) -> np.ndarray:
@@ -134,7 +137,7 @@ def _shift(snaps: SnapshotSet, u_d, p_d, lift: LiftingPair, sign: float) -> Snap
     if np.ndim(p_d) == 1:   # a single outlet's series
         p_d = np.reshape(p_d, (-1, 1))
     p_d = _outlet_array(p_d, m, lift.n_outlets)
-    vel = snaps.velocity.values + np.outer(sign * u_d, lift.chi_u.values)
+    vel = snaps.velocity.values + np.outer(sign * u_d, lift.chi_u.values[0])
     # einsum, not @: BLAS takes twice as long as an outer product at one outlet
     pres = snaps.pressure.values + np.einsum("tk,kn->tn", sign * p_d, lift.chi_p.values)
     op = snaps.outlet_pressure

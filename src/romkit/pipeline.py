@@ -394,6 +394,14 @@ def offline(config: dict | Path | str, out_dir=None, fom_result: FomResult | Non
         if fom_cfg.waveform.shape != "plug":
             raise ConfigurationError("the reduced pipeline requires the plug inlet shape "
                                      "(the velocity lifting carries a uniform unit trace)")
+        # the reduction keys, refused here rather than after the full-order run
+        for key, lo in (("n_u", 1), ("n_p", 0), ("n_u_max", 1), ("n_p_max", 0),
+                        ("train_subsample", 1), ("seed", 0)):
+            if _i(cfg, key) < lo:
+                raise ConfigurationError(f"config key {key!r} must be >= {lo}, got {cfg[key]!r}")
+        if not 0 < _f(cfg, "nn_split") < 1:
+            raise ConfigurationError(f"config key 'nn_split' must lie in (0, 1), "
+                                     f"got {cfg['nn_split']!r}")
         seed = _i(cfg, "seed")
         # the stages below build and factor sparse matrices; importing scipy
         # here keeps its import time out of their timers

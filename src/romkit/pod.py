@@ -11,28 +11,29 @@ pass removes the residual non-orthogonality the normalization amplifies on
 deep-tail modes.  The average squared distance of the snapshots to their
 span equals the neglected-eigenvalue sum, which projection_error evaluates
 independently from the projections themselves.
+
+Snapshots and modes are FieldRows: every function here works on their one
+(M, n) array, with the grid's cell area as the inner-product weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalError, RankError, ShapeError
-from .grid import Field, FieldRows, Grid, field_rows, load_arrays, read_file, save_arrays
+from .grid import FieldRows, Grid, load_arrays, read_file, save_arrays
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
 from .grid import snapshot_matrix  # noqa: F401
 
 RANK_CUTOFF = 1e-13
 
 
-def correlation_matrix(fields: FieldRows | Sequence[Field]) -> np.ndarray:
+def correlation_matrix(rows: FieldRows) -> np.ndarray:
     """Symmetric PSD matrix of scaled snapshot inner products."""
-    if len(fields) < 1:
+    if len(rows) < 1:
         raise ShapeError("correlation_matrix needs at least one snapshot")
-    rows = field_rows(fields)
     C = (rows.values @ rows.values.T) * (rows.grid.cell_area / len(rows))
     return 0.5 * (C + C.T)  # exact symmetry regardless of GEMM blocking
 
@@ -68,10 +69,9 @@ def symmetric_eig(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ReducedBasis:
     """Orthonormal modes plus the full originating spectrum.
 
-    ``modes`` is a FieldRows (given as one or as a sequence of Fields):
-    ``modes.values`` is the (N, n) mode array, ``modes[i]`` a Field view of
-    mode i.  ``n_primary`` counts the snapshot-derived modes; supremizer
-    enrichment appends modes after them and bumps ``n_supremizer``.
+    ``modes`` is a FieldRows: ``modes.values`` is the (N, n) mode array.
+    ``n_primary`` counts the snapshot-derived modes; supremizer enrichment
+    appends modes after them and bumps ``n_supremizer``.
     """
 
     modes: FieldRows
@@ -82,9 +82,8 @@ class ReducedBasis:
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        if len(self.modes) == 0:
-            raise ShapeError("ReducedBasis needs at least one mode")
-        self.modes = field_rows(self.modes)
+        if not isinstance(self.modes, FieldRows) or len(self.modes) == 0:
+            raise ShapeError("ReducedBasis needs a FieldRows of at least one mode")
 
     @property
     def grid(self) -> Grid:
@@ -136,10 +135,9 @@ def _mgs(matrix: np.ndarray, area: float, start: int = 0) -> np.ndarray:
     return Q
 
 
-def build_basis(fields: FieldRows | Sequence[Field], eigenvalues: np.ndarray,
-                eigenvectors: np.ndarray, n_modes: int, kind: str = "velocity") -> ReducedBasis:
+def build_basis(rows: FieldRows, eigenvalues: np.ndarray, eigenvectors: np.ndarray,
+                n_modes: int, kind: str = "velocity") -> ReducedBasis:
     """Orthonormal spanning modes of the dominant n_modes-dimensional subspace."""
-    rows = field_rows(fields)
     M = len(rows)
     w = np.asarray(eigenvalues, dtype=np.float64)
     if eigenvectors.shape != (M, w.size):
@@ -173,35 +171,30 @@ def truncation_rank(eigenvalues: np.ndarray, threshold: float) -> int:
     return int(np.searchsorted(frac, threshold - 1e-15) + 1)
 
 
-def pod_basis(fields: FieldRows | Sequence[Field], n_modes: int | None = None,
+def pod_basis(rows: FieldRows, n_modes: int | None = None,
               kind: str = "velocity") -> ReducedBasis:
     """Correlation matrix, eigensolve and basis assembly in one call; at most
     n_modes modes (all of the numerical rank by default)."""
-    fields = field_rows(fields)
-    C = correlation_matrix(fields)
+    C = correlation_matrix(rows)
     w, V = symmetric_eig(C)
     rank = numerical_rank(w)
     n_modes = rank if n_modes is None else min(n_modes, rank)
-    return build_basis(fields, w, V, n_modes, kind)
+    return build_basis(rows, w, V, n_modes, kind)
 
 
-def project_coefficients(fields: FieldRows | Sequence[Field] | Field, basis: ReducedBasis,
+def project_coefficients(rows: FieldRows, basis: ReducedBasis,
                          n_modes: int | None = None) -> np.ndarray:
-    """Inner products of each snapshot with the first n_modes basis modes."""
-    single = isinstance(fields, Field)
-    S = fields.values[None, :] if single else field_rows(fields).values
+    """(M, n_modes) inner products of each row with the first n_modes basis modes."""
     n = basis.n_modes if n_modes is None else n_modes
-    coeff = (S @ basis.modes.values[:n].T) * basis.grid.cell_area
-    return coeff[0] if single else coeff
+    return (rows.values @ basis.modes.values[:n].T) * basis.grid.cell_area
 
 
-def projection_error(fields: FieldRows | Sequence[Field], basis: ReducedBasis,
-                     n_modes: int) -> float:
+def projection_error(rows: FieldRows, basis: ReducedBasis, n_modes: int) -> float:
     """Mean squared distance of the snapshots to the span of the first
     n_modes modes, computed directly from the projection residuals."""
     if n_modes > basis.n_modes:
         raise RankError(f"basis holds {basis.n_modes} modes, asked for {n_modes}")
-    S = field_rows(fields).values
+    S = rows.values
     area = basis.grid.cell_area
     if n_modes == 0:
         R = S

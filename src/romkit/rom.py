@@ -185,7 +185,8 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     area, Phi = grid.cell_area, basis_u.modes.values
     Psi = basis_p.modes.values if basis_p is not None else np.zeros((0, grid.n_scalar))
     (n, n_p), n_out = (Phi.shape[0], Psi.shape[0]), lift.n_outlets
-    X = np.column_stack([Phi.T, lift.chi_u.values])
+    chi_u = lift.chi_u.values[0]
+    X = np.column_stack([Phi.T, chi_u])
     Y = np.block([[Psi.T, lift.chi_p.values.T], [np.zeros((n_out, n_p)), np.eye(n_out)]])
     LX = area * (Phi @ (vec_laplacian_matrix(grid) @ X))
     DX = area * (Psi @ (divergence_matrix(grid) @ X))
@@ -203,7 +204,7 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     T = T[0] + T[1].transpose(0, 2, 1)       # the v rows take the products of (k, j)
     return ReducedOperators(B=LX[:, :n], Ct=T[:, :n, :n], K=GY[:, :n_p], P=DX[:, :n],
                             d1=LX[:, n], d2=T[:, :n, n], d3=T[:, n, :n], d4=T[:, n, n],
-                            d5=GY[:, n_p:].T, d6=area * (lift.chi_u.values @ Phi.T),
+                            d5=GY[:, n_p:].T, d6=area * (chi_u @ Phi.T),
                             d7=DX[:, n], nu=float(nu))
 
 
@@ -338,7 +339,7 @@ def reconstruct(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
         raise ShapeError("trajectory width does not match pressure basis")
 
     vel = traj.a @ basis_u.modes.values + np.outer(waveform.magnitude(traj.times),
-                                                    lift.chi_u.values)
+                                                    lift.chi_u.values[0])
     q = _outlet_array(p_d, traj.times.size, lift.n_outlets)
     pres = np.einsum("tk,kn->tn", q, lift.chi_p.values)   # as in lifting._shift
     if basis_p is not None:

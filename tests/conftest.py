@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from romkit.grid import SIDES, Field, Grid
+from romkit.grid import OUTWARD, SIDE_INDEX, SIDES, FieldRows, Grid, normal_faces
 
 CHANNEL_TAGS = {"left": "inlet", "right": "outlet_0", "top": "wall", "bottom": "wall"}
 
@@ -25,16 +25,33 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def random_scalar(grid, rng):
-    return Field.scalar(grid, rng.standard_normal(grid.n_scalar))
+def random_scalars(grid, rng, m=1):
+    """m random scalar fields, as FieldRows."""
+    return FieldRows(grid, "scalar", rng.standard_normal((m, grid.n_scalar)))
 
 
-def random_vector(grid, rng):
-    return Field.vector2(
-        grid,
-        rng.standard_normal((grid.ny, grid.nx + 1)),
-        rng.standard_normal((grid.ny + 1, grid.nx)),
-    )
+def random_vectors(grid, rng, m=1):
+    """m random vector fields (u block, then v block), as FieldRows."""
+    return FieldRows(grid, "vector2", rng.standard_normal((m, grid.n_vector)))
+
+
+def face_arrays(grid, w):
+    """The (u, v) face arrays of flat vector fields, leading axes kept: the
+    inverse of operators.flat_faces."""
+    lead = w.shape[:-1]
+    return (w[..., :grid.n_u].reshape(lead + (grid.ny, grid.nx + 1)),
+            w[..., grid.n_u:].reshape(lead + (grid.ny + 1, grid.nx)))
+
+
+def inlet_trace(grid, w):
+    """Inward-positive normal values of the flat vector field w on the inlet."""
+    side = grid.inlet_side
+    return -OUTWARD[side] * normal_faces(*face_arrays(grid, w), side)[SIDE_INDEX[side]]
+
+
+def cell_array(grid, p):
+    """The (ny, nx) cell array of flat scalar fields, leading axes kept."""
+    return p.reshape(p.shape[:-1] + (grid.ny, grid.nx))
 
 
 @st.composite

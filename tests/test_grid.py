@@ -14,19 +14,14 @@ from romkit.grid import (
     Grid,
     SnapshotSet,
     build_grid,
-    inlet_flux,
-    inlet_trace,
-    inner_product,
     l2_norm,
     load_arrays,
     normal_flux,
-    outlet_flux,
     save_arrays,
     set_inward,
-    side_flux,
 )
 
-from conftest import CHANNEL_TAGS, layouts, random_scalar, random_vector
+from conftest import CHANNEL_TAGS, layouts, random_scalars, random_vectors
 
 
 class TestBuildGrid:
@@ -95,114 +90,64 @@ def test_cached_boundary_data(grid):
         assert np.array_equal(twin.advanced_masks[0], grid.advanced_masks[0])
 
 
-class TestInnerProduct:
-    def test_unit_constant_on_unit_square(self, small_grid):
-        f = Field.scalar(small_grid, np.ones(small_grid.n_scalar))
-        assert inner_product(f, f) == pytest.approx(1.0, rel=1e-15)
-
-    def test_mirror_antisymmetry_is_orthogonal(self, small_grid):
-        g = small_grid
-        vals = np.arange(1.0, g.n_scalar + 1).reshape(g.ny, g.nx)
-        f = Field.scalar(g, vals)
-        mirrored = Field.scalar(g, -vals[:, ::-1])
-        ip = inner_product(f, mirrored)
-        direct = -np.sum(vals * vals[:, ::-1]) * g.cell_area
-        assert ip == pytest.approx(direct, rel=1e-14)
-
-    def test_matches_direct_summation_oracle(self, small_grid, rng):
-        f = random_scalar(small_grid, rng)
-        g2 = random_scalar(small_grid, rng)
-        acc = 0.0
-        for a, b in zip(f.values, g2.values):
-            acc += a * b * small_grid.cell_area
-        assert abs(inner_product(f, g2) - acc) <= 1e-14 * max(1.0, abs(acc))
-
-    def test_vector_oracle(self, small_grid, rng):
-        f = random_vector(small_grid, rng)
-        g2 = random_vector(small_grid, rng)
-        acc = sum(a * b for a, b in zip(f.values, g2.values)) * small_grid.cell_area
-        assert abs(inner_product(f, g2) - acc) <= 1e-13 * max(1.0, abs(acc))
-
-    def test_exact_symmetry(self, channel_grid, rng):
-        for _ in range(5):
-            f = random_vector(channel_grid, rng)
-            g2 = random_vector(channel_grid, rng)
-            assert inner_product(f, g2) == inner_product(g2, f)
-
-    def test_bilinearity(self, small_grid, rng):
-        f = random_scalar(small_grid, rng)
-        h = random_scalar(small_grid, rng)
-        g2 = random_scalar(small_grid, rng)
-        a, b = 0.37, -2.2
-        lhs = inner_product(a * f + b * h, g2)
-        rhs = a * inner_product(f, g2) + b * inner_product(h, g2)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
-
-    def test_positive_definite(self, small_grid, rng):
-        f = random_scalar(small_grid, rng)
-        assert inner_product(f, f) > 0
-        z = Field.scalar(small_grid)
-        assert inner_product(z, z) == 0.0
-
-    def test_kind_mismatch_raises(self, small_grid):
-        with pytest.raises(ShapeError):
-            inner_product(Field.scalar(small_grid), Field.vector2(small_grid))
-
-    def test_grid_mismatch_raises(self, small_grid, channel_grid):
-        with pytest.raises(ShapeError):
-            inner_product(Field.scalar(small_grid), Field.scalar(channel_grid))
-
-
 class TestNorm:
     def test_zero_field(self, small_grid):
-        assert l2_norm(Field.scalar(small_grid)) == 0.0
+        assert l2_norm(FieldRows(small_grid, "scalar", np.zeros((1, small_grid.n_scalar)))[0]) == 0.0
 
     def test_unit_constant(self, small_grid):
-        f = Field.scalar(small_grid, np.ones(small_grid.n_scalar))
+        f = FieldRows(small_grid, "scalar", np.ones((1, small_grid.n_scalar)))[0]
         assert l2_norm(f) == pytest.approx(1.0, rel=1e-15)
 
+    def test_matches_direct_summation_oracle(self, small_grid, rng):
+        f = random_scalars(small_grid, rng)[0]
+        acc = 0.0
+        for a in f.values:
+            acc += a * a * small_grid.cell_area
+        assert abs(l2_norm(f) ** 2 - acc) <= 1e-14 * max(1.0, abs(acc))
+
+    def test_vector_oracle(self, small_grid, rng):
+        f = random_vectors(small_grid, rng)[0]
+        acc = sum(a * a for a in f.values) * small_grid.cell_area
+        assert abs(l2_norm(f) ** 2 - acc) <= 1e-13 * max(1.0, abs(acc))
+
     def test_homogeneity(self, small_grid, rng):
-        f = random_scalar(small_grid, rng)
+        f = random_scalars(small_grid, rng)
         alpha = -2.5
-        assert l2_norm(alpha * f) == pytest.approx(abs(alpha) * l2_norm(f), rel=1e-12)
+        scaled = FieldRows(small_grid, "scalar", alpha * f.values)
+        assert l2_norm(scaled[0]) == pytest.approx(abs(alpha) * l2_norm(f[0]), rel=1e-12)
 
     def test_triangle_inequality(self, small_grid, rng):
         for _ in range(10):
-            f = random_scalar(small_grid, rng)
-            g2 = random_scalar(small_grid, rng)
-            assert l2_norm(f + g2) <= l2_norm(f) + l2_norm(g2) + 1e-12
+            f, g2 = random_scalars(small_grid, rng, 2)
+            total = FieldRows(small_grid, "scalar", (f.values + g2.values)[None])
+            assert l2_norm(total[0]) <= l2_norm(f) + l2_norm(g2) + 1e-12
 
 
 class TestField:
+    """The (grid, kind, values) row view that FieldRows hands out."""
+
     def test_wrong_length_rejected(self, small_grid):
         with pytest.raises(ShapeError):
-            Field.scalar(small_grid, np.zeros(small_grid.n_scalar + 1))
+            FieldRows(small_grid, "scalar", np.zeros((1, small_grid.n_scalar + 1)))
 
     def test_non_finite_rejected(self, small_grid):
-        vals = np.zeros(small_grid.n_scalar)
-        vals[3] = np.nan
+        vals = np.zeros((1, small_grid.n_scalar))
+        vals[0, 3] = np.nan
         with pytest.raises(ShapeError):
-            Field.scalar(small_grid, vals)
+            FieldRows(small_grid, "scalar", vals)
 
     def test_immutable(self, small_grid):
-        f = Field.scalar(small_grid)
+        f = FieldRows(small_grid, "scalar", np.zeros((1, small_grid.n_scalar)))[0]
         with pytest.raises(ValueError):
             f.values[0] = 1.0
         with pytest.raises(AttributeError):
             f.kind = "vector2"
 
-    def test_views_shapes(self, channel_grid):
-        f = Field.vector2(channel_grid)
-        assert f.u.shape == (channel_grid.ny, channel_grid.nx + 1)
-        assert f.v.shape == (channel_grid.ny + 1, channel_grid.nx)
-
     def test_flux_helpers(self, channel_grid):
         g = channel_grid
-        u = np.ones((g.ny, g.nx + 1))
-        f = Field.vector2(g, u, None)
-        assert inlet_flux(f) == pytest.approx(g.ly, rel=1e-14)
-        assert outlet_flux(f, 0) == pytest.approx(g.ly, rel=1e-14)
-        assert np.allclose(inlet_trace(f), 1.0)
+        u, v = np.ones((g.ny, g.nx + 1)), np.zeros((g.ny + 1, g.nx))
+        assert -normal_flux(g, u, v, g.inlet_side) == pytest.approx(g.ly, rel=1e-14)
+        assert normal_flux(g, u, v, g.outlet_side(0)) == pytest.approx(g.ly, rel=1e-14)
 
 
 # each side's normal faces and outward sign, written out by hand
@@ -226,14 +171,13 @@ def test_side_table(side, faces, outward, measure, spacing, rng):
     assert g.normal_spacing(side) == getattr(g, spacing)
     inflow = float(np.sum(vals)) * g.side_measure(side)
     assert normal_flux(g, u, v, side) == pytest.approx(-inflow, rel=1e-14)
-    assert side_flux(Field.vector2(g, u, v), side) == normal_flux(g, u, v, side)
 
 
 class TestSnapshotSet:
     def _make(self, grid, rng, m=3):
         times = np.linspace(0.0, 1.0, m)
-        vel = [random_vector(grid, rng) for _ in range(m)]
-        pres = [random_scalar(grid, rng) for _ in range(m)]
+        vel = random_vectors(grid, rng, m)
+        pres = random_scalars(grid, rng, m)
         op = rng.standard_normal((m, 1))
         return SnapshotSet(times, vel, pres, nu=3.7e-6, waveform={"kind": "pulse"}, outlet_pressure=op)
 
@@ -318,21 +262,19 @@ class TestSnapshotSet:
 
     def test_length_mismatch_rejected(self, small_grid, rng):
         with pytest.raises(ShapeError):
-            SnapshotSet(
-                [0.0, 1.0],
-                [random_vector(small_grid, rng)],
-                [random_scalar(small_grid, rng), random_scalar(small_grid, rng)],
-                nu=1e-3,
-            )
+            SnapshotSet([0.0, 1.0], random_vectors(small_grid, rng),
+                        random_scalars(small_grid, rng, 2), nu=1e-3)
 
     def test_times_must_increase(self, small_grid, rng):
         with pytest.raises(ShapeError):
-            SnapshotSet(
-                [0.0, 0.0],
-                [random_vector(small_grid, rng)] * 2,
-                [random_scalar(small_grid, rng)] * 2,
-                nu=1e-3,
-            )
+            SnapshotSet([0.0, 0.0], random_vectors(small_grid, rng, 2),
+                        random_scalars(small_grid, rng, 2), nu=1e-3)
+
+    def test_rows_required(self, small_grid, rng):
+        vel, pres = random_vectors(small_grid, rng, 2), random_scalars(small_grid, rng, 2)
+        for args in ((list(vel), pres), (vel, list(pres)), (pres, vel)):
+            with pytest.raises(ShapeError):
+                SnapshotSet([0.0, 1.0], *args, nu=1e-3)
 
 
 class TestArrayFiles:

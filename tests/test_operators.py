@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from romkit.errors import ConfigurationError, ShapeError
-from romkit.grid import SIDES, Field, Grid, inner_product, side_flux
+from romkit.grid import SIDES, Grid, normal_flux
 from romkit.operators import (
     _face_gradient,
     _probed_matrix,
@@ -21,7 +21,7 @@ from romkit.operators import (
     vec_laplacian_matrix,
 )
 
-from conftest import CHANNEL_TAGS, layouts, random_vector
+from conftest import CHANNEL_TAGS, face_arrays, layouts, random_vectors
 
 
 @pytest.fixture
@@ -88,9 +88,9 @@ class TestLayoutProperties:
     @given(layouts(), st.integers(0, 2**32 - 1))
     def test_gauss_identity(self, grid, seed):
         """sum(div u) * cell area equals the outward flux through the four sides."""
-        f = random_vector(grid, np.random.default_rng(seed))
-        cells = divergence(grid, f.u, f.v) * grid.cell_area
-        fluxes = [side_flux(f, side) for side in SIDES]
+        u, v = face_arrays(grid, random_vectors(grid, np.random.default_rng(seed)).values[0])
+        cells = divergence(grid, u, v) * grid.cell_area
+        fluxes = [normal_flux(grid, u, v, side) for side in SIDES]
         scale = np.abs(cells).sum() + np.abs(fluxes).sum()
         assert abs(cells.sum() - sum(fluxes)) <= 1e-13 * scale
 
@@ -98,10 +98,10 @@ class TestLayoutProperties:
     @given(layouts(), st.integers(0, 2**32 - 1))
     def test_probed_laplacian_matches_stencil(self, grid, seed):
         """The matrix read off five colored probes applies vec_laplacian."""
-        f = random_vector(grid, np.random.default_rng(seed))
-        lu, lv = vec_laplacian(grid, f.u, f.v)
+        w = random_vectors(grid, np.random.default_rng(seed)).values[0]
+        lu, lv = vec_laplacian(grid, *face_arrays(grid, w))
         direct = np.concatenate([lu.ravel(), lv.ravel()])
-        probed = vec_laplacian_matrix(grid) @ f.values
+        probed = vec_laplacian_matrix(grid) @ w
         assert np.abs(probed - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
@@ -113,19 +113,20 @@ class TestLayoutProperties:
         stencil to 1e-13 relative; self-advection also equals convection(a, b)
         with b a copy of a, bit for bit."""
         rng = np.random.default_rng(seed)
-        f = random_vector(grid, rng)
+        w = random_vectors(grid, rng).values[0]
+        u, v = face_arrays(grid, w)
         p = rng.standard_normal((grid.ny, grid.nx))
         q = rng.uniform(-5.0, 5.0, len(grid.outlets))
         S, D = convection_matrices(grid)
-        means = S @ f.values
+        means = S @ w
         half = means.size // 2
-        shared = convection(grid, f.u, f.v, f.u, f.v)
-        for got, want in ((divergence_matrix(grid) @ f.values, divergence(grid, f.u, f.v).ravel()),
+        shared = convection(grid, u, v, u, v)
+        for got, want in ((divergence_matrix(grid) @ w, divergence(grid, u, v).ravel()),
                           (gradient_matrix(grid) @ np.concatenate([p.ravel(), q]),
                            flat_faces(gradient(grid, p, q))),
                           (D @ (means[:half] * means[half:]), flat_faces(shared))):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-        general = convection(grid, f.u, f.v, f.u.copy(), f.v.copy())
+        general = convection(grid, u, v, u.copy(), v.copy())
         assert all(a.tobytes() == b.tobytes() for a, b in zip(shared, general))
 
 
@@ -144,23 +145,24 @@ def test_stacked_stencils_match_per_field_calls(rng):
     """A leading batch axis (or a broadcast 2-D operand) changes no bit."""
     grid = Grid(9, 5, 1.5, 0.75, {"left": "wall", "right": "outlet_0", "top": "outlet_1",
                                   "bottom": "inlet"})
-    a, b = ([random_vector(grid, rng) for _ in range(4)] for _ in range(2))
+    a, b = (random_vectors(grid, rng, 4).values for _ in range(2))
     p, q = rng.standard_normal((4, grid.ny, grid.nx)), rng.standard_normal(2)
     gx, gy = gradient(grid, p, q)
-    U, V = np.stack([f.u for f in a]), np.stack([f.v for f in a])
-    W, Z = np.stack([f.u for f in b]), np.stack([f.v for f in b])
+    (U, V), (W, Z) = face_arrays(grid, a), face_arrays(grid, b)
     lu, lv = vec_laplacian(grid, U, V)
     div = divergence(grid, U, V)
     cu, cv = convection(grid, U, V, W, Z)
-    bu, bv = convection(grid, a[0].u, a[0].v, W, Z)     # one advecting field for all
-    for m, (f, g) in enumerate(zip(a, b)):
-        for stacked, single in ((lu, vec_laplacian(grid, f.u, f.v)[0]),
-                                (lv, vec_laplacian(grid, f.u, f.v)[1]),
-                                (div, divergence(grid, f.u, f.v)),
-                                (cu, convection(grid, f.u, f.v, g.u, g.v)[0]),
-                                (cv, convection(grid, f.u, f.v, g.u, g.v)[1]),
-                                (bu, convection(grid, a[0].u, a[0].v, g.u, g.v)[0]),
-                                (bv, convection(grid, a[0].u, a[0].v, g.u, g.v)[1]),
+    a0 = face_arrays(grid, a[0])
+    bu, bv = convection(grid, *a0, W, Z)     # one advecting field for all
+    for m in range(4):
+        f, g = face_arrays(grid, a[m]), face_arrays(grid, b[m])
+        for stacked, single in ((lu, vec_laplacian(grid, *f)[0]),
+                                (lv, vec_laplacian(grid, *f)[1]),
+                                (div, divergence(grid, *f)),
+                                (cu, convection(grid, *f, *g)[0]),
+                                (cv, convection(grid, *f, *g)[1]),
+                                (bu, convection(grid, *a0, *g)[0]),
+                                (bv, convection(grid, *a0, *g)[1]),
                                 (gx, gradient(grid, p[m], q)[0]),
                                 (gy, gradient(grid, p[m], q)[1])):
             assert np.array_equal(stacked[m], single)
@@ -209,22 +211,21 @@ def test_vec_laplacian_symmetric_negative(grid, rng):
     """(f, L g) = (L f, g) and (f, L f) <= 0 over advanced faces."""
     mu, mv = grid.advanced_masks
 
-    def lap_field(f):
-        lu, lv = vec_laplacian(grid, f.u, f.v)
-        return Field.vector2(grid, lu, lv)
+    def inner(f, g):
+        return float(np.dot(flat_faces(f), flat_faces(g))) * grid.cell_area
 
     def rand_adv():
         u = rng.standard_normal((grid.ny, grid.nx + 1))
         v = rng.standard_normal((grid.ny + 1, grid.nx))
         u[~mu] = 0.0
         v[~mv] = 0.0
-        return Field.vector2(grid, u, v)
+        return u, v
 
     for _ in range(5):
         f, g = rand_adv(), rand_adv()
-        lf, lg = lap_field(f), lap_field(g)
-        assert inner_product(f, lg) == pytest.approx(inner_product(lf, g), rel=1e-11, abs=1e-12)
-        assert inner_product(f, lf) <= 1e-12
+        lf, lg = vec_laplacian(grid, *f), vec_laplacian(grid, *g)
+        assert inner(f, lg) == pytest.approx(inner(lf, g), rel=1e-11, abs=1e-12)
+        assert inner(f, lf) <= 1e-12
 
 
 def test_gradient_divergence_adjoint_interior(grid, rng):

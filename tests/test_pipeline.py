@@ -5,17 +5,19 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from romkit import fom, operators, pipeline, rom
 from romkit.cli import main as cli_main
 from romkit.errors import ConfigurationError, FormatError, StabilityError
 from romkit.fom import fom_run
-from romkit.grid import SnapshotSet
+from romkit.grid import SnapshotSet, l2_norm
 from romkit.lifting import LiftingPair
 from romkit.nn import ExtrapolationWarning, load_model, save_model
 from romkit.pod import ReducedBasis, truncation_rank
@@ -31,7 +33,7 @@ from romkit.pipeline import (
     parse_config,
 )
 
-from conftest import wrapped_splu
+from conftest import layouts, wrapped_splu
 
 # runtime.json contents that Bundle.load refuses, naming the file
 DAMAGED_RUNTIME = {
@@ -457,6 +459,20 @@ class TestOnline:
         rec, report = online(bundle, query_times=times, dt_r=0.005)
         assert report.err_u is not None and report.err_u.size == times.size
 
+    def test_rows_the_benchmark_reads(self, bundle):
+        """perfbench iterates a loaded bundle's training sets and a
+        reconstruction, reads each row's values and takes l2_norm of each."""
+        rec, _ = online(bundle, timing_reps=1)
+        area = bundle.grid.cell_area
+        for rows in (bundle.train.velocity, bundle.train.pressure, rec.velocity, rec.pressure):
+            seen = 0
+            for m, f in enumerate(rows):
+                assert not f.values.flags.writeable
+                assert np.array_equal(f.values, rows.values[m])
+                assert l2_norm(f) == float(np.sqrt(area * np.dot(f.values, f.values)))
+                seen += 1
+            assert seen == len(rows) > 1
+
     def test_instants_next_to_a_step(self, bundle):
         # instants a few ns to a us past a stored one once made sub-us steps
         # and a false StabilityError
@@ -470,7 +486,7 @@ class TestOnline:
         t = bundle.train.times[3] + np.array([0.0, 0.25 * dt, dt])
         rec, _ = online(bundle, query_times=t, timing_reps=1)
         # the reduced part (field minus lifting) is affine in the coefficients
-        hom = rec.velocity.values - np.outer(wf.magnitude(t), lift.chi_u.values)
+        hom = rec.velocity.values - np.outer(wf.magnitude(t), lift.chi_u.values[0])
         assert np.allclose(hom[1], 0.75 * hom[0] + 0.25 * hom[2], rtol=0, atol=1e-9 * np.abs(hom).max())
         q = rec.outlet_pressure[:, 0]
         hom_p = rec.pressure.values - np.outer(q, lift.chi_p[0].values)
@@ -650,6 +666,40 @@ class TestOnline:
                          "--out", str(tmp_path / "run")]) == 0
 
 
+class TestLayoutRoundTrip:
+    """offline -> save -> load -> online() answers as the in-memory bundle
+    does, bit for bit, on every boundary layout the grid accepts."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(layouts())
+    def test_loaded_bundle_answers_bit_identically(self, grid):
+        # a Stokes run of two short cycles, trained on the second, with dt at most
+        # half the diffusion limit, the CFL limit and 0.01 (below Rd*C = 0.47)
+        nu, u_sys, steps = 0.04, 1.0, 40
+        dt_diff = 1.0 / (3.0 * nu * (1.0 / grid.hx**2 + 1.0 / grid.hy**2))
+        dt = 0.5 * min(dt_diff, min(grid.hx, grid.hy) / u_sys, 0.01)
+        cfg = {"nx": str(grid.nx), "ny": str(grid.ny), "lx": repr(grid.lx), "ly": repr(grid.ly),
+               **{f"tag_{side}": tag for side, tag in grid.tags.items()},
+               **{f"wk_{k}": "35.0,590.0,8e-4" for k, _ in grid.outlets},
+               "nu": repr(nu), "u_sys": repr(u_sys), "dt": repr(dt),
+               "t_cycle": repr(steps // 2 * dt), "snap_start": repr(steps // 2 * dt),
+               "t_end": repr(steps * dt), "snap_stride": "1", "include_convection": "false"}
+        with tempfile.TemporaryDirectory() as tmp:
+            built, _ = offline(cfg, out_dir=Path(tmp) / "b")
+            loaded = Bundle.load(Path(tmp) / "b")
+        t_lo, t_hi = built.train.times[0], built.train.times[-1]
+        arbitrary = np.linspace(t_lo, t_hi + 0.1 * (t_hi - t_lo), 7)
+        for query_times in (None, arbitrary):
+            (rec, report), (rec_loaded, report_loaded) = (
+                online(b, query_times=query_times, timing_reps=1) for b in (built, loaded))
+            assert np.array_equal(rec.velocity.values, rec_loaded.velocity.values)
+            assert np.array_equal(rec.pressure.values, rec_loaded.pressure.values)
+            for name in ("err_u", "err_p", "proj_u", "proj_p"):
+                a, b = getattr(report, name), getattr(report_loaded, name)
+                assert (a is None and b is None) or np.array_equal(a, b), name
+            assert (report.err_u is None) == (query_times is arbitrary)
+
+
 class TestStokes:
     """A full-order run without convection gets a reduced model without it."""
 
@@ -687,7 +737,7 @@ class TestCompare:
         assert np.all(report.err_u == 0.0) and np.all(report.err_p == 0.0)
 
     def test_projected_rom_matches_projection_error(self, bundle):
-        from romkit.grid import Field
+        from romkit.grid import FieldRows
         from romkit.lifting import homogenize
         from romkit.pod import project_coefficients
 
@@ -697,17 +747,12 @@ class TestCompare:
         hom = homogenize(bundle.train, u_d, bundle.train.outlet_pressure, bundle.lifting)
         Phi = bu.modes.values
         Psi = bp.modes.values
-        vel, pres = [], []
-        for m in range(len(bundle.train)):
-            cu = project_coefficients(hom.velocity[m], bu)
-            cp = project_coefficients(hom.pressure[m], bp)
-            vel.append(Field(bundle.grid, "vector2",
-                             cu @ Phi + u_d[m] * bundle.lifting.chi_u.values))
-            pvals = cp @ Psi
-            for k in range(bundle.lifting.n_outlets):
-                pvals = pvals + bundle.train.outlet_pressure[m, k] * bundle.lifting.chi_p[k].values
-            pres.append(Field(bundle.grid, "scalar", pvals))
-        rom_set = SnapshotSet(bundle.train.times.copy(), vel, pres, bundle.nu,
+        vel = (project_coefficients(hom.velocity, bu) @ Phi
+               + np.outer(u_d, bundle.lifting.chi_u.values[0]))
+        pres = (project_coefficients(hom.pressure, bp) @ Psi
+                + bundle.train.outlet_pressure @ bundle.lifting.chi_p.values)
+        rom_set = SnapshotSet(bundle.train.times.copy(), FieldRows(bundle.grid, "vector2", vel),
+                              FieldRows(bundle.grid, "scalar", pres), bundle.nu,
                               bundle.train.waveform, bundle.train.outlet_pressure)
         report = compare(bundle.train, rom_set, bu, bp, bundle.lifting)
         assert np.allclose(report.err_u, report.proj_u, rtol=1e-10, atol=1e-12)
@@ -775,6 +820,15 @@ class TestFailedOffline:
         with pytest.raises(ConfigurationError, match="nn_epoch"):
             offline({"nn_epoch": "5"}, out_dir=existing)
         assert (existing / "notes.txt").read_text() == "keep\n"
+
+    @pytest.mark.parametrize("key, value", [("seed", "-1"), ("nn_split", "1.5"),
+                                            ("n_u_max", "0")])
+    def test_reduction_key_refused_before_fom(self, key, value, monkeypatch):
+        """Keys that used to fail only after the full-order run, at the
+        nn_train or pod stage, fail at the config stage, named."""
+        monkeypatch.setattr(pipeline, "fom_run", None)   # never reached
+        with pytest.raises(ConfigurationError, match=f"offline stage 'config'.*{key}"):
+            offline({**SMALL_CONFIG, key: value})
 
     def test_partial_output_removed(self, tmp_path, monkeypatch):
         def fail(path, timings):
@@ -860,6 +914,22 @@ def _non_finite(line):
             fh.write(line + "\n")
         return argv
     return make_argv
+
+
+def _bad_reduction(line):
+    """`offline` on the tiny run with one reduction key out of its range."""
+    def make_argv(tmp, bundle_dir, monkeypatch):
+        _tiny_fom(tmp, bundle_dir, monkeypatch)
+        with open(tmp / "tiny.txt", "a") as fh:
+            fh.write(line + "\n")
+        return ["offline", "--config", str(tmp / "tiny.txt"), "--out", str(tmp / "b")]
+    return make_argv
+
+
+# reduction keys that used to build a bundle, refused at the config stage
+BAD_REDUCTION = {"n_u_zero": "n_u = 0", "n_u_negative": "n_u = -3", "n_p_negative": "n_p = -1",
+                 "train_subsample_zero": "train_subsample = 0",
+                 "n_p_max_negative": "n_p_max = -2"}
 
 
 # one config line per value that Grid, FomConfig, Waveform or WindkesselParams
@@ -969,6 +1039,7 @@ EXIT_CODES = [
     pytest.param(2, _dt_r("10"), id="dt_r_past_window"),
     *[pytest.param(2, _non_finite(line), id=f"non_finite_{name}")
       for name, line in NON_FINITE.items()],
+    *[pytest.param(2, _bad_reduction(line), id=name) for name, line in BAD_REDUCTION.items()],
     pytest.param(3, _failed_residual, id="failed_residual_check"),
     pytest.param(3, _two_outlet_cfl(64, 16), id="two_outlet_cfl_64x16"),
     pytest.param(3, _two_outlet_cfl(40, 20), id="two_outlet_cfl_40x20"),

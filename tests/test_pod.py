@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from romkit import pod
 from romkit.errors import FormatError, NumericalError, RankError, ShapeError
-from romkit.grid import Field, Grid, inner_product
+from romkit.grid import FieldRows, Grid, l2_norm
 from romkit.pod import (
     ReducedBasis,
     build_basis,
@@ -19,7 +19,7 @@ from romkit.pod import (
     truncation_rank,
 )
 
-from conftest import CHANNEL_TAGS, random_scalar, random_vector
+from conftest import CHANNEL_TAGS, random_scalars, random_vectors
 
 
 @pytest.fixture
@@ -28,14 +28,14 @@ def grid():
 
 
 def _random_set(grid, rng, m, kind="vector2"):
-    maker = random_vector if kind == "vector2" else random_scalar
-    return [maker(grid, rng) for _ in range(m)]
+    maker = random_vectors if kind == "vector2" else random_scalars
+    return maker(grid, rng, m)
 
 
 class TestCorrelationMatrix:
     def test_single_unit_snapshot(self, grid):
-        f = Field.scalar(grid, np.full(grid.n_scalar, 1.0 / np.sqrt(grid.lx * grid.ly)))
-        C = correlation_matrix([f])
+        f = FieldRows(grid, "scalar", np.full((1, grid.n_scalar), 1.0 / np.sqrt(grid.lx * grid.ly)))
+        C = correlation_matrix(f)
         assert C.shape == (1, 1)
         assert C[0, 0] == pytest.approx(1.0, rel=1e-14)
 
@@ -44,7 +44,7 @@ class TestCorrelationMatrix:
         b = np.zeros(grid.n_scalar)
         a[0] = 1.0 / np.sqrt(grid.cell_area)
         b[1] = 1.0 / np.sqrt(grid.cell_area)
-        C = correlation_matrix([Field.scalar(grid, a), Field.scalar(grid, b)])
+        C = correlation_matrix(FieldRows(grid, "scalar", np.stack([a, b])))
         assert np.allclose(C, 0.5 * np.eye(2), atol=1e-15)
 
     def test_matches_double_loop_oracle(self, grid, rng):
@@ -54,7 +54,8 @@ class TestCorrelationMatrix:
         oracle = np.empty((M, M))
         for m in range(M):
             for q in range(M):
-                oracle[m, q] = inner_product(fields[m], fields[q]) / M
+                oracle[m, q] = (float(np.dot(fields[m].values, fields[q].values))
+                                * grid.cell_area / M)
         assert np.abs(C - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     def test_exactly_symmetric_and_psd(self, grid, rng):
@@ -63,9 +64,9 @@ class TestCorrelationMatrix:
         w, _ = symmetric_eig(C)
         assert w.min() >= -1e-12 * w.max()
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, grid):
         with pytest.raises(ShapeError):
-            correlation_matrix([])
+            correlation_matrix(FieldRows(grid, "scalar", np.zeros((0, grid.n_scalar))))
 
 
 class TestSymmetricEig:
@@ -158,18 +159,16 @@ class TestSymmetricEig:
 
 class TestBuildBasis:
     def test_single_snapshot_normalized(self, grid, rng):
-        f = random_scalar(grid, rng)
-        basis = pod_basis([f], kind="pressure")
-        from romkit.grid import l2_norm
-
+        f = random_scalars(grid, rng)
+        basis = pod_basis(f, kind="pressure")
         assert l2_norm(basis.modes[0]) == pytest.approx(1.0, abs=1e-12)
         # mode is the snapshot direction
-        c = inner_product(basis.modes[0], f)
-        assert abs(abs(c) - l2_norm(f)) <= 1e-10 * l2_norm(f)
+        c = float(np.dot(basis.modes.values[0], f.values[0])) * grid.cell_area
+        assert abs(abs(c) - l2_norm(f[0])) <= 1e-10 * l2_norm(f[0])
 
     def test_duplicated_snapshot_rank_one(self, grid, rng):
-        f = random_scalar(grid, rng)
-        fields = [f, Field.scalar(grid, f.values.copy())]
+        f = random_scalars(grid, rng).values
+        fields = FieldRows(grid, "scalar", np.vstack([f, f]))
         C = correlation_matrix(fields)
         w, V = symmetric_eig(C)
         assert numerical_rank(w) == 1
@@ -245,7 +244,7 @@ class TestProjectionError:
     def test_scaling_invariance_of_projector(self, grid, rng):
         fields = _random_set(grid, rng, 6, kind="scalar")
         alpha = 37.5
-        scaled = [alpha * f for f in fields]
+        scaled = FieldRows(grid, "scalar", alpha * fields.values)
         b1 = pod_basis(fields, n_modes=4, kind="pressure")
         b2 = pod_basis(scaled, n_modes=4, kind="pressure")
         area = grid.cell_area
@@ -282,6 +281,6 @@ class TestCoefficients:
     def test_projection_reproduces_snapshot_in_span(self, grid, rng):
         fields = _random_set(grid, rng, 5)
         basis = pod_basis(fields)
-        c = project_coefficients(fields[2], basis)
+        c = project_coefficients(fields[2:3], basis)[0]
         recon = basis.modes.values.T @ c
         assert np.allclose(recon, fields[2].values, atol=1e-10 * np.abs(fields[2].values).max())

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from romkit import rom
 from romkit.errors import NumericalError, ShapeError, StabilityError
 from romkit.fom import FomConfig, Waveform, fom_run
-from romkit.grid import Field, FieldRows, Grid, inner_product, l2_norm, snapshot_matrix
+from romkit.grid import FieldRows, Grid, l2_norm
 from romkit.lifting import LiftingPair, compute_lifting, homogenize
 from romkit.operators import convection, divergence, flat_faces, gradient, vec_laplacian
 from romkit.pod import ReducedBasis, _mgs, pod_basis, project_coefficients, symmetric_eig
@@ -22,7 +22,7 @@ from romkit.rom import (
 )
 from romkit.windkessel import WindkesselParams
 
-from conftest import CHANNEL_TAGS, layouts, wrapped_splu
+from conftest import CHANNEL_TAGS, cell_array, face_arrays, inlet_trace, layouts, wrapped_splu
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def _dense_oracle(ops, a0, times, wf, q):
 
 
 def _zero_lifting(grid):
-    return LiftingPair(Field.vector2(grid),
+    return LiftingPair(FieldRows(grid, "vector2", np.zeros((1, grid.n_vector))),
                        FieldRows(grid, "scalar", np.zeros((len(grid.outlets), grid.n_scalar))),
                        {"chi_u_inlet_flux": 0.0})
 
@@ -106,15 +106,17 @@ def _interior_vector(grid, rng):
     v = np.zeros((grid.ny + 1, grid.nx))
     u[2:-2, 3:-3] = rng.standard_normal(u[2:-2, 3:-3].shape)
     v[3:-3, 2:-2] = rng.standard_normal(v[3:-3, 2:-2].shape)
-    return Field.vector2(grid, u, v)
+    return flat_faces((u, v))
 
 
-def _orthonormalize(fields):
-    from romkit.pod import _mgs
+def _orthonormalize(grid, kind, fields):
+    """FieldRows of the orthonormalized flat fields."""
+    return FieldRows(grid, kind, _mgs(np.stack(fields), grid.cell_area))
 
-    grid = fields[0].grid
-    mat = _mgs(snapshot_matrix(fields), grid.cell_area)
-    return [Field(grid, fields[0].kind, row) for row in mat]
+
+def _inner(grid, f, g):
+    """The discrete L2 inner product of two flat fields."""
+    return float(np.dot(f, g)) * grid.cell_area
 
 
 class TestSupremizer:
@@ -167,20 +169,22 @@ class TestAssemble:
         grid, lift = s["grid"], s["lift"]
         enriched = supremizer_enrich(s["basis_u"], s["basis_p"], grid)
         ops = assemble_operators(enriched, s["basis_p"], lift, s["cfg"].nu, grid)
-        modes, chi = list(enriched.modes), (lift.chi_u.u, lift.chi_u.v)
+        modes = enriched.modes.values
+        chi, faces = face_arrays(grid, lift.chi_u.values[0]), face_arrays(grid, modes)
 
         def proj(uv):
             flat = np.concatenate([uv[0].ravel(), uv[1].ravel()])
-            return np.array([inner_product(m, Field(grid, "vector2", flat)) for m in modes])
+            return np.array([_inner(grid, m, flat) for m in modes])
 
-        B = np.column_stack([proj(vec_laplacian(grid, f.u, f.v)) for f in modes])
-        Ct = np.stack([np.column_stack([proj(convection(grid, f.u, f.v, g.u, g.v))
-                                        for g in modes]) for f in modes], axis=1)
-        d2 = np.column_stack([proj(convection(grid, f.u, f.v, *chi)) for f in modes])
-        d3 = np.column_stack([proj(convection(grid, *chi, f.u, f.v)) for f in modes])
-        K = np.column_stack([proj(gradient(grid, psi.c)) for psi in s["basis_p"].modes])
-        P = np.array([[inner_product(psi, Field.scalar(grid, divergence(grid, f.u, f.v)))
-                       for f in modes] for psi in s["basis_p"].modes])
+        B = np.column_stack([proj(vec_laplacian(grid, *f)) for f in zip(*faces)])
+        Ct = np.stack([np.column_stack([proj(convection(grid, *f, *g)) for g in zip(*faces)])
+                       for f in zip(*faces)], axis=1)
+        d2 = np.column_stack([proj(convection(grid, *f, *chi)) for f in zip(*faces)])
+        d3 = np.column_stack([proj(convection(grid, *chi, *f)) for f in zip(*faces)])
+        psis = s["basis_p"].modes.values
+        K = np.column_stack([proj(gradient(grid, c)) for c in cell_array(grid, psis)])
+        P = np.array([[_inner(grid, psi, divergence(grid, *f).ravel()) for f in zip(*faces)]
+                      for psi in psis])
         for name, ref in (("B", B), ("Ct", Ct), ("d2", d2), ("d3", d3), ("K", K), ("P", P)):
             got = getattr(ops, name)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
@@ -203,13 +207,12 @@ class TestAssemble:
         ops = assemble_operators(bu, bp, lift, 0.1, grid)
 
         def uv(w):
-            f = Field(grid, "vector2", w)
-            return f.u, f.v
+            return face_arrays(grid, w)
 
         def proj(rows, fields):   # area-weighted dot products, a row per mode, a column per field
             return grid.cell_area * np.array([[r @ f.ravel() for f in fields] for r in rows])
 
-        chi = lift.chi_u.values
+        chi = lift.chi_u.values[0]
         cols = list(Phi) + [chi]
         lap = [flat_faces(vec_laplacian(grid, *uv(w))) for w in cols]
         conv = [[flat_faces(convection(grid, *uv(a), *uv(b))) for b in cols] for a in cols]
@@ -221,8 +224,8 @@ class TestAssemble:
             "K": proj(Phi, [flat_faces(gradient(grid, p.reshape(grid.ny, grid.nx)))
                             for p in Psi]).reshape(n_u, n_p),
             "P": proj(Psi, [divergence(grid, *uv(w)) for w in Phi]).reshape(n_p, n_u),
-            "d5": proj(Phi, [flat_faces(gradient(grid, c.c, e))
-                             for c, e in zip(lift.chi_p, np.eye(lift.n_outlets))]).T,
+            "d5": proj(Phi, [flat_faces(gradient(grid, c, e)) for c, e in
+                             zip(cell_array(grid, lift.chi_p.values), np.eye(lift.n_outlets))]).T,
             "d6": proj(Phi, [chi])[:, 0],
             "d7": proj(Psi, [divergence(grid, *uv(chi))]).reshape(n_p),
         }
@@ -236,12 +239,12 @@ class TestAssemble:
     def test_single_mode_diffusion_scalar(self, stokes_setup, rng):
         s = stokes_setup
         grid = s["grid"]
-        mode = _orthonormalize([_interior_vector(grid, rng)])
+        mode = _orthonormalize(grid, "vector2", [_interior_vector(grid, rng)])
         basis = ReducedBasis(mode, np.array([1.0]), "velocity", 1)
         ops = assemble_operators(basis, None, _zero_lifting(grid), 1e-3, grid)
         assert ops.B.shape == (1, 1)
-        lu, lv = vec_laplacian(grid, mode[0].u, mode[0].v)
-        direct = inner_product(mode[0], Field.vector2(grid, lu, lv))
+        w = mode.values[0]
+        direct = _inner(grid, w, flat_faces(vec_laplacian(grid, *face_arrays(grid, w))))
         assert ops.B[0, 0] == pytest.approx(direct, rel=1e-12)
         assert ops.B[0, 0] <= 0.0
 
@@ -257,13 +260,13 @@ class TestAssemble:
     def test_gradient_divergence_adjoint_blocks(self, stokes_setup, rng):
         """P_ji = -K_ij up to boundary terms for interior-supported modes."""
         grid = stokes_setup["grid"]
-        umodes = _orthonormalize([_interior_vector(grid, rng) for _ in range(3)])
+        umodes = _orthonormalize(grid, "vector2", [_interior_vector(grid, rng) for _ in range(3)])
         p_fields = []
         for _ in range(2):
             vals = np.zeros((grid.ny, grid.nx))
             vals[2:-2, 2:-2] = rng.standard_normal(vals[2:-2, 2:-2].shape)
-            p_fields.append(Field.scalar(grid, vals))
-        pmodes = _orthonormalize(p_fields)
+            p_fields.append(vals.ravel())
+        pmodes = _orthonormalize(grid, "scalar", p_fields)
         bu = ReducedBasis(umodes, np.ones(3), "velocity", 3)
         bp = ReducedBasis(pmodes, np.ones(2), "pressure", 2)
         ops = assemble_operators(bu, bp, _zero_lifting(grid), 1e-3, grid)
@@ -275,9 +278,9 @@ class TestAssemble:
         psi[3:-3, 3:-3] = rng.standard_normal(psi[3:-3, 3:-3].shape)
         u = (psi[1:, :] - psi[:-1, :]) / grid.hy
         v = -(psi[:, 1:] - psi[:, :-1]) / grid.hx
-        divfree = Field.vector2(grid, u, v)
+        divfree = flat_faces((u, v))
         others = [_interior_vector(grid, rng) for _ in range(2)]
-        modes = _orthonormalize([divfree] + others)
+        modes = _orthonormalize(grid, "vector2", [divfree] + others)
         basis = ReducedBasis(modes, np.ones(3), "velocity", 3)
         ops = assemble_operators(basis, None, _zero_lifting(grid), 1e-3, grid)
         j = 0  # the (near) divergence-free advector after orthonormalization
@@ -306,13 +309,13 @@ class TestAssemble:
 
         Phi = enriched.modes.values
         Psi = s["basis_p"].modes.values
-        uvals = a @ Phi + g * lift.chi_u.values
-        field_u = Field(grid, "vector2", uvals)
+        uvals = a @ Phi + g * lift.chi_u.values[0]
+        fu, fv = face_arrays(grid, uvals)
         pvals = b @ Psi + q * lift.chi_p[0].values
         p2 = pvals.reshape(grid.ny, grid.nx)
 
-        lu, lv = vec_laplacian(grid, field_u.u, field_u.v)
-        cu, cv = convection(grid, field_u.u, field_u.v, field_u.u, field_u.v)
+        lu, lv = vec_laplacian(grid, fu, fv)
+        cu, cv = convection(grid, fu, fv, fu, fv)
         gx, gy = gradient(grid, p2, [q])
         full_rhs = nu * np.concatenate([lu.ravel(), lv.ravel()])
         full_rhs -= np.concatenate([cu.ravel(), cv.ravel()])
@@ -327,7 +330,7 @@ class TestAssemble:
         assert np.abs(projected - reduced).max() <= 1e-11 * max(scale, 1.0)
 
         # continuity route: (psi_j, div u) = P a + g d7
-        dv = divergence(grid, field_u.u, field_u.v).ravel()
+        dv = divergence(grid, fu, fv).ravel()
         proj_div = (Psi @ dv) * grid.cell_area
         assert np.abs(proj_div - (ops.P @ a + g * ops.d7)).max() <= 1e-11 * max(
             np.abs(proj_div).max(), 1.0)
@@ -473,7 +476,7 @@ class TestReconstruct:
         rec = reconstruct(s["basis_u"], s["basis_p"], traj, lift, wf, np.full((2, 1), 2.5))
         for m, t in enumerate(times):
             g = wf.magnitude(float(t))
-            assert np.allclose(rec.velocity[m].values, g * lift.chi_u.values, atol=0)
+            assert np.allclose(rec.velocity[m].values, g * lift.chi_u.values[0], atol=0)
             assert np.allclose(rec.pressure[m].values, 2.5 * lift.chi_p[0].values, atol=0)
 
     def test_projected_snapshot_roundtrip(self, stokes_setup):
@@ -482,21 +485,19 @@ class TestReconstruct:
         bu, bp = s["basis_u"], s["basis_p"]
         m = 3
         t_m = float(res.snapshots.times[m])
-        a = project_coefficients(hom.velocity[m], bu)
-        b = project_coefficients(hom.pressure[m], bp)
+        a = project_coefficients(hom.velocity[m:m + 1], bu)[0]
+        b = project_coefficients(hom.pressure[m:m + 1], bp)[0]
         eps = 1e-6
         traj = ReducedTrajectory(np.array([t_m, t_m + eps]), np.vstack([a, a]), np.vstack([b, b]))
         q = res.snapshots.outlet_pressure[m, 0]
         rec = reconstruct(bu, bp, traj, lift, wf, np.full((2, 1), q))
         # reconstruction equals P_N of the snapshot plus lifting
         Phi = bu.modes.values
-        expect = a @ Phi + wf.magnitude(t_m) * lift.chi_u.values
+        expect = a @ Phi + wf.magnitude(t_m) * lift.chi_u.values[0]
         assert np.abs(rec.velocity[0].values - expect).max() <= 1e-12 * max(
             1.0, np.abs(expect).max())
 
     def test_inlet_trace_matches_waveform(self, stokes_setup, rng):
-        from romkit.grid import inlet_trace
-
         s = stokes_setup
         bu, bp, lift, wf = s["basis_u"], s["basis_p"], s["lift"], s["wf"]
         times = np.array([0.02, 0.05, 0.09])
@@ -505,5 +506,5 @@ class TestReconstruct:
         rec = reconstruct(bu, bp, ReducedTrajectory(times, a, b), lift, wf, None)
         for m, t in enumerate(times):
             g = wf.magnitude(float(t))
-            trace = inlet_trace(rec.velocity[m])
+            trace = inlet_trace(s["grid"], rec.velocity[m].values)
             assert np.abs(trace - g).max() <= 1e-9 * max(abs(g), 1e-12)
