@@ -21,27 +21,7 @@ from .errors import ConfigurationError, FormatError, NumericalError, RankError, 
 from . import pipeline
 from .affine_rb import demo_problem, fom_solve, rb_offline, rb_online
 from .fom import fom_run
-from .grid import SnapshotSet
-
-
-def _write_outlet_pressure_csv(path, times, outlet_pressure):
-    rows = ["t,outlet,p"]
-    for m, t in enumerate(times):
-        for k in range(outlet_pressure.shape[1]):
-            rows.append(f"{float(t)!r},{k},{float(outlet_pressure[m, k])!r}")
-    Path(path).write_text("\n".join(rows) + "\n")
-
-
-def _write_diagnostics_csv(path, result):
-    n_out = result.outlet_flux.shape[1]
-    rows = [",".join(["step,t,poisson_residual,div_max"] + [f"Q_{k}" for k in range(n_out)]
-                     + [f"P_{k}" for k in range(n_out)])]
-    for i in range(result.n_steps):
-        cells = [i + 1, float(result.step_times[i + 1]), float(result.poisson_residual[i]),
-                 float(result.div_max[i]), *map(float, result.outlet_flux[i]),
-                 *map(float, result.step_outlet_pressure[i + 1])]
-        rows.append(",".join(map(repr, cells)))
-    Path(path).write_text("\n".join(rows) + "\n")
+from .grid import SnapshotSet, write_table
 
 
 def _cmd_fom(args):
@@ -49,10 +29,18 @@ def _cmd_fom(args):
     fom_cfg = pipeline.build_fom_config(cfg)
     result = fom_run(fom_cfg)
     out = Path(args.out)
-    result.snapshots.save(out)
-    _write_outlet_pressure_csv(out / "outlet_pressure.csv",
-                               result.snapshots.times, result.snapshots.outlet_pressure)
-    _write_diagnostics_csv(out / "diagnostics.csv", result)
+    snaps = result.snapshots
+    snaps.save(out)
+    write_table(out / "outlet_pressure.csv", ["t", "outlet", "p"],
+                ((t, k, p) for t, row in zip(snaps.times, snaps.outlet_pressure)
+                 for k, p in enumerate(row)))
+    n_out = result.outlet_flux.shape[1]
+    write_table(out / "diagnostics.csv",
+                ["step", "t", "poisson_residual", "div_max", *(f"Q_{k}" for k in range(n_out)),
+                 *(f"P_{k}" for k in range(n_out))],
+                ((i + 1, result.step_times[i + 1], result.poisson_residual[i], result.div_max[i],
+                  *result.outlet_flux[i], *result.step_outlet_pressure[i + 1])
+                 for i in range(result.n_steps)))
     drift = "n/a" if result.cycle_drift is None else f"{result.cycle_drift:.3e}"
     print(f"fom: {result.n_steps} steps, {len(result.snapshots)} snapshots, "
           f"{result.wall_time:.2f}s, cycle drift {drift} -> {out}")
@@ -121,17 +109,14 @@ def _cmd_rb(args):
     mus = np.linspace(*problem.param_box[0], args.train)[:, None]
     space = rb_offline(problem, mus, n_modes=args.modes)
     test_mus = np.linspace(*problem.param_box[0], args.test)
-    rows = ["mu,s_fom,s_rb,err"]
+    rows = []
     for mu in test_mus:
         _, s_fom = fom_solve(problem, [mu])
         _, s_rb = rb_online(space, [mu])
-        rows.append(f"{float(mu)!r},{s_fom!r},{s_rb!r},{abs(s_fom - s_rb)!r}")
-    text = "\n".join(rows) + "\n"
+        rows.append((mu, s_fom, s_rb, abs(s_fom - s_rb)))
+    write_table(args.out or sys.stdout, ["mu", "s_fom", "s_rb", "err"], rows)
     if args.out:
-        Path(args.out).write_text(text)
         print(f"rb: {args.test} test points -> {args.out}")
-    else:
-        print(text, end="")
     return 0
 
 

@@ -6,10 +6,11 @@ coupling:
 
   1. predictor   u* = u + dt (nu Lap(u) - div(u (x) u))          (explicit)
   2. boundary    inlet faces get the pulsatile Dirichlet profile at t+dt,
-                 wall faces stay zero, outlet faces stay predicted
-  3. Windkessel  each outlet integrates its RCR state with the outward face
-                 flux of the current velocity; the resulting downstream
-                 pressure becomes the Dirichlet datum of the Poisson solve
+                 wall faces stay zero, outlet faces stay predicted (the
+                 faces are the grid's fixed_masks, the profile set_inward's)
+  3. Windkessel  each outlet integrates its RCR state with the outward flux
+                 of the current velocity (grid.normal_flux); the resulting
+                 downstream pressure is the Dirichlet datum of the Poisson solve
   4. pressure    div(grad(p)) = div(u*)/dt, a direct solve with the Poisson
                  matrix factored once (symmetric minimum-degree ordering),
                  checked to relative residual 1e-10
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .grid import OUTWARD, SIDE_INDEX, FieldRows, Grid, SnapshotSet, normal_faces
+from .grid import SIDE_INDEX, FieldRows, Grid, SnapshotSet, normal_flux, set_inward
 from .operators import (center_laplacian, convection_matrices, divergence, divergence_matrix,
                         flat_faces, gradient_matrix, splu, vec_laplacian_matrix)
 # unused: perfbench/spans.py traces them here
@@ -205,21 +206,12 @@ class FomSolver:
         self._div_dt = (divergence_matrix(g) / dt).tocsr()
         self._dt_grad = (dt * gradient_matrix(g)).tocsr()      # on [p, q]
 
-        # the faces that hold boundary data: the inward g(t) profile on the
-        # inlet, zero on the walls; and each outlet's faces with the factor
-        # OUTWARD times face length that turns their sum into the outward flux
-        u_idx = np.arange(g.n_u).reshape(g.ny, g.nx + 1)
-        v_idx = np.arange(g.n_u, g.n_vector).reshape(g.ny + 1, g.nx)
-
-        def faces(side):
-            return normal_faces(u_idx, v_idx, side)[SIDE_INDEX[side]]
-
-        inlet = faces(g.inlet_side)
-        self._fixed = np.concatenate([inlet] + [faces(side) for side in g.wall_sides])
-        self._fixed_data = np.zeros(self._fixed.size)
-        self._fixed_data[:inlet.size] = -OUTWARD[g.inlet_side] * cfg.waveform.profile(g)
-        self._outlets = [(faces(side), OUTWARD[side] * g.side_measure(side), cfg.windkessel[k])
-                         for k, side in g.outlets]
+        # the faces that hold boundary data (the grid's fixed_masks) and their
+        # data at unit inflow: the inward profile on the inlet, zero on walls
+        self._fixed = np.flatnonzero(flat_faces(g.fixed_masks))
+        u, v = np.zeros((g.ny, g.nx + 1)), np.zeros((g.ny + 1, g.nx))
+        set_inward(u, v, g.inlet_side, cfg.waveform.profile(g))
+        self._fixed_data = flat_faces((u, v))[self._fixed]
 
     def initial_state(self) -> FomState:
         g = self.grid
@@ -256,10 +248,9 @@ class FomSolver:
         ws = self._predictor @ x
         ws[self._fixed] = cfg.waveform.magnitude(t_new) * self._fixed_data
 
-        fluxes, wk_new = [], []
-        for (faces, scale, params), wk in zip(self._outlets, state.wk):
-            fluxes.append(scale * float(np.sum(w[faces])))
-            wk_new.append(wk_step(wk, fluxes[-1], dt, params))
+        fluxes = [normal_flux(g, state.u, state.v, side) for _, side in g.outlets]
+        wk_new = [wk_step(wk, flux, dt, cfg.windkessel[k])
+                  for (k, _), wk, flux in zip(g.outlets, state.wk, fluxes)]
         q = np.array([wk.p for wk in wk_new])
 
         rhs = self._bc(q) - self._div_dt @ ws
@@ -310,7 +301,7 @@ class FomSolver:
             times_full.append(state.t)
             pouts_full.append([wk.p for wk in state.wk])
             if i in row:
-                vels[row[i]] = np.concatenate([state.u.ravel(), state.v.ravel()])
+                vels[row[i]] = flat_faces((state.u, state.v))
                 pres[row[i]] = state.p.ravel()
 
         t_wall = time.perf_counter()
@@ -329,8 +320,8 @@ class FomSolver:
 
         drift = None
         if cycle_ref is not None and cfg.t_end - cfg.t0 >= 2 * cfg.waveform.t_cycle - 1e-12:
-            du = np.concatenate([(state.u - cycle_ref[0]).ravel(), (state.v - cycle_ref[1]).ravel()])
-            ref = np.concatenate([state.u.ravel(), state.v.ravel()])
+            ref = flat_faces((state.u, state.v))
+            du = ref - flat_faces(cycle_ref)
             denom = np.linalg.norm(ref) * np.sqrt(g.cell_area)
             drift = float(np.linalg.norm(du) * np.sqrt(g.cell_area) / max(denom, 1e-300))
 

@@ -12,7 +12,7 @@ as the rows of a single read-only (M, n) array (``FieldRows``); ``rows[m]``
 is a ``Field``, the (grid, kind, values) view of row m, without a copy.
 Boundary fluxes are read off the face arrays (``normal_flux``).  Every part
 of a bundle is stored by ``save_arrays``: a meta.json plus one raw float64
-file per array.
+file per array; every CSV table romkit writes goes through ``write_table``.
 
 The discrete L2 norm (``l2_norm``) is the sum of squares over unknowns times
 the cell area hx*hy, for both scalar and vector fields.
@@ -234,6 +234,22 @@ def normal_flux(grid: Grid, u: np.ndarray, v: np.ndarray, side: str) -> float:
     """Outward volume flux of the face arrays (u, v) through `side`."""
     vals = normal_faces(u, v, side)[SIDE_INDEX[side]]
     return OUTWARD[side] * float(np.sum(vals)) * grid.side_measure(side)
+
+
+def write_table(out, header: Sequence[str], rows, line_end: str = "\n") -> None:
+    """Write a CSV table, the header line and then one line per row, to a file
+    path or an open text stream.  A float cell is written as repr(float(x)),
+    None as an empty cell and anything else as str(x)."""
+    def cell(x) -> str:
+        if x is None:
+            return ""
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+    text = "".join(",".join(map(cell, row)) + line_end for row in [header, *rows])
+    if isinstance(out, (str, os.PathLike)):
+        Path(out).write_text(text, newline="")
+    else:
+        out.write(text)
 
 
 def read_file(path) -> bytearray:

@@ -34,12 +34,11 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, TrainingError
-from .grid import load_arrays, read_file, save_arrays
+from .grid import load_arrays, read_file, save_arrays, write_table
 
 REFERENCE_NN_DEFAULTS = {
     "hidden_neurons": 150,
@@ -347,6 +346,5 @@ def load_model(directory, read=read_file) -> NNModel:
 
 def save_loss_history(path, history: np.ndarray) -> None:
     """(epoch, train_mse, test_mse) rows as CSV with CRLF line ends."""
-    rows = ["epoch,train_mse,test_mse"] + [f"{int(e)},{float(tr)!r},{float(te)!r}"
-                                           for e, tr, te in history]
-    Path(path).write_text("".join(r + "\r\n" for r in rows), newline="")
+    write_table(path, ["epoch", "train_mse", "test_mse"],
+                ((int(e), tr, te) for e, tr, te in history), line_end="\r\n")

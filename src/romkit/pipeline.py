@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, ShapeError
 from .fom import FomConfig, FomResult, Waveform, fom_run
-from .grid import SIDES, Grid, SnapshotSet, read_file
+from .grid import SIDES, Grid, SnapshotSet, read_file, write_table
 from .lifting import LiftingPair, compute_lifting, homogenize
 from .nn import (
     NNModel,
@@ -45,7 +45,7 @@ from .nn import (
     save_loss_history,
     save_model,
 )
-from .pod import ReducedBasis, pod_basis, project_coefficients, truncation_rank
+from .pod import ReducedBasis, _residual, pod_basis, project_coefficients, truncation_rank
 from .rom import (ReducedOperators, ReducedTrajectory, assemble_operators, integrate_rom,
                   prepare_step, reconstruct, supremizer_enrich)
 from .windkessel import WindkesselParams
@@ -496,7 +496,9 @@ def offline(config: dict | Path | str, out_dir=None, fom_result: FomResult | Non
 
 @dataclass(eq=False)
 class RunReport:
-    """Per-time errors, sweep table, spectra, timings and the speedup."""
+    """Per-time errors, sweep table, spectra, timings and the speedups:
+    ``speedup`` over the timed reduced solve, ``speedup_total`` over the
+    whole online cost, solve plus reconstruction."""
 
     times: np.ndarray
     err_u: np.ndarray | None
@@ -508,6 +510,7 @@ class RunReport:
     spectrum_p: np.ndarray | None = None
     timings: dict = field(default_factory=dict)
     speedup: float | None = None
+    speedup_total: float | None = None
     extras: dict = field(default_factory=dict)
 
     def time_avg(self, name: str) -> float | None:
@@ -517,32 +520,21 @@ class RunReport:
     def write(self, out_dir) -> None:
         d = Path(out_dir)
         d.mkdir(parents=True, exist_ok=True)
+        cols = ("err_u", "err_p", "proj_u", "proj_p")
         if self.err_u is not None:
-            rows = ["t,err_u,err_p,proj_u,proj_p"]
-            for m, t in enumerate(self.times):
-                def cell(arr):
-                    return repr(float(arr[m])) if arr is not None else ""
-                rows.append(f"{float(t)!r},{cell(self.err_u)},{cell(self.err_p)},"
-                            f"{cell(self.proj_u)},{cell(self.proj_p)}")
-            (d / "errors.csv").write_text("\n".join(rows) + "\n")
+            arrays = [getattr(self, c) for c in cols]
+            write_table(d / "errors.csv", ["t", *cols],
+                        ([t] + [None if a is None else a[m] for a in arrays]
+                         for m, t in enumerate(self.times)))
         if self.spectrum_u is not None:
-            rows = ["i,lambda_u,lambda_p"]
-            n = max(self.spectrum_u.size,
-                    self.spectrum_p.size if self.spectrum_p is not None else 0)
-            for i in range(n):
-                lu = repr(float(self.spectrum_u[i])) if i < self.spectrum_u.size else ""
-                lp = (repr(float(self.spectrum_p[i]))
-                      if self.spectrum_p is not None and i < self.spectrum_p.size else "")
-                rows.append(f"{i},{lu},{lp}")
-            (d / "spectrum.csv").write_text("\n".join(rows) + "\n")
+            spectra = (self.spectrum_u, () if self.spectrum_p is None else self.spectrum_p)
+            n = max(map(len, spectra))
+            write_table(d / "spectrum.csv", ["i", "lambda_u", "lambda_p"],
+                        ([i] + [s[i] if i < len(s) else None for s in spectra]
+                         for i in range(n)))
         if self.sweep:
-            cols = ["N", "err_u", "err_p", "proj_u", "proj_p"]
-            rows = [",".join(cols)]
-            for entry in self.sweep:
-                cells = [str(entry["N"])]
-                cells += ["" if entry[c] is None else repr(float(entry[c])) for c in cols[1:]]
-                rows.append(",".join(cells))
-            (d / "errors_vs_n.csv").write_text("\n".join(rows) + "\n")
+            write_table(d / "errors_vs_n.csv", ["N", *cols],
+                        ([entry["N"]] + [entry[c] for c in cols] for entry in self.sweep))
         if self.timings:
             _write_timings(d / "timings.csv", self.timings)
         summary = {
@@ -551,6 +543,7 @@ class RunReport:
             "time_avg_proj_u": self.time_avg("proj_u"),
             "time_avg_proj_p": self.time_avg("proj_p"),
             "speedup": self.speedup,
+            "speedup_total": self.speedup_total,
             "timings": self.timings,
             **self.extras,
         }
@@ -558,8 +551,7 @@ class RunReport:
 
 
 def _write_timings(path, timings: dict) -> None:
-    rows = ["stage,seconds"] + [f"{k},{v!r}" for k, v in timings.items()]
-    Path(path).write_text("\n".join(rows) + "\n")
+    write_table(path, ["stage", "seconds"], timings.items())
 
 
 def _match_indices(query: np.ndarray, reference: np.ndarray):
@@ -576,20 +568,12 @@ def _row_norms(R: np.ndarray, area: float) -> np.ndarray:
 
 def projection_errors(snaps: SnapshotSet, hom: SnapshotSet, basis_u: ReducedBasis,
                       basis_p: ReducedBasis | None):
-    """Per-time distances of homogenized snapshots to the basis spans.
-
-    Residual fields are formed explicitly; the norm-difference shortcut
-    cancels catastrophically when the span captures most of a large field.
-    """
+    """Per-time distances of homogenized snapshots to the basis spans, the
+    norms of pod's projection residual rows."""
     area = snaps.grid.cell_area
-
-    def residual_norms(S, basis):
-        Phi = basis.modes.values
-        return _row_norms(S - ((S @ Phi.T) * area) @ Phi, area)
-
-    proj_u = residual_norms(hom.velocity.values, basis_u)
-    proj_p = residual_norms(hom.pressure.values, basis_p) if basis_p is not None else None
-    return proj_u, proj_p
+    return tuple(None if basis is None else
+                 _row_norms(_residual(rows.values, basis.modes.values, area), area)
+                 for rows, basis in ((hom.velocity, basis_u), (hom.pressure, basis_p)))
 
 
 def compare(fom_set: SnapshotSet, rom_set: SnapshotSet, basis_u: ReducedBasis | None = None,
@@ -727,9 +711,11 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
 
     report.spectrum_u = bundle.basis_u.eigenvalues.copy()
     report.spectrum_p = None if bundle.basis_p is None else bundle.basis_p.eigenvalues.copy()
+    t_total = t_solve + t_reconstruct
     report.timings = {"rom_solve": t_solve, "reconstruct": t_reconstruct,
-                      "fom_recorded": bundle.fom_wall_time}
+                      "online_total": t_total, "fom_recorded": bundle.fom_wall_time}
     report.speedup = bundle.fom_wall_time / t_solve if t_solve > 0 else None
+    report.speedup_total = bundle.fom_wall_time / t_total if t_total > 0 else None
     report.extras = {
         "n_u": bu.n_primary, "n_p": ops.n_p, "n_supremizer": ops.n_p,
         "dt_r": substep, "velocity_only": ops.n_p == 0,

@@ -10,7 +10,8 @@ Galerkin projections need no mass weighting, and a modified Gram-Schmidt
 pass removes the residual non-orthogonality the normalization amplifies on
 deep-tail modes.  The average squared distance of the snapshots to their
 span equals the neglected-eigenvalue sum, which projection_error evaluates
-independently from the projections themselves.
+independently from the projections themselves, on the same residual rows
+whose norms are the per-time projection floors of pipeline.compare.
 
 Snapshots and modes are FieldRows: every function here works on their one
 (M, n) array, with the grid's cell area as the inner-product weight.
@@ -194,11 +195,13 @@ def projection_error(rows: FieldRows, basis: ReducedBasis, n_modes: int) -> floa
     n_modes modes, computed directly from the projection residuals."""
     if n_modes > basis.n_modes:
         raise RankError(f"basis holds {basis.n_modes} modes, asked for {n_modes}")
-    S = rows.values
     area = basis.grid.cell_area
-    if n_modes == 0:
-        R = S
-    else:
-        Phi = basis.modes.values[:n_modes]
-        R = S - ((S @ Phi.T) * area) @ Phi
-    return float(np.sum(R * R) * area / S.shape[0])
+    R = _residual(rows.values, basis.modes.values[:n_modes], area)
+    return float(np.sum(R * R) * area / len(rows))
+
+
+def _residual(S: np.ndarray, Phi: np.ndarray, area: float) -> np.ndarray:
+    """S minus its projection on the orthonormal rows of Phi: the residual
+    rows whose norms are the projection errors (formed explicitly; the
+    norm-difference shortcut cancels when the span holds most of a row)."""
+    return S - ((S @ Phi.T) * area) @ Phi

@@ -454,6 +454,17 @@ class TestOnline:
         _, report = online(bundle)
         assert report.speedup is not None and report.speedup > 1.0
 
+    def test_end_to_end_cost_reported(self, bundle, tmp_path):
+        """online_total adds reconstruction to the timed solve, so its speedup
+        is the smaller one; report.json carries both."""
+        _, report = online(bundle, timing_reps=1)
+        t = report.timings
+        assert t["online_total"] == t["rom_solve"] + t["reconstruct"] >= t["rom_solve"]
+        assert report.speedup_total <= report.speedup
+        report.write(tmp_path)
+        summary = json.loads((tmp_path / "report.json").read_text())
+        assert summary["speedup_total"] == report.speedup_total
+
     def test_refined_query_step_uses_fine_set(self, bundle):
         times = np.round(np.arange(0.6, 0.9 + 1e-12, 0.005), 9)
         rec, report = online(bundle, query_times=times, dt_r=0.005)
@@ -698,6 +709,13 @@ class TestLayoutRoundTrip:
                 a, b = getattr(report, name), getattr(report_loaded, name)
                 assert (a is None and b is None) or np.array_equal(a, b), name
             assert (report.err_u is None) == (query_times is arbitrary)
+        # the stored model's saddle matrix is well conditioned, and the same
+        # operators without their supremizer rows leave it singular
+        assert report.extras["saddle_cond"] <= rom.SADDLE_COND_LIMIT
+        ops, n_primary = built.operators, built.basis_u.n_primary
+        assert built.n_p > 0
+        with pytest.raises(StabilityError):
+            rom.prepare_step(ops.subset(range(n_primary), built.n_p), built.dt_fom)
 
 
 class TestStokes:
