@@ -521,19 +521,19 @@ class RunReport:
         d = Path(out_dir)
         d.mkdir(parents=True, exist_ok=True)
         cols = ("err_u", "err_p", "proj_u", "proj_p")
+        heads = [f"{c}_abs" for c in cols]     # absolute L2 errors and floors
         if self.err_u is not None:
             arrays = [getattr(self, c) for c in cols]
-            write_table(d / "errors.csv", ["t", *cols],
+            write_table(d / "errors.csv", ["t", *heads],
                         ([t] + [None if a is None else a[m] for a in arrays]
                          for m, t in enumerate(self.times)))
         if self.spectrum_u is not None:
             spectra = (self.spectrum_u, () if self.spectrum_p is None else self.spectrum_p)
-            n = max(map(len, spectra))
             write_table(d / "spectrum.csv", ["i", "lambda_u", "lambda_p"],
                         ([i] + [s[i] if i < len(s) else None for s in spectra]
-                         for i in range(n)))
+                         for i in range(max(map(len, spectra)))))
         if self.sweep:
-            write_table(d / "errors_vs_n.csv", ["N", *cols],
+            write_table(d / "errors_vs_n.csv", ["N", *heads],
                         ([entry["N"]] + [entry[c] for c in cols] for entry in self.sweep))
         if self.timings:
             _write_timings(d / "timings.csv", self.timings)

@@ -437,7 +437,7 @@ class TestOnline:
         assert {"errors.csv", "spectrum.csv", "timings.csv", "report.json",
                 "errors_vs_n.csv"} <= names
         header = (tmp_path / "report" / "errors.csv").read_text().splitlines()[0]
-        assert header == "t,err_u,err_p,proj_u,proj_p"
+        assert header == "t,err_u_abs,err_p_abs,proj_u_abs,proj_p_abs"
 
     def test_training_time_queries_reproducible(self, bundle):
         _, r1 = online(bundle, timing_reps=1)
@@ -812,7 +812,7 @@ class TestPressureLiftAblation:
                          "--rom", str(tmp_path / "rec"), "--bundle", str(ablation_dir),
                          "--out", str(tmp_path / "cmp")]) == 0
         rows = (tmp_path / "cmp" / "errors.csv").read_text().splitlines()
-        assert rows[0] == "t,err_u,err_p,proj_u,proj_p"
+        assert rows[0] == "t,err_u_abs,err_p_abs,proj_u_abs,proj_p_abs"
         proj_p = np.array([float(r.split(",")[4]) for r in rows[1:]])
         np.testing.assert_allclose(proj_p, self._floor(b), rtol=1e-12)
 
