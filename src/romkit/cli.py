@@ -3,7 +3,7 @@
     romkit fom      --config FILE --out DIR
     romkit offline  --config FILE --out DIR [--seed S] [--modes Nu,Np]
     romkit online   --bundle DIR --out DIR [--dt-r X] [--modes Nu,Np]
-    romkit compare  --fom DIR --rom DIR --bundle DIR --out DIR
+    romkit compare  --fom DIR --rom DIR --out DIR [--bundle DIR [--modes Nu,Np]]
     romkit rb       [--problem demo] [--train M] [--modes N] [--test K] [--out FILE]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error.
@@ -90,10 +90,12 @@ def _cmd_compare(args):
     fom_set = SnapshotSet.load(args.fom)
     rom_set = SnapshotSet.load(args.rom)
     if args.bundle is None:
+        if args.modes is not None:
+            raise ConfigurationError("--modes names a model of the bundle: it needs --bundle")
         report = pipeline.compare(fom_set, rom_set)
     else:
         bundle = pipeline.Bundle.load(args.bundle)
-        _, basis_u, basis_p = bundle.select()
+        _, basis_u, basis_p = bundle.select(*(_parse_modes(args.modes) or ()))
         report = pipeline.compare(fom_set, rom_set, basis_u, basis_p, bundle.lifting,
                                   bundle.lift_pressure)
     report.write(args.out)
@@ -147,9 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two snapshot directories")
     p.add_argument("--fom", required=True)
     p.add_argument("--rom", required=True)
-    p.add_argument("--bundle", help="also report projection floors, those of the bundle's "
-                                    "default (n_u, n_p) model whatever modes the reconstruction "
-                                    "used")
+    p.add_argument("--bundle", help="also report the projection floors of the bundle's model")
+    p.add_argument("--modes", help="Nu,Np of that model (default: the bundle's)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_compare)
 

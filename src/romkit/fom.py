@@ -11,9 +11,10 @@ coupling:
   3. Windkessel  each outlet integrates its RCR state with the outward flux
                  of the current velocity (grid.normal_flux); the resulting
                  downstream pressure is the Dirichlet datum of the Poisson solve
-  4. pressure    div(grad(p)) = div(u*)/dt, a direct solve with the Poisson
-                 matrix factored once (symmetric minimum-degree ordering),
-                 checked to relative residual 1e-10
+  4. pressure    div(grad(p)) = div(u*)/dt, a direct solve by fast
+                 diagonalisation of the Poisson matrix, a Kronecker sum of
+                 two 1-D factors diagonalised once, checked to relative
+                 residual 1e-10
   5. corrector   u = u* - dt grad(p)
 
 A step works on the flat (u block, v block) vector w of the state, and each
@@ -44,8 +45,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .grid import SIDE_INDEX, FieldRows, Grid, SnapshotSet, normal_flux, set_inward
-from .operators import (center_laplacian, convection_matrices, divergence, divergence_matrix,
-                        flat_faces, gradient_matrix, splu, vec_laplacian_matrix)
+from .operators import (KronSumSolver, center_laplacian, convection_matrices, divergence,
+                        divergence_matrix, flat_faces, gradient_matrix, vec_laplacian_matrix)
 # unused: perfbench/spans.py traces them here
 from .operators import cg, convection, gradient, vec_laplacian  # noqa: F401
 from .windkessel import WindkesselParams, WindkesselState, wk_step
@@ -179,8 +180,8 @@ class FomState:
 
 
 class FomSolver:
-    """Holds the step's matrices, factors the Poisson matrix once and advances
-    FOM states."""
+    """Holds the step's matrices, diagonalises the Poisson matrix once and
+    advances FOM states."""
 
     def __init__(self, cfg: FomConfig):
         from scipy.sparse import hstack, identity
@@ -190,10 +191,7 @@ class FomSolver:
         dt = cfg.dt
         outlet_sides = frozenset(side for _, side in g.outlets)
         self._A, self._bc = center_laplacian(g, outlet_sides)
-        # A is symmetric: a minimum-degree ordering of A + A^T with diagonal
-        # pivots leaves about a third less fill than SuperLU's default COLAMD
-        self._lu = splu(self._A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True})
+        self._poisson = KronSumSolver(self._A, (g.ny, g.nx))
         # the step's maps on the flat (u block, v block) layout, scaled copies
         # of the grid's matrices: the predictor acts on [w, fluxes], the fluxes
         # being the products of the two face-mean maps of self-advection
@@ -254,7 +252,7 @@ class FomSolver:
         q = np.array([wk.p for wk in wk_new])
 
         rhs = self._bc(q) - self._div_dt @ ws
-        p_flat = self._lu.solve(rhs)
+        p_flat = self._poisson.solve(rhs)
         r = rhs - self._A @ p_flat     # both norms as np.linalg.norm takes them
         rhs_norm = math.sqrt(rhs.dot(rhs))
         res = math.sqrt(r.dot(r)) / rhs_norm if rhs_norm > 0 else 0.0

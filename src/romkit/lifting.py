@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .grid import (SIDE_INDEX, FieldRows, Grid, SnapshotSet, load_arrays, normal_flux,
                    read_file, save_arrays, set_inward)
-from .operators import _face_gradient, center_laplacian, divergence, flat_faces, splu
+from .operators import KronSumSolver, _face_gradient, center_laplacian, divergence, flat_faces
 from .operators import cg  # noqa: F401  (unused: perfbench/spans.py traces lifting.cg)
 
 LIFT_RESIDUAL_TOL = 1e-10
@@ -71,9 +71,8 @@ def _velocity_lifting(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     known_div = divergence(grid, ub, vb).ravel()
     A, _ = center_laplacian(grid, frozenset())
     b = known_div - known_div.mean()  # project onto range of the Neumann operator
-    # pins the constant mode on the first diagonal entry; the solution has phi[0] = 0
-    A[0, 0] += A.diagonal().mean()
-    phi = splu(A).solve(b).reshape(grid.ny, grid.nx)
+    # A is singular (constants are its null space): the solve takes the mean-zero phi
+    phi = KronSumSolver(A, (grid.ny, grid.nx)).solve(b).reshape(grid.ny, grid.nx)
 
     # the potential's gradient is zero on every boundary face, which keeps the data
     gx, gy = _face_gradient(grid, phi)
@@ -86,12 +85,12 @@ def _velocity_lifting(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pressure_liftings(grid: Grid) -> FieldRows:
-    """All chi_p_k from one factorization: column k of the block right-hand
+    """All chi_p_k from one diagonalisation: column k of the block right-hand
     side is outlet k's unit datum, and each column is checked on its own."""
     dirichlet = {grid.inlet_side} | {side for _, side in grid.outlets}
     A, bc = center_laplacian(grid, frozenset(dirichlet))
     b = np.column_stack([bc(e) for e in np.eye(len(grid.outlets))])
-    x = splu(A).solve(b)
+    x = KronSumSolver(A, (grid.ny, grid.nx)).solve(b)
     resid = np.abs(A @ x - b).max(axis=0)
     ok = resid <= LIFT_RESIDUAL_TOL * np.maximum(np.abs(b).max(axis=0), 1.0)
     if not np.all(ok):   # a nan residual fails too

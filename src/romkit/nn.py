@@ -23,10 +23,12 @@ Two ways to fit it share one seeded train/test split:
   setup.
 
 Every pass is plain numpy on per-layer weight and bias arrays: ``w @ y +
-b`` for each layer and fresh arrays for every intermediate.  No offline
-stage trains by gradient descent, so nothing is traded for speed here, and
-any change to the loop must keep its bits: at the learning rates that train
-fast, a last-bit change grows into a visibly different network.
+b`` for each layer (``w * y + b`` for the input layer, whose width of 1 makes
+the broadcast product bit for bit the matmul) and fresh arrays for every
+intermediate.  No offline stage trains by gradient descent, so nothing is
+traded for speed here, and any change to the loop must keep its bits: at the
+learning rates that train fast, a last-bit change grows into a visibly
+different network.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ def _forward(weights, biases, act, xn: np.ndarray):
     pre, post = [], [y]
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
-        u = w @ y + b[:, None]
+        # the input width is 1: the broadcast product holds the matmul's bits
+        u = (w * y if l == 0 else w @ y) + b[:, None]
         pre.append(u)
         y = u if l == last else act(u)
         post.append(y)

@@ -403,9 +403,9 @@ def offline(config: dict | Path | str, out_dir=None, fom_result: FomResult | Non
             raise ConfigurationError(f"config key 'nn_split' must lie in (0, 1), "
                                      f"got {cfg['nn_split']!r}")
         seed = _i(cfg, "seed")
-        # the stages below build and factor sparse matrices; importing scipy
-        # here keeps its import time out of their timers
-        import scipy.sparse.linalg  # noqa: F401
+        # the stages below build sparse matrices; importing scipy here keeps
+        # its import time out of their timers
+        import scipy.sparse  # noqa: F401
         timings = {}
 
         stage = "fom"
@@ -631,7 +631,7 @@ def online(bundle: Bundle, query_times=None, dt_r: float | None = None,
     boundary forcing and the step loop.  prepare_step (the saddle matrix's
     condition check, its inverse, the folded step matrices) runs once per
     call, before the clock starts, as the recorded FOM wall time starts
-    after its Poisson matrix is factored; a singular saddle matrix still
+    after its Poisson matrix is diagonalised; a singular saddle matrix still
     raises StabilityError on every call, and ``extras["saddle_cond"]`` is
     the condition number it checked.
     """

@@ -23,9 +23,10 @@ full-order solver steps with), and d1..d7 the lifting couplings:
 Time stepping is semi-implicit Euler: diffusion and the pressure coupling
 are implicit (a saddle solve keeps P a^{n+1} exactly on the constraint),
 convection and the lifting forcings explicit.  Supremizer modes -- one
-factored vector-Laplacian solve for all pressure modes -- make the saddle
-matrix invertible; without them the constraint rows vanish on
-(divergence-free) velocity modes and prepare_step reports the singularity.
+vector-Laplacian solve for all pressure modes, by fast diagonalisation of
+its u and v blocks -- make the saddle matrix invertible; without them the
+constraint rows vanish on (divergence-free) velocity modes and prepare_step
+reports the singularity.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .grid import FieldRows, Grid, SnapshotSet, load_arrays, read_file, save_arr
 # snapshot_matrix stays importable here for perfbench/spans.py, which wraps it
 from .grid import snapshot_matrix  # noqa: F401
 from .lifting import LiftingPair, _outlet_array
-from .operators import (convection_matrices, divergence_matrix, flat_faces, gradient,
-                        gradient_matrix, splu, vec_laplacian_matrix)
+from .operators import (KronSumSolver, convection_matrices, divergence_matrix, flat_faces,
+                        gradient, gradient_matrix, vec_laplacian_matrix)
 # unused: perfbench/spans.py traces them here
 from .operators import cg, convection, divergence, vec_laplacian  # noqa: F401
 from .pod import ReducedBasis, _mgs
@@ -133,9 +134,11 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
 
     Each s_j solves  -Lap s_j = -grad psi_j  with homogeneous velocity
     boundary closures, giving the constraint matrix P a strictly positive
-    smallest singular value on the enriched basis.  One factorization of the
-    grid's Laplacian matrix on the advanced faces solves for all j, each to
-    relative residual SUPREMIZER_RTOL.
+    smallest singular value on the enriched basis.  The grid's Laplacian
+    matrix on the advanced faces has no coupling between its u and its v
+    block, and each block is a Kronecker sum on its own rectangle of faces:
+    one KronSumSolver per block solves for all j, each checked on the whole
+    matrix to relative residual SUPREMIZER_RTOL.
     """
     if basis_p is None or basis_p.n_modes == 0:
         return basis_u
@@ -147,7 +150,13 @@ def supremizer_enrich(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     A = -vec_laplacian_matrix(grid)[unknown][:, unknown]
     Psi = basis_p.modes.values.reshape(-1, grid.ny, grid.nx)
     rhs = -flat_faces(gradient(grid, Psi))[:, unknown].T
-    x = splu(A).solve(rhs)
+    x = np.empty_like(rhs)
+    start = 0
+    for mask in grid.advanced_masks:   # the u and the v block, each its own rectangle
+        block = slice(start, start + np.count_nonzero(mask))
+        shape = (np.count_nonzero(mask.any(axis=1)), np.count_nonzero(mask.any(axis=0)))
+        x[block] = KronSumSolver(A[block, block], shape).solve(rhs[block])
+        start = block.stop
     res = np.linalg.norm(rhs - A @ x, axis=0) / np.linalg.norm(rhs, axis=0)
     if not np.all(res <= SUPREMIZER_RTOL):   # a nan residual fails too
         j = int(np.argmin(res <= SUPREMIZER_RTOL))

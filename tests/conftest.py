@@ -3,9 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
-
 from romkit.grid import OUTWARD, SIDE_INDEX, SIDES, FieldRows, Grid, normal_faces
+from romkit.operators import KronSumSolver
 
 CHANNEL_TAGS = {"left": "inlet", "right": "outlet_0", "top": "wall", "bottom": "wall"}
 
@@ -67,16 +66,16 @@ def layouts(draw):
                 draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0)), tags)
 
 
-def wrapped_splu(residuals=None, scale=1.0):
-    """A stand-in for scipy's `splu`.  Each solve returns `scale` times the
-    exact factorization's answer and, given a list `residuals`, appends the
-    relative residual ||b - A x|| / ||b|| of each right-hand side to it (one
-    per column of a block).  Keyword arguments go on to `splu`."""
-    def factor(A, **kwargs):
-        lu = splu(A, **kwargs)
+def wrapped_solver(residuals=None, scale=1.0):
+    """A stand-in for romkit's `KronSumSolver`.  Each solve returns `scale`
+    times the production solver's answer and, given a list `residuals`,
+    appends the relative residual ||b - A x|| / ||b|| of each right-hand side
+    to it (one per column of a block)."""
+    def build(A, shape):
+        solver = KronSumSolver(A, shape)
 
         def solve(b):
-            x = lu.solve(b) * scale
+            x = solver.solve(b) * scale
             if residuals is not None:
                 bs, xs = (b, x) if b.ndim == 2 else (b[:, None], x[:, None])
                 residuals.extend(np.linalg.norm(bk - A @ xk) / np.linalg.norm(bk)
@@ -85,4 +84,4 @@ def wrapped_splu(residuals=None, scale=1.0):
 
         return SimpleNamespace(solve=solve)
 
-    return factor
+    return build

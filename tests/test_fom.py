@@ -14,7 +14,7 @@ from romkit.operators import (center_laplacian, convection, divergence, flat_fac
                               vec_laplacian)
 from romkit.windkessel import WindkesselParams, wk_step
 
-from conftest import CHANNEL_TAGS, face_arrays, layouts, wrapped_splu
+from conftest import CHANNEL_TAGS, face_arrays, layouts, wrapped_solver
 
 
 def channel_cfg(nx=16, ny=8, lx=2.0, ly=0.5, nu=5e-3, dt=0.01, t_end=0.1,
@@ -150,8 +150,8 @@ class TestAdvance:
         solver = FomSolver(channel_cfg())
         state = solver.advance(solver.initial_state())
         assert state.poisson_residual <= fom.POISSON_RTOL
-        # a factorization whose solves are off by 1e-6 relative
-        monkeypatch.setattr(fom, "splu", wrapped_splu(scale=1 + 1e-6))
+        # a solver whose solves are off by 1e-6 relative
+        monkeypatch.setattr(fom, "KronSumSolver", wrapped_solver(scale=1 + 1e-6))
         with pytest.raises(NumericalError, match="residual check"):
             FomSolver(channel_cfg()).advance(state)
 
@@ -214,7 +214,7 @@ class TestRun:
 
     def test_step_diagnostics_recorded(self, monkeypatch):
         residuals = []
-        monkeypatch.setattr(fom, "splu", wrapped_splu(residuals))
+        monkeypatch.setattr(fom, "KronSumSolver", wrapped_solver(residuals))
         cfg = channel_cfg(dt=0.01, t_end=0.1, stride=2)
         res = fom_run(cfg)
         assert res.poisson_residual.shape == res.div_max.shape == (res.n_steps,)
@@ -296,10 +296,10 @@ class TestLayouts:
     @given(layouts(), st.floats(0.0, 0.2), st.none() | st.integers(0, 2**32 - 1))
     def test_step_matches_stencil_step(self, grid, t0, seed):
         """FomSolver.advance (the probed Laplacian as one matvec, the Poisson
-        matrix factored in a symmetric ordering) gives the step written with
-        the stencils to 1e-12 relative, from rest or from a random state.
-        Two backward-stable solves in different orderings agree only to about
-        cond(A) eps, so where the Poisson matrix's condition number passes
+        matrix solved by fast diagonalisation) gives the step written with the
+        stencils and an LU solve to 1e-12 relative, from rest or from a random
+        state.  Two backward-stable solves by different methods agree only to
+        about cond(A) eps, so where the Poisson matrix's condition number passes
         ~450 (long cells, a short outlet) the bound is 10 cond(A) eps."""
         solver, s = _layout_solver(grid, t0, seed=seed)
         new = solver.advance(s)
@@ -335,20 +335,20 @@ class TestLayouts:
     @given(layouts(), st.integers(0, 2**32 - 1))
     def test_direct_solves_reach_residual(self, grid, seed):
         """The FOM Poisson step, the velocity-lifting potential and the block
-        of pressure liftings are three factorizations, and every right-hand
-        side (one per outlet in the block) solves to relative residual 1e-12
-        or better."""
-        residuals, factored = [], []
+        of pressure liftings are three solvers, and every right-hand side (one
+        per outlet in the block) solves to relative residual 1e-12 or
+        better."""
+        residuals, built = [], []
 
-        def factor(A, **kwargs):
-            factored.append(A)
-            return wrapped_splu(residuals)(A, **kwargs)
+        def build(A, shape):
+            built.append(A)
+            return wrapped_solver(residuals)(A, shape)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fom, "splu", factor)
-            mp.setattr(lifting, "splu", factor)
+            mp.setattr(fom, "KronSumSolver", build)
+            mp.setattr(lifting, "KronSumSolver", build)
             _layout_step(grid, seed=seed)
             compute_lifting(grid)
-        assert len(factored) == 3
+        assert len(built) == 3
         assert len(residuals) == 2 + len(grid.outlets)
         assert max(residuals) <= 1e-12

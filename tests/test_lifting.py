@@ -13,7 +13,7 @@ from romkit.operators import divergence, gradient
 from romkit.windkessel import WindkesselParams
 
 from conftest import (CHANNEL_TAGS, cell_array, face_arrays, inlet_trace, layouts,
-                      random_scalars, random_vectors, wrapped_splu)
+                      random_scalars, random_vectors, wrapped_solver)
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +82,10 @@ class TestComputeLifting:
 
     def test_perturbed_block_solve_raises(self, monkeypatch):
         """The pressure liftings of both outlets are one block solve, and a
-        factor that is off by 1e-6 fails its per-column residual check."""
+        solver that is off by 1e-6 fails its per-column residual check."""
         grid = Grid(8, 8, 1.0, 1.0, {"left": "inlet", "right": "outlet_0", "top": "outlet_1",
                                      "bottom": "wall"})
-        monkeypatch.setattr(lifting, "splu", wrapped_splu(scale=1 + 1e-6))
+        monkeypatch.setattr(lifting, "KronSumSolver", wrapped_solver(scale=1 + 1e-6))
         with pytest.raises(NumericalError, match="pressure lifting of outlet 0"):
             compute_lifting(grid)
 

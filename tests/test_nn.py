@@ -21,6 +21,7 @@ from romkit.nn import (
     save_loss_history,
     save_model,
 )
+from romkit.nn import _forward
 from romkit.windkessel import WindkesselParams, WindkesselState, wk_step
 
 
@@ -60,6 +61,18 @@ class TestForward:
         ts = np.linspace(0, 1, 7)
         vec = nn_forward(m, ts)
         assert np.allclose(vec, [nn_forward(m, float(t)) for t in ts], atol=1e-15)
+
+    def test_input_layer_bit_identical_to_matmul(self, rng):
+        """The input layer's broadcast product gives the bits of W0 @ y + b,
+        zero biases (as init_model sets them) and random ones alike."""
+        for k in range(120):
+            h, m = rng.integers(1, 300, size=2)
+            w0, w1 = rng.standard_normal((h, 1)), rng.standard_normal((1, h))
+            b0 = rng.standard_normal(h) if k % 2 else np.zeros(h)
+            xn = rng.uniform(-1.0, 2.0, m)
+            pre, _ = _forward((w0, w1), (b0, np.zeros(1)), np.cos, xn)
+            want = w0 @ xn[None, :] + b0[:, None]
+            assert pre[0].tobytes() == want.tobytes()
 
 
 BAD_LAYOUTS = [(1, 0, 1), (2, 3, 1), (1, 3, 2)]

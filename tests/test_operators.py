@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
 from romkit.errors import ConfigurationError, ShapeError
 from romkit.grid import SIDES, Grid, normal_flux
 from romkit.operators import (
+    KronSumSolver,
     _face_gradient,
     _probed_matrix,
     center_laplacian,
@@ -294,3 +296,75 @@ def test_convection_skew_symmetry_divfree_advector(grid, rng):
     s1 = (np.sum(au * cab_u) + np.sum(av * cab_v)) * grid.cell_area
     s2 = (np.sum(bu * cba_u) + np.sum(bv * cba_v)) * grid.cell_area
     assert abs(s1 + s2) < 1e-8 * scale**2
+
+
+def _grid_solves(grid):
+    """(name, matrix, rectangle) of every system the offline path solves: the
+    FOM Poisson matrix, the Neumann potential of the velocity lifting, the
+    pressure liftings' matrix and the u and v blocks of the supremizer
+    solve's vector Laplacian on the advanced faces."""
+    outlets = frozenset(side for _, side in grid.outlets)
+    cells = (grid.ny, grid.nx)
+    solves = [("poisson", center_laplacian(grid, outlets)[0], cells),
+              ("potential", center_laplacian(grid, frozenset())[0], cells),
+              ("pressure lifting", center_laplacian(grid, outlets | {grid.inlet_side})[0], cells)]
+    unknown = np.flatnonzero(flat_faces(grid.advanced_masks))
+    A = -vec_laplacian_matrix(grid)[unknown][:, unknown]
+    start = 0
+    for name, mask in zip(("supremizer u", "supremizer v"), grid.advanced_masks):
+        block = slice(start, start + np.count_nonzero(mask))
+        shape = (np.count_nonzero(mask.any(axis=1)), np.count_nonzero(mask.any(axis=0)))
+        solves.append((name, A[block, block], shape))
+        start = block.stop
+    return solves
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts(), st.integers(0, 2**32 - 1))
+def test_kron_solver_matches_lu(grid, seed):
+    """Every grid solve is accepted as a Kronecker sum, and its solutions of a
+    vector and of a block of right-hand sides match an LU solve to 10 cond(A)
+    eps relative (1e-12 at least).  The singular Neumann potential is checked
+    on mean-zero right-hand sides against the mean-zero solution, the LU solve
+    pinning one diagonal entry."""
+    rng = np.random.default_rng(seed)
+    for name, A, shape in _grid_solves(grid):
+        b = rng.standard_normal((A.shape[0], 3))
+        M = A.tolil(copy=True)
+        if name == "potential":
+            b -= b.mean(axis=0)
+            M[0, 0] += A.diagonal().mean()
+        want = splu(M.tocsc()).solve(b)
+        if name == "potential":
+            want -= want.mean(axis=0)
+        tol = max(1e-12, 10 * np.linalg.cond(M.toarray()) * np.finfo(float).eps)
+        solver = KronSumSolver(A, shape)
+        for got, ref in ((solver.solve(b), want), (solver.solve(b[:, 0]), want[:, 0])):
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref), name
+
+
+@pytest.mark.parametrize("entry", ["wrapped row", "diagonal", "far", "asymmetric"])
+def test_kron_solver_refuses_an_entry_off_the_pattern(grid, entry):
+    """One changed entry of the Poisson matrix -- a coupling across the end of
+    a row, one diagonal entry, a coupling of distant cells, one off-diagonal
+    entry without its transpose -- is no Kronecker sum of symmetric factors."""
+    A = center_laplacian(grid, frozenset({"right"}))[0].tolil()
+    nx, n = grid.nx, grid.n_scalar
+    KronSumSolver(A.tocsc(), (grid.ny, grid.nx))
+    if entry == "wrapped row":
+        A[nx - 1, nx] = A[nx, nx - 1] = -1.0 / grid.hx**2
+    elif entry == "diagonal":
+        A[nx + 2, nx + 2] += 1.0
+    elif entry == "far":
+        A[0, n - 1] = A[n - 1, 0] = 1.0
+    else:
+        A[1, 0] *= 2.0
+    with pytest.raises(ValueError, match="not the Kronecker sum"):
+        KronSumSolver(A.tocsc(), (grid.ny, grid.nx))
+
+
+def test_kron_solver_refuses_another_rectangle(grid):
+    A = center_laplacian(grid, frozenset({"right"}))[0]
+    with pytest.raises(ShapeError, match="rectangle"):
+        KronSumSolver(A, (grid.ny + 1, grid.nx))

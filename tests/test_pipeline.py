@@ -33,7 +33,7 @@ from romkit.pipeline import (
     parse_config,
 )
 
-from conftest import layouts, wrapped_splu
+from conftest import layouts, wrapped_solver
 
 # runtime.json contents that Bundle.load refuses, naming the file
 DAMAGED_RUNTIME = {
@@ -258,7 +258,7 @@ class TestOffline:
 
     def test_online_imports_no_scipy(self, bundle_dir, tmp_path):
         """Loading a bundle and querying it, in the API and through the CLI,
-        never imports scipy: only building and factoring sparse matrices does.
+        never imports scipy: only building sparse matrices does.
         Nor numpy.ma, which np.median imports on its first call."""
         code = f"""
 import sys
@@ -294,13 +294,26 @@ assert "scipy" not in sys.modules
 compute_lifting = pipeline.compute_lifting
 
 def checked_lifting(grid):
-    assert "scipy.sparse.linalg" in sys.modules
+    assert "scipy.sparse" in sys.modules
     return compute_lifting(grid)
 
 pipeline.compute_lifting = checked_lifting
 pipeline.offline({SMALL_CONFIG!r}, fom_result=fom_result)
 """
         _run_fresh(code)
+
+    def test_offline_and_online_import_no_sparse_solvers(self):
+        """Building the default bundle and querying it solves every grid
+        system by fast diagonalisation: neither scipy.sparse.linalg nor
+        scipy.linalg is imported."""
+        code = """
+import sys
+from romkit.pipeline import DEFAULT_CONFIG, offline, online
+bundle, _ = offline(dict(DEFAULT_CONFIG))
+online(bundle, timing_reps=1)
+print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse.linalg", "scipy.linalg"))))
+"""
+        assert _run_fresh(code).splitlines()[-1] == "[]"
 
     def test_unlisted_bundle_file_rejected(self, bundle_dir, tmp_path):
         d = tmp_path / "unlisted"
@@ -822,9 +835,9 @@ class TestFailedOffline:
     leaves one that existed before it in place."""
 
     def test_existing_out_dir_survives(self, tmp_path, monkeypatch, capsys):
-        # a Poisson factorization whose solves are off by 1e-6 relative fails
+        # a Poisson solver whose solves are off by 1e-6 relative fails
         # the fom stage's residual check (NumericalError, exit 3)
-        monkeypatch.setattr(fom, "splu", wrapped_splu(scale=1 + 1e-6))
+        monkeypatch.setattr(fom, "KronSumSolver", wrapped_solver(scale=1 + 1e-6))
         cfg = tmp_path / "small.txt"
         cfg.write_text("nx = 16\nny = 4\n")
         existing = tmp_path / "existing"
@@ -897,6 +910,30 @@ class TestCli:
                          "--out", str(tmp_path / "cmp")]) == 0
         assert (tmp_path / "cmp" / "errors.csv").exists()
 
+    def test_compare_floors_of_the_online_modes(self, bundle_dir, tmp_path):
+        """compare --bundle --modes 2,1 reports the projection floors that
+        online --modes 2,1 wrote, not those of the bundle's default model."""
+        assert cli_main(["online", "--bundle", str(bundle_dir), "--modes", "2,1",
+                         "--out", str(tmp_path / "run")]) == 0
+        argv = ["compare", "--fom", str(bundle_dir / "snapshots_fine"),
+                "--rom", str(tmp_path / "run" / "reconstruction"), "--bundle", str(bundle_dir)]
+        assert cli_main(argv + ["--modes", "2,1", "--out", str(tmp_path / "cmp")]) == 0
+        assert cli_main(argv + ["--out", str(tmp_path / "default")]) == 0
+
+        def floors(d):
+            rows = (tmp_path / d / "errors.csv").read_text().splitlines()
+            assert rows[0] == "t,err_u_abs,err_p_abs,proj_u_abs,proj_p_abs"
+            return np.array([[float(c) for c in r.split(",")[3:]] for r in rows[1:]])
+
+        np.testing.assert_allclose(floors("cmp"), floors("run"), rtol=1e-12)
+        assert not np.allclose(floors("default"), floors("run"), rtol=1e-3)
+
+    def test_compare_modes_need_a_bundle(self, bundle_dir, tmp_path, capsys):
+        snaps = str(bundle_dir / "snapshots_fine")
+        assert cli_main(["compare", "--fom", snaps, "--rom", snaps, "--modes", "2,1",
+                         "--out", str(tmp_path / "cmp")]) == 2
+        assert "needs --bundle" in capsys.readouterr().err
+
     def test_rb_command(self, tmp_path):
         out = tmp_path / "rb.csv"
         assert cli_main(["rb", "--train", "8", "--modes", "3", "--test", "5",
@@ -958,7 +995,7 @@ NON_FINITE = {"t_end": "t_end = inf", "t0": "t0 = -inf", "lx": "lx = inf", "nu":
 
 
 def _failed_residual(tmp, bundle_dir, monkeypatch):
-    monkeypatch.setattr(fom, "splu", wrapped_splu(scale=1 + 1e-6))
+    monkeypatch.setattr(fom, "KronSumSolver", wrapped_solver(scale=1 + 1e-6))
     return _tiny_fom(tmp, bundle_dir, monkeypatch)
 
 

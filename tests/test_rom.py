@@ -22,7 +22,7 @@ from romkit.rom import (
 )
 from romkit.windkessel import WindkesselParams
 
-from conftest import CHANNEL_TAGS, cell_array, face_arrays, inlet_trace, layouts, wrapped_splu
+from conftest import CHANNEL_TAGS, cell_array, face_arrays, inlet_trace, layouts, wrapped_solver
 
 
 @pytest.fixture(scope="module")
@@ -150,14 +150,15 @@ class TestSupremizer:
     def test_solves_reach_residual(self, stokes_setup, monkeypatch):
         s = stokes_setup
         residuals = []
-        monkeypatch.setattr(rom, "splu", wrapped_splu(residuals))
+        monkeypatch.setattr(rom, "KronSumSolver", wrapped_solver(residuals))
         supremizer_enrich(s["basis_u"], s["basis_p"], s["grid"])
-        assert len(residuals) == s["basis_p"].n_modes   # one per column of the block
+        # one per column of the block, in each of the u and v blocks
+        assert len(residuals) == 2 * s["basis_p"].n_modes
         assert max(residuals) <= rom.SUPREMIZER_RTOL
 
     def test_perturbed_factor_raises(self, stokes_setup, monkeypatch):
         s = stokes_setup
-        monkeypatch.setattr(rom, "splu", wrapped_splu(scale=1 + 1e-6))
+        monkeypatch.setattr(rom, "KronSumSolver", wrapped_solver(scale=1 + 1e-6))
         with pytest.raises(NumericalError, match="supremizer solve for pressure mode 0"):
             supremizer_enrich(s["basis_u"], s["basis_p"], s["grid"])
 
