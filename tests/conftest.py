@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
 from romkit.grid import OUTWARD, SIDE_INDEX, SIDES, FieldRows, Grid, normal_faces
 from romkit.operators import KronSumSolver
 
