@@ -133,8 +133,6 @@ def _shift(snaps: SnapshotSet, u_d, p_d, lift: LiftingPair, sign: float) -> Snap
         raise ShapeError(f"u_D series must have length {m}, got shape {u_d.shape}")
     if lift.chi_u.grid != snaps.grid:
         raise ShapeError("lifting and snapshots live on different grids")
-    if np.ndim(p_d) == 1:   # a single outlet's series
-        p_d = np.reshape(p_d, (-1, 1))
     p_d = _outlet_array(p_d, m, lift.n_outlets)
     vel = snaps.velocity.values + np.outer(sign * u_d, lift.chi_u.values[0])
     # einsum, not @: BLAS takes twice as long as an outer product at one outlet

@@ -8,11 +8,12 @@ default), read the coefficients at the query instants, reconstruct those
 fields, compare against the stored snapshots and write errors/timings/report
 files.
 
-A bundle directory holds rom.json (scalars and the config), one array-file
+A bundle directory holds rom.json (the format, the cycle drift and the
+config, which the model's parameters are read off), one array-file
 directory (grid.save_arrays) per part -- snapshots_fine, lifting, basis_u,
-basis_p, operators and nn_<k> -- the loss_<k>.csv fit histories and a
-manifest.json with the SHA-256 of each of them.  The training snapshots are
-every train_subsample-th fine one, so they are not stored a second time.
+basis_p, operators and one nn_<k> per outlet -- the loss_<k>.csv fit
+histories and a manifest.json with the SHA-256 of each of them.  The training
+snapshots are every train_subsample-th fine one, so they are not stored twice.
 
 Everything written into the bundle is deterministic given the config and
 seed; wall-clock artifacts (timings.csv, report.json) live next to it and
@@ -27,6 +28,7 @@ import numbers
 import re
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,7 @@ from .rom import (ReducedOperators, ReducedTrajectory, assemble_operators, integ
                   prepare_step, reconstruct, supremizer_enrich)
 from .windkessel import WindkesselParams
 
-BUNDLE_FORMAT = "romkit-bundle-3"
+BUNDLE_FORMAT = "romkit-bundle-4"
 
 DEFAULT_CONFIG = {
     # grid and tags
@@ -142,22 +144,27 @@ def build_grid_from_config(cfg: dict) -> Grid:
     return Grid(_i(cfg, "nx"), _i(cfg, "ny"), _f(cfg, "lx"), _f(cfg, "ly"), tags)
 
 
+def build_waveform(cfg: dict) -> Waveform:
+    return Waveform(kind=_s(cfg, "waveform"), u_sys=_f(cfg, "u_sys"), t_cycle=_f(cfg, "t_cycle"),
+                    systole_frac=_f(cfg, "systole_frac"), shape=_s(cfg, "inlet_shape"))
+
+
 def build_fom_config(cfg: dict) -> FomConfig:
     grid = build_grid_from_config(cfg)
-    waveform = Waveform(
-        kind=_s(cfg, "waveform"),
-        u_sys=_f(cfg, "u_sys"),
-        t_cycle=_f(cfg, "t_cycle"),
-        systole_frac=_f(cfg, "systole_frac"),
-        shape=_s(cfg, "inlet_shape"),
-    )
+    outlets = [k for k, _ in grid.outlets]
+    # a wk_<k> that this run would not read is refused, the default wk_0 excepted
+    unread = sorted(k for k in cfg if re.fullmatch(r"wk_\d+", k) and k not in DEFAULT_CONFIG
+                    and ("wk_file" in cfg or int(k[3:]) not in outlets))
+    if unread:
+        raise ConfigurationError(f"Windkessel keys {unread} are not read: the outlets are "
+                                 f"{outlets}" + (", set by wk_file" if "wk_file" in cfg else ""))
     if "wk_file" in cfg:
         from .windkessel import load_params_csv
 
         wk = load_params_csv(cfg["wk_file"])
     else:
         wk = {}
-        for k, _ in grid.outlets:
+        for k in outlets:
             key = f"wk_{k}"
             if key not in cfg:
                 raise ConfigurationError(f"missing Windkessel parameters {key!r}")
@@ -172,7 +179,7 @@ def build_fom_config(cfg: dict) -> FomConfig:
         dt=_f(cfg, "dt"),
         t0=_f(cfg, "t0"),
         t_end=_f(cfg, "t_end"),
-        waveform=waveform,
+        waveform=build_waveform(cfg),
         windkessel=wk,
         snap_stride=None if stride.lower() in ("none", "inf") else _i(cfg, "snap_stride"),
         snap_start=_f(cfg, "snap_start"),
@@ -182,34 +189,57 @@ def build_fom_config(cfg: dict) -> FomConfig:
 
 @dataclass(eq=False)
 class Bundle:
-    """Everything the online stage needs, plus the validation snapshots."""
+    """Everything the online stage needs, plus the validation snapshots.  The
+    model's parameters are read off ``config``, the grid and training set off ``fine``."""
 
     config: dict
-    grid: Grid
-    waveform: Waveform
-    nu: float
-    dt_fom: float
-    train: SnapshotSet
     fine: SnapshotSet
     lifting: LiftingPair
     basis_u: ReducedBasis          # supremizer-enriched
     basis_p: ReducedBasis | None
     operators: ReducedOperators
-    nn_models: dict                # outlet index -> NNModel
+    nn_models: dict                # outlet index -> NNModel, one per outlet
     fom_wall_time: float
     cycle_drift: float | None
-    lift_pressure: bool
-    n_u: int
-    n_p: int
+
+    @property
+    def grid(self) -> Grid:
+        return self.fine.grid
+
+    @cached_property
+    def train(self) -> SnapshotSet:
+        return _training_set(self.fine, self.config)
+
+    @cached_property
+    def waveform(self) -> Waveform:
+        return build_waveform(self.config)
+
+    @property
+    def nu(self) -> float:
+        return _f(self.config, "nu")
+
+    @property
+    def dt_fom(self) -> float:
+        return _f(self.config, "dt")
+
+    @property
+    def lift_pressure(self) -> bool:
+        return _b(self.config, "lift_pressure")
+
+    @property
+    def n_u(self) -> int:
+        return min(_i(self.config, "n_u"), self.basis_u.n_primary)
+
+    @property
+    def n_p(self) -> int:
+        return 0 if self.basis_p is None else min(_i(self.config, "n_p"), self.basis_p.n_modes)
 
     @property
     def velocity_only(self) -> bool:
-        return self.basis_p is None or self.n_p == 0
+        return self.n_p == 0
 
     def outlet_pressure_fn(self):
         """Continuous per-outlet outflow pressure from the trained networks."""
-        if not self.nn_models:
-            return None
         models = [self.nn_models[k] for k in sorted(self.nn_models)]
         return lambda t: np.stack([np.asarray(predict_outflow(m, t)) for m in models], axis=-1)
 
@@ -244,19 +274,7 @@ class Bundle:
         self.operators.save(d / "operators")
         for k, model in self.nn_models.items():
             save_model(model, d / f"nn_{k}")
-        rom = {
-            "format": BUNDLE_FORMAT,
-            "nu": self.nu,
-            "dt_fom": self.dt_fom,
-            "scheme": "semi-implicit-euler",
-            "waveform": self.waveform.to_dict(),
-            "lift_pressure": self.lift_pressure,
-            "n_u": self.n_u,
-            "n_p": self.n_p,
-            "cycle_drift": self.cycle_drift,
-            "nn_outlets": sorted(self.nn_models),
-            "config": self.config,
-        }
+        rom = {"format": BUNDLE_FORMAT, "cycle_drift": self.cycle_drift, "config": self.config}
         (d / "rom.json").write_text(json.dumps(rom, indent=1))
         # wall-clock numbers vary run to run and stay outside the manifest
         (d / "runtime.json").write_text(json.dumps({"fom_wall_time": self.fom_wall_time}))
@@ -312,32 +330,22 @@ class Bundle:
         rom = json.loads(read(d / "rom.json"))
         if rom.get("format") != BUNDLE_FORMAT:
             raise FormatError(f"unsupported bundle format {rom.get('format')!r}")
+        for key in ("config", "cycle_drift"):
+            if key not in rom:
+                raise FormatError(f"rom.json under {d} has no {key!r}")
         fine = SnapshotSet.load(d / "snapshots_fine", read)
         grid = fine.grid
-        lifting = LiftingPair.load(d / "lifting", grid, read)
-        basis_u = ReducedBasis.load(d / "basis_u", grid, read)
-        basis_p = (ReducedBasis.load(d / "basis_p", grid, read) if (d / "basis_p").exists()
-                   else None)
-        operators = ReducedOperators.load(d / "operators", read)
-        nn_models = {int(k): load_model(d / f"nn_{k}", read) for k in rom.get("nn_outlets", [])}
         return cls(
             config=rom["config"],
-            grid=grid,
-            waveform=Waveform.from_dict(rom["waveform"]),
-            nu=rom["nu"],
-            dt_fom=rom["dt_fom"],
-            train=_training_set(fine, rom["config"]),
             fine=fine,
-            lifting=lifting,
-            basis_u=basis_u,
-            basis_p=basis_p,
-            operators=operators,
-            nn_models=nn_models,
+            lifting=LiftingPair.load(d / "lifting", grid, read),
+            basis_u=ReducedBasis.load(d / "basis_u", grid, read),
+            basis_p=(ReducedBasis.load(d / "basis_p", grid, read) if (d / "basis_p").exists()
+                     else None),
+            operators=ReducedOperators.load(d / "operators", read),
+            nn_models={k: load_model(d / f"nn_{k}", read) for k, _ in grid.outlets},
             fom_wall_time=_read_fom_wall_time(d / "runtime.json"),
-            cycle_drift=rom.get("cycle_drift"),
-            lift_pressure=bool(rom.get("lift_pressure", True)),
-            n_u=int(rom["n_u"]),
-            n_p=int(rom["n_p"]),
+            cycle_drift=rom["cycle_drift"],
         )
 
 
@@ -421,8 +429,7 @@ def offline(config: dict | Path | str, out_dir=None, fom_result: FomResult | Non
         timings["lifting"] = time.perf_counter() - t0
 
         stage = "homogenize"
-        lift_pressure = _b(cfg, "lift_pressure")
-        hom = _homogenized(train, fom_cfg.waveform, lifting, lift_pressure)
+        hom = _homogenized(train, fom_cfg.waveform, lifting, _b(cfg, "lift_pressure"))
 
         stage = "pod"
         t0 = time.perf_counter()
@@ -432,8 +439,6 @@ def offline(config: dict | Path | str, out_dir=None, fom_result: FomResult | Non
         n_p_max = _i(cfg, "n_p_max")
         basis_p = pod_basis(hom.pressure, n_modes=n_p_max, kind="pressure") if n_p_max > 0 else None
         timings["pod_p"] = time.perf_counter() - t0
-        n_u = min(_i(cfg, "n_u"), basis_u_plain.n_modes)
-        n_p = min(_i(cfg, "n_p"), basis_p.n_modes) if basis_p is not None else 0
 
         stage = "supremizer"
         t0 = time.perf_counter()
@@ -455,25 +460,8 @@ def offline(config: dict | Path | str, out_dir=None, fom_result: FomResult | Non
                 train.times, train.outlet_pressure[:, j], fom_cfg.waveform.t_cycle, split, seed)
         timings["nn_train"] = time.perf_counter() - t0
 
-        bundle = Bundle(
-            config=dict(cfg),
-            grid=fom_cfg.grid,
-            waveform=fom_cfg.waveform,
-            nu=fom_cfg.nu,
-            dt_fom=fom_cfg.dt,
-            train=train,
-            fine=fine,
-            lifting=lifting,
-            basis_u=basis_u,
-            basis_p=basis_p,
-            operators=operators,
-            nn_models=nn_models,
-            fom_wall_time=fom_result.wall_time,
-            cycle_drift=fom_result.cycle_drift,
-            lift_pressure=lift_pressure,
-            n_u=n_u,
-            n_p=n_p,
-        )
+        bundle = Bundle(dict(cfg), fine, lifting, basis_u, basis_p, operators, nn_models,
+                        fom_result.wall_time, fom_result.cycle_drift)
         timings["total"] = sum(timings.values())
 
         if out_dir is not None:

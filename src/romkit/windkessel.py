@@ -70,9 +70,14 @@ def wk_steady_pressure(Q: float, params: WindkesselParams) -> float:
 
 
 def load_params_csv(path) -> dict[int, WindkesselParams]:
-    """Read per-outlet parameters from a CSV with header outlet,Rp,Rd,C."""
+    """Read per-outlet parameters from a CSV with header outlet,Rp,Rd,C;
+    ConfigurationError names an unreadable file or a malformed row."""
     out: dict[int, WindkesselParams] = {}
-    with open(Path(path), newline="") as fh:
+    try:
+        fh = open(Path(path), newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read Windkessel file {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.DictReader(fh)
         expected = {"outlet", "Rp", "Rd", "C"}
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
@@ -80,10 +85,15 @@ def load_params_csv(path) -> dict[int, WindkesselParams]:
                 f"Windkessel CSV must have header outlet,Rp,Rd,C, got {reader.fieldnames}"
             )
         for row in reader:
-            k = int(row["outlet"])
+            try:
+                k = int(row["outlet"])
+                params = WindkesselParams(*(float(row[n]) for n in ("Rp", "Rd", "C")))
+            except (TypeError, ValueError):
+                raise ConfigurationError(f"{path} line {reader.line_num}: expected "
+                                         f"outlet,Rp,Rd,C as numbers, got {row}") from None
             if k in out:
                 raise ConfigurationError(f"duplicate outlet {k} in {path}")
-            out[k] = WindkesselParams(float(row["Rp"]), float(row["Rd"]), float(row["C"]))
+            out[k] = params
     if not out:
         raise ConfigurationError(f"no Windkessel rows in {path}")
     return out

@@ -245,20 +245,26 @@ def test_gradient_divergence_adjoint_interior(grid, rng):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
-def test_convection_bilinear(grid, rng):
-    au = rng.standard_normal((grid.ny, grid.nx + 1))
-    av = rng.standard_normal((grid.ny + 1, grid.nx))
-    bu = rng.standard_normal((grid.ny, grid.nx + 1))
-    bv = rng.standard_normal((grid.ny + 1, grid.nx))
+@settings(max_examples=60, deadline=None)
+@given(layouts(), st.integers(0, 2**32 - 1))
+def test_convection_bilinear(grid, seed):
+    """Homogeneous and additive in the advecting field and additive in the
+    advected one, on every layout."""
+    rng = np.random.default_rng(seed)
+    faces = [(grid.ny, grid.nx + 1), (grid.ny + 1, grid.nx)]
+    au, av, bu, bv, au2, av2, bu2, bv2 = (rng.standard_normal(shape) for shape in faces * 4)
     cu2, cv2 = convection(grid, 2.0 * au, 2.0 * av, bu, bv)
     cu1, cv1 = convection(grid, au, av, bu, bv)
     assert np.allclose(cu2, 2.0 * cu1, rtol=1e-13, atol=1e-13)
     assert np.allclose(cv2, 2.0 * cv1, rtol=1e-13, atol=1e-13)
 
-    au2 = rng.standard_normal(au.shape)
-    av2 = rng.standard_normal(av.shape)
     cu_sum, cv_sum = convection(grid, au + au2, av + av2, bu, bv)
     cu_b, cv_b = convection(grid, au2, av2, bu, bv)
+    assert np.allclose(cu_sum, cu1 + cu_b, rtol=1e-12, atol=1e-12)
+    assert np.allclose(cv_sum, cv1 + cv_b, rtol=1e-12, atol=1e-12)
+
+    cu_sum, cv_sum = convection(grid, au, av, bu + bu2, bv + bv2)
+    cu_b, cv_b = convection(grid, au, av, bu2, bv2)
     assert np.allclose(cu_sum, cu1 + cu_b, rtol=1e-12, atol=1e-12)
     assert np.allclose(cv_sum, cv1 + cv_b, rtol=1e-12, atol=1e-12)
 

@@ -169,6 +169,33 @@ class TestConfig:
         cfg = parse_config("wk_0 = 35.0,590.0,8e-4\nwk_1 = 1,2,3\nwk_file = wk.csv\n")
         assert cfg["wk_1"] == "1,2,3" and cfg["wk_file"] == "wk.csv"
 
+    def test_stray_windkessel_keys_refused(self, tmp_path):
+        """A wk_<k> the run would not read is refused: one for an outlet the
+        grid lacks, and one beside wk_file; the default wk_0 is not."""
+        from romkit.windkessel import WindkesselParams, save_params_csv
+
+        path = tmp_path / "wk.csv"
+        save_params_csv(path, {0: WindkesselParams(35.0, 590.0, 8e-4)})
+        assert build_fom_config({**DEFAULT_CONFIG, "wk_file": str(path)}).windkessel[0].Rd == 590.0
+        for extra in ({"wk_1": "50,800,6e-4"}, {"wk_file": str(path), "wk_2": "50,800,6e-4"}):
+            with pytest.raises(ConfigurationError, match="wk_[12]"):
+                build_fom_config({**DEFAULT_CONFIG, **extra})
+        two = {**DEFAULT_CONFIG, "tag_top": "outlet_1", "wk_1": "50,800,6e-4"}
+        assert sorted(build_fom_config(two).windkessel) == [0, 1]
+
+    def test_windkessel_file_errors_named(self, tmp_path):
+        """A missing wk_file and a short row raise ConfigurationError naming
+        the file or the row, in `romkit fom` and `romkit offline` alike."""
+        short = tmp_path / "short.csv"
+        short.write_text("outlet,Rp,Rd,C\n0,35,590\n")
+        for path, match in ((tmp_path / "no_such.csv", "no_such.csv"), (short, "line 2")):
+            with pytest.raises(ConfigurationError, match=match):
+                build_fom_config({**DEFAULT_CONFIG, "wk_file": str(path)})
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"nx = 16\nny = 4\nwk_file = {path}\n")
+            for cmd in ("fom", "offline"):
+                assert cli_main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 2
+
 
 class TestOffline:
     def test_bundle_files_present(self, bundle_dir):
@@ -336,6 +363,30 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse.linalg", "sci
         assert loaded.config["energy"] == "0.9999"
         assert online(loaded, timing_reps=1)[1].err_u is not None
 
+    def test_parameters_read_off_the_stored_config(self, small_fom, tmp_path):
+        """rom.json holds the format, the cycle drift and the config, and the
+        model's parameters are read off that config: a loaded bundle reads
+        what the built one does, and an edit of its stored config is a
+        parameter change of the model it answers with."""
+        built, _ = offline(SMALL_CONFIG, out_dir=tmp_path / "b", fom_result=small_fom)
+        rom_json = json.loads((tmp_path / "b" / "rom.json").read_text())
+        assert set(rom_json) == {"format", "cycle_drift", "config"}
+        loaded = Bundle.load(tmp_path / "b")
+        for name in ("nu", "dt_fom", "waveform", "lift_pressure", "n_u", "n_p", "grid"):
+            assert getattr(loaded, name) == getattr(built, name), name
+        assert loaded.train.times.tobytes() == built.train.times.tobytes()
+        assert (loaded.n_u, loaded.n_p, loaded.lift_pressure) == (4, 3, True)
+
+        edited = tmp_path / "edited"
+        shutil.copytree(tmp_path / "b", edited)
+        rom_json["config"].update(n_u="2", lift_pressure="false")
+        (edited / "rom.json").write_text(json.dumps(rom_json, indent=1))
+        built._write_manifest(edited)
+        b = Bundle.load(edited)
+        assert (b.n_u, b.n_p, b.lift_pressure) == (2, 3, False)
+        rec, report = online(b, timing_reps=1)
+        assert report.extras["n_u"] == 2 and report.err_u is not None
+
     def test_velocity_only_flagged(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
         cfg["n_p"] = "0"
@@ -421,10 +472,23 @@ class TestBundleParts:
         d = tmp_path / "old"
         shutil.copytree(bundle_dir, d)
         rom_json = json.loads((d / "rom.json").read_text())
-        (d / "rom.json").write_text(json.dumps({**rom_json, "format": "romkit-bundle-2"}))
+        for old in ("romkit-bundle-2", "romkit-bundle-3"):
+            (d / "rom.json").write_text(json.dumps({**rom_json, "format": old}))
+            bundle._write_manifest(d)
+            with pytest.raises(FormatError, match=old):
+                Bundle.load(d)
+
+    @pytest.mark.parametrize("key", ["config", "cycle_drift"])
+    def test_rom_json_missing_key_rejected(self, bundle_dir, bundle, tmp_path, key):
+        d = tmp_path / "partial"
+        shutil.copytree(bundle_dir, d)
+        rom_json = json.loads((d / "rom.json").read_text())
+        del rom_json[key]
+        (d / "rom.json").write_text(json.dumps(rom_json))
         bundle._write_manifest(d)
-        with pytest.raises(FormatError, match="romkit-bundle-2"):
+        with pytest.raises(FormatError, match=key):
             Bundle.load(d)
+        assert cli_main(["online", "--bundle", str(d), "--out", str(tmp_path / "r")]) == 2
 
     @pytest.mark.parametrize("sub", [1, 2])
     def test_training_set_taken_from_fine(self, small_fom, tmp_path, sub):
@@ -1010,6 +1074,17 @@ def _two_outlet_cfl(nx, ny):
     return make_argv
 
 
+def _windkessel(lines):
+    """The tiny run with Windkessel config lines ({tmp} is the test's directory)."""
+    def make_argv(tmp, bundle_dir, monkeypatch):
+        (tmp / "short.csv").write_text("outlet,Rp,Rd,C\n0,35,590\n")
+        argv = _tiny_fom(tmp, bundle_dir, monkeypatch)
+        with open(tmp / "tiny.txt", "a") as fh:
+            fh.write(lines.format(tmp=tmp))
+        return argv
+    return make_argv
+
+
 def _unknown_key(tmp, bundle_dir, monkeypatch):
     cfg = tmp / "typo.txt"
     cfg.write_text("nn_epoch = 5\n")
@@ -1082,6 +1157,9 @@ EXIT_CODES = [
     pytest.param(0, _tiny_fom, id="success"),
     pytest.param(2, _unknown_key, id="unknown_key"),
     pytest.param(2, _missing_config, id="missing_config"),
+    pytest.param(2, _windkessel("wk_file = {tmp}/no_such.csv\n"), id="wk_file_missing"),
+    pytest.param(2, _windkessel("wk_file = {tmp}/short.csv\n"), id="wk_file_short_row"),
+    pytest.param(2, _windkessel("wk_1 = 50,800,6e-4\n"), id="stray_windkessel_key"),
     pytest.param(2, _hash_mismatch, id="hash_mismatch"),
     pytest.param(2, _truncated_snapshots, id="truncated_snapshots"),
     pytest.param(2, _missing_snapshot_array, id="missing_snapshot_array"),
