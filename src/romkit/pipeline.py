@@ -9,7 +9,7 @@ fields, compare against the stored snapshots and write errors/timings/report
 files.
 
 A bundle directory holds rom.json (the format, the cycle drift and the
-config, which the model's parameters are read off), one array-file
+config, which the model's parameters but nu are read off), one array-file
 directory (grid.save_arrays) per part -- snapshots_fine, lifting, basis_u,
 basis_p, operators and one nn_<k> per outlet -- the loss_<k>.csv fit
 histories and a manifest.json with the SHA-256 of each of them.  The training
@@ -28,7 +28,6 @@ import numbers
 import re
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -152,9 +151,10 @@ def build_waveform(cfg: dict) -> Waveform:
 def build_fom_config(cfg: dict) -> FomConfig:
     grid = build_grid_from_config(cfg)
     outlets = [k for k, _ in grid.outlets]
-    # a wk_<k> that this run would not read is refused, the default wk_0 excepted
-    unread = sorted(k for k in cfg if re.fullmatch(r"wk_\d+", k) and k not in DEFAULT_CONFIG
-                    and ("wk_file" in cfg or int(k[3:]) not in outlets))
+    # refuse a non-default wk_<k> this run would not read (wk_file, no such outlet, wk_00)
+    read = set() if "wk_file" in cfg else {f"wk_{k}" for k in outlets}
+    unread = sorted(k for k in cfg if re.fullmatch(r"wk_\d+", k) and k not in read
+                    and cfg[k] != DEFAULT_CONFIG.get(k))
     if unread:
         raise ConfigurationError(f"Windkessel keys {unread} are not read: the outlets are "
                                  f"{outlets}" + (", set by wk_file" if "wk_file" in cfg else ""))
@@ -189,8 +189,9 @@ def build_fom_config(cfg: dict) -> FomConfig:
 
 @dataclass(eq=False)
 class Bundle:
-    """Everything the online stage needs, plus the validation snapshots.  The
-    model's parameters are read off ``config``, the grid and training set off ``fine``."""
+    """Everything the online stage needs, plus the validation snapshots.  Its
+    parameters are read off ``config`` (only n_u and n_p are query-side), nu
+    off ``operators`` and the grid and training set off ``fine``."""
 
     config: dict
     fine: SnapshotSet
@@ -201,22 +202,22 @@ class Bundle:
     nn_models: dict                # outlet index -> NNModel, one per outlet
     fom_wall_time: float
     cycle_drift: float | None
+    train: SnapshotSet = field(init=False)   # taken from fine when the bundle is made
+
+    def __post_init__(self):
+        self.train = _training_set(self.fine, self.config)
 
     @property
     def grid(self) -> Grid:
         return self.fine.grid
 
-    @cached_property
-    def train(self) -> SnapshotSet:
-        return _training_set(self.fine, self.config)
-
-    @cached_property
+    @property
     def waveform(self) -> Waveform:
         return build_waveform(self.config)
 
     @property
     def nu(self) -> float:
-        return _f(self.config, "nu")
+        return self.operators.nu
 
     @property
     def dt_fom(self) -> float:

@@ -170,16 +170,25 @@ class TestConfig:
         assert cfg["wk_1"] == "1,2,3" and cfg["wk_file"] == "wk.csv"
 
     def test_stray_windkessel_keys_refused(self, tmp_path):
-        """A wk_<k> the run would not read is refused: one for an outlet the
-        grid lacks, and one beside wk_file; the default wk_0 is not."""
+        """A wk_<k> the run would not read is refused unless it holds the
+        default: one for an outlet the grid lacks, one beside wk_file, and one
+        not spelt wk_<outlet>; the default wk_0 is not."""
         from romkit.windkessel import WindkesselParams, save_params_csv
 
         path = tmp_path / "wk.csv"
         save_params_csv(path, {0: WindkesselParams(35.0, 590.0, 8e-4)})
         assert build_fom_config({**DEFAULT_CONFIG, "wk_file": str(path)}).windkessel[0].Rd == 590.0
-        for extra in ({"wk_1": "50,800,6e-4"}, {"wk_file": str(path), "wk_2": "50,800,6e-4"}):
-            with pytest.raises(ConfigurationError, match="wk_[12]"):
+        no_outlet_0 = {"tag_right": "outlet_1", "wk_1": "50,800,6e-4"}
+        assert list(build_fom_config({**DEFAULT_CONFIG, **no_outlet_0}).windkessel) == [1]
+        for extra in ({"wk_1": "50,800,6e-4"}, {"wk_file": str(path), "wk_2": "50,800,6e-4"},
+                      {"wk_file": str(path), "wk_0": "50,800,6e-4"},
+                      {**no_outlet_0, "wk_0": "50,800,6e-4"},
+                      {"wk_00": "50,800,6e-4"}):
+            with pytest.raises(ConfigurationError, match="wk_0?[0-2]"):
                 build_fom_config({**DEFAULT_CONFIG, **extra})
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("nx = 16\nny = 4\nwk_00 = 50,800,6e-4\n")
+        assert cli_main(["fom", "--config", str(cfg), "--out", str(tmp_path / "fom")]) == 2
         two = {**DEFAULT_CONFIG, "tag_top": "outlet_1", "wk_1": "50,800,6e-4"}
         assert sorted(build_fom_config(two).windkessel) == [0, 1]
 
@@ -365,9 +374,10 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse.linalg", "sci
 
     def test_parameters_read_off_the_stored_config(self, small_fom, tmp_path):
         """rom.json holds the format, the cycle drift and the config, and the
-        model's parameters are read off that config: a loaded bundle reads
-        what the built one does, and an edit of its stored config is a
-        parameter change of the model it answers with."""
+        model's parameters are read off that config and the arrays: a loaded
+        bundle reads what the built one does, an edit of the stored truncation
+        counts chooses the model it answers with, and nu stays the value the
+        operators were assembled with."""
         built, _ = offline(SMALL_CONFIG, out_dir=tmp_path / "b", fom_result=small_fom)
         rom_json = json.loads((tmp_path / "b" / "rom.json").read_text())
         assert set(rom_json) == {"format", "cycle_drift", "config"}
@@ -379,13 +389,14 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse.linalg", "sci
 
         edited = tmp_path / "edited"
         shutil.copytree(tmp_path / "b", edited)
-        rom_json["config"].update(n_u="2", lift_pressure="false")
+        rom_json["config"].update(n_u="2", n_p="2", nu="1.0")
         (edited / "rom.json").write_text(json.dumps(rom_json, indent=1))
         built._write_manifest(edited)
         b = Bundle.load(edited)
-        assert (b.n_u, b.n_p, b.lift_pressure) == (2, 3, False)
+        assert (b.n_u, b.n_p, b.nu) == (2, 2, built.operators.nu)
         rec, report = online(b, timing_reps=1)
-        assert report.extras["n_u"] == 2 and report.err_u is not None
+        assert (report.extras["n_u"], report.extras["n_p"]) == (2, 2)
+        assert report.err_u is not None and report.err_p is not None
 
     def test_velocity_only_flagged(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
