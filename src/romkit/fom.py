@@ -27,6 +27,15 @@ reads off its stencil once per grid:
   pressure    rhs = bc(q) - (Div/dt) u*
   corrector   u = u* - (dt Grad) [p; q], the outlet data q as extra columns
 
+Each product is one call of scipy's compiled csr_matvec on the matrix's CSR
+arrays, into a work array that the solver allocates once: no `@` dispatch and
+no new output per product.  The loop sums each row's terms in the order that
+M @ x does, so a step has the bits of the same step written with `@`.  The
+predictor takes two calls.  One matrix, each face mean of S_a and S_b once
+stacked on I + dt nu L, gives the face means and the linear part; -dt D
+then adds the flux terms to each row after its linear ones, as
+[I + dt nu L, -dt D] sums a row.
+
 ROM assembly projects the same matrices, so the reduced model is
 operator-consistent with this solver.  The post-correction divergence check
 applies the divergence stencil itself.  With convection on, a state at
@@ -81,8 +90,11 @@ class Waveform:
         """u_D(t): a float for a scalar t, an array of t's shape otherwise."""
         if self.kind == "constant":
             return np.full(np.shape(t), self.u_sys) if np.ndim(t) else self.u_sys
-        s = np.mod(t, self.t_cycle)
         t_sys = self.systole_frac * self.t_cycle
+        if isinstance(t, float):   # the FOM's call each step: the same operations on a float
+            s = t % self.t_cycle
+            return float(self.u_sys * np.sin(np.pi * s / t_sys)) if s < t_sys else 0.0
+        s = np.mod(t, self.t_cycle)
         out = np.where(s < t_sys, self.u_sys * np.sin(np.pi * s / t_sys), 0.0)
         return out if np.ndim(t) else float(out)
 
@@ -179,30 +191,58 @@ class FomState:
                                     # that its Windkessel integrated in that step
 
 
+def _csr_args(matrix) -> tuple:
+    """(rows, columns, indptr, indices, data) of a sparse matrix's CSR form, the
+    leading arguments of scipy's compiled csr_matvec."""
+    matrix = matrix.tocsr()
+    return (*matrix.shape, matrix.indptr, matrix.indices, matrix.data)
+
+
 class FomSolver:
-    """Holds the step's matrices, diagonalises the Poisson matrix once and
-    advances FOM states."""
+    """Holds the step's matrices as CSR arrays and the work arrays that their
+    products write into, diagonalises the Poisson matrix once and advances
+    FOM states.  The work arrays are reused by every step, so a solver
+    advances one state at a time; each state it returns owns its arrays."""
 
     def __init__(self, cfg: FomConfig):
-        from scipy.sparse import hstack, identity
+        from scipy.sparse import identity, vstack
+        from scipy.sparse._sparsetools import csr_matvec
 
         self.cfg = cfg
         g = self.grid = cfg.grid
         dt = cfg.dt
         outlet_sides = frozenset(side for _, side in g.outlets)
-        self._A, self._bc = center_laplacian(g, outlet_sides)
-        self._poisson = KronSumSolver(self._A, (g.ny, g.nx))
+        A, self._bc = center_laplacian(g, outlet_sides)
+        self._poisson = KronSumSolver(A, (g.ny, g.nx))
+        self._matvec = csr_matvec
         # the step's maps on the flat (u block, v block) layout, scaled copies
-        # of the grid's matrices: the predictor acts on [w, fluxes], the fluxes
-        # being the products of the two face-mean maps of self-advection
-        predictor = identity(g.n_vector) + (dt * cfg.nu) * vec_laplacian_matrix(g)
+        # of the grid's matrices, each kept as csr_matvec's arguments
+        step = (identity(g.n_vector) + (dt * cfg.nu) * vec_laplacian_matrix(g)).tocsr()
+        n_means = 0
         if cfg.include_convection:
-            means, flux_div = convection_matrices(g)
-            self._means = means.tocsr()
-            predictor = hstack([predictor, -dt * flux_div])
-        self._predictor = predictor.tocsr()
-        self._div_dt = (divergence_matrix(g) / dt).tocsr()
-        self._dt_grad = (dt * gradient_matrix(g)).tocsr()      # on [p, q]
+            # each face mean once (convection_matrices' M), stacked on the step
+            means, pairs, flux_div = convection_matrices(g)
+            step = vstack([means.tocsr(), step], format="csr")   # all CSR: no COO detour
+            n_means = means.shape[0]
+            self._flux_div = _csr_args(-dt * flux_div)
+        self._step = _csr_args(step)
+        self._div_dt = _csr_args(divergence_matrix(g) / dt)
+        self._dt_grad = _csr_args(dt * gradient_matrix(g))      # on [p, q]
+        self._A = _csr_args(A)     # csc_matvec would run at half the speed
+
+        # work arrays: the step's [face means, predictor], the fluxes and the
+        # outputs of the other products
+        self._y = np.empty(n_means + g.n_vector)
+        self._ws = self._y[n_means:]
+        if cfg.include_convection:
+            # the fluxes, one block per pair of face means, in D's column order
+            m = self._y
+            self._f = np.empty(flux_div.shape[1])
+            blocks = np.split(self._f, np.cumsum([a.stop - a.start for a, _ in pairs])[:-1])
+            self._products = tuple((m[a], m[b], f) for (a, b), f in zip(pairs, blocks))
+        self._cells = np.empty(g.n_scalar)
+        self._pq = np.empty(g.n_scalar + len(g.outlets))
+        self._faces = np.empty(g.n_vector)
 
         # the faces that hold boundary data (the grid's fixed_masks) and their
         # data at unit inflow: the inward profile on the inlet, zero on walls
@@ -210,6 +250,25 @@ class FomSolver:
         u, v = np.zeros((g.ny, g.nx + 1)), np.zeros((g.ny + 1, g.nx))
         set_inward(u, v, g.inlet_side, cfg.waveform.profile(g))
         self._fixed_data = flat_faces((u, v))[self._fixed]
+
+    def _product(self, matrix: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = M x for a CSR matrix's arguments, by the compiled loop that M @ x
+        runs into zeros, so with M @ x's bits."""
+        out.fill(0.0)
+        self._matvec(*matrix, x, out)
+        return out
+
+    def _predict(self, w: np.ndarray) -> np.ndarray:
+        """u* = w + dt (nu Lap(w) - div(w (x) w)) into the solver's work array.
+        One product gives the unique face means and (I + dt nu L) w; -dt D then
+        adds the flux products' terms to each row after its linear ones, the
+        order in which [I + dt nu L, -dt D] [w; fluxes] sums a row."""
+        self._product(self._step, w, self._y)
+        if self.cfg.include_convection:
+            for a, b, out in self._products:
+                np.multiply(a, b, out=out)
+            self._matvec(*self._flux_div, self._f, self._ws)
+        return self._ws
 
     def initial_state(self) -> FomState:
         g = self.grid
@@ -228,7 +287,6 @@ class FomSolver:
         t_new = state.t + dt
         w = flat_faces((state.u, state.v))
 
-        x = w
         if cfg.include_convection:
             # the explicit convection of this state is stable only below CFL 1
             speed = np.abs(w)
@@ -238,12 +296,9 @@ class FomSolver:
                     f"convective CFL {cfl:.3g} >= 1 in the state of step "
                     f"{round((state.t - cfg.t0) / dt)} (t = {state.t:.6g}): the explicit "
                     f"step would be unstable")
-            means = self._means @ w
-            half = means.size // 2
-            x = np.concatenate((w, means[:half] * means[half:]))
 
         # predictor w + dt (nu Lap(w) - div(w (x) w)), then the boundary data
-        ws = self._predictor @ x
+        ws = self._predict(w)
         ws[self._fixed] = cfg.waveform.magnitude(t_new) * self._fixed_data
 
         fluxes = [normal_flux(g, state.u, state.v, side) for _, side in g.outlets]
@@ -251,10 +306,11 @@ class FomSolver:
                   for (k, _), wk, flux in zip(g.outlets, state.wk, fluxes)]
         q = np.array([wk.p for wk in wk_new])
 
-        rhs = self._bc(q) - self._div_dt @ ws
+        rhs = self._bc(q)
+        rhs -= self._product(self._div_dt, ws, self._cells)
         p_flat = self._poisson.solve(rhs)
-        r = rhs - self._A @ p_flat     # both norms as np.linalg.norm takes them
-        rhs_norm = math.sqrt(rhs.dot(rhs))
+        r = np.subtract(rhs, self._product(self._A, p_flat, self._cells), out=self._cells)
+        rhs_norm = math.sqrt(rhs.dot(rhs))     # both norms as np.linalg.norm takes them
         res = math.sqrt(r.dot(r)) / rhs_norm if rhs_norm > 0 else 0.0
         if not res <= POISSON_RTOL:  # also catches nan
             raise NumericalError(
@@ -263,7 +319,9 @@ class FomSolver:
             )
 
         # corrector ws - dt grad(p, q)
-        w_new = ws - self._dt_grad @ np.concatenate((p_flat, q))
+        pq = self._pq
+        pq[:g.n_scalar], pq[g.n_scalar:] = p_flat, q
+        w_new = ws - self._product(self._dt_grad, pq, self._faces)
         u_new = w_new[:g.n_u].reshape(g.ny, g.nx + 1)
         v_new = w_new[g.n_u:].reshape(g.ny + 1, g.nx)
 

@@ -179,13 +179,13 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     """Galerkin-compress the full-order step's matrices over the given bases.
 
     Over X = [Phi', chi_u], Phi L X holds B and d1, Psi Div X holds P and d7,
-    and Phi Grad [Psi' chi_p'; 0 I] holds K and d5.  With (S, D) the
-    convection matrices, convection(a, b) = D_u ((S_a a) * (S_b b)) + D_v
-    ((S_a b) * (S_b a)) for the halves S_a, S_b of S and the u and v rows
-    D_u, D_v of D (D's node flux serves the u rows as a_v b_u and the v rows
-    as a_u b_v), so the flux products of all column pairs of X hold Ct, d2,
-    d3 and d4.  ``include_convection`` is the full-order model's: without
-    it (a Stokes run) those four are left zero, uncomputed.
+    and Phi Grad [Psi' chi_p'; 0 I] holds K and d5.  With S_a, S_b the two
+    face-mean maps of convection_matrices, convection(a, b) = D_u ((S_a a) *
+    (S_b b)) + D_v ((S_a b) * (S_b a)) for the u and v rows D_u, D_v of D
+    (D's node flux serves the u rows as a_v b_u and the v rows as a_u b_v),
+    so the flux products of all column pairs of X hold Ct, d2, d3 and d4.
+    ``include_convection`` is the full-order model's: without it (a Stokes
+    run) those four are left zero, uncomputed.
     """
     grids = [basis_u.grid, lift.chi_u.grid] + ([basis_p.grid] if basis_p is not None else [])
     if any(g != grid for g in grids):
@@ -202,8 +202,10 @@ def assemble_operators(basis_u: ReducedBasis, basis_p: ReducedBasis | None,
     GY = area * (Phi @ (gradient_matrix(grid) @ Y))
     T = np.zeros((2, n, n + 1, n + 1))       # T[:, i, j, k]: the u and the v rows' parts
     if include_convection:
-        S, D = convection_matrices(grid)
-        A, Bs = np.split(S @ X, 2)              # S_a X, S_b X
+        M, pairs, D = convection_matrices(grid)
+        MX = M @ X
+        A = np.concatenate([MX[a] for a, _ in pairs])       # S_a X
+        Bs = np.concatenate([MX[b] for _, b in pairs])      # S_b X
         G, nf = area * Phi, grid.n_u            # the projection, the u faces
         block = max(1, 2**16 // A.size)
         for j in range(0, n + 1, block):        # D (S_a X_j * S_b X_k), j in the block

@@ -12,6 +12,7 @@ constant flow rate is p = (R_p + R_d) Q, which serves as a test oracle.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +45,7 @@ class WindkesselState:
     t: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.pp, self.p, self.t])):
+        if not all(map(math.isfinite, (self.pp, self.p, self.t))):
             raise ConfigurationError("Windkessel state must be finite")
 
 

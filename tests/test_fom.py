@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import hstack, identity
 from scipy.sparse.linalg import splu
 
 from romkit import fom, lifting
@@ -10,8 +12,9 @@ from romkit.errors import ConfigurationError, NumericalError
 from romkit.fom import FomConfig, FomSolver, Waveform, fom_run
 from romkit.grid import SIDE_INDEX, Grid, normal_faces, normal_flux, set_inward
 from romkit.lifting import compute_lifting
-from romkit.operators import (center_laplacian, convection, divergence, flat_faces, gradient,
-                              vec_laplacian)
+from romkit.operators import (center_laplacian, convection, convection_matrices, divergence,
+                              divergence_matrix, flat_faces, gradient, gradient_matrix,
+                              vec_laplacian, vec_laplacian_matrix)
 from romkit.windkessel import WindkesselParams, wk_step
 
 from conftest import CHANNEL_TAGS, face_arrays, layouts, wrapped_solver
@@ -54,6 +57,26 @@ class TestWaveform:
         for t in (0.03, 0.1, 0.21, 0.5):
             fd = (wf.magnitude(t + h) - wf.magnitude(t - h)) / (2 * h)
             assert wf.magnitude_dot(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", ["pulse", "constant"])
+    def test_scalar_path_matches_array_path(self, kind):
+        """magnitude(t) of a float t, the FOM's call each step, has the bits
+        of the array path's element and of a 0-d array's value: at 0, at the
+        end of systole and at multiples of t_cycle (and either side of both),
+        at negative t and at 1000 random t."""
+        wf = Waveform(kind=kind, u_sys=8.0, t_cycle=0.6, systole_frac=0.4)
+        k = np.arange(-3, 8)
+        edges = np.concatenate([k * 0.6, 0.24 + k * 0.6])
+        ts = np.concatenate([[0.0, -0.0, 0.24], edges, np.nextafter(edges, -np.inf),
+                             np.nextafter(edges, np.inf), -np.geomspace(1e-300, 5.0, 20),
+                             np.random.default_rng(3).uniform(-2.0, 5.0, 1000)])
+        scalar = np.array([wf.magnitude(float(t)) for t in ts])
+        zero_d = np.array([wf.magnitude(np.array(t)) for t in ts])
+        assert all(type(wf.magnitude(float(t))) is float for t in ts[:50])
+        assert np.array_equal(scalar.view(np.int64), wf.magnitude(ts).view(np.int64))
+        assert np.array_equal(scalar.view(np.int64), zero_d.view(np.int64))
+        if kind == "pulse":
+            assert np.count_nonzero(scalar) > 100 and np.count_nonzero(scalar == 0) > 100
 
     def test_profile_mean_one(self, channel_grid):
         for shape in ("plug", "parabola"):
@@ -232,16 +255,16 @@ class TestRun:
         assert np.all(res.outlet_flux[1:] > 0)
 
 
-def _layout_solver(grid, t0=0.0, shape="plug", seed=None):
+def _layout_solver(grid, t0=0.0, shape="plug", seed=None, convective=True):
     """(solver at a stable step for the grid, its state at t0): at rest or,
-    given a seed, random."""
+    given a seed, random; with convection or (convective False) Stokes."""
     wf = Waveform(kind="pulse", u_sys=1.0, t_cycle=0.6, systole_frac=0.4, shape=shape)
     nu = 0.04
     dt = 0.5 * min(min(grid.hx, grid.hy) / wf.u_sys,
                    1.0 / (3.0 * nu * (1.0 / grid.hx**2 + 1.0 / grid.hy**2)))
     wk = {k: WindkesselParams(Rp=1.0, Rd=10.0, C=0.1) for k, _ in grid.outlets}
     solver = FomSolver(FomConfig(grid=grid, nu=nu, dt=dt, t0=t0, t_end=t0 + 10 * dt,
-                                 waveform=wf, windkessel=wk))
+                                 waveform=wf, windkessel=wk, include_convection=convective))
     s = solver.initial_state()
     if seed is not None:
         rng = np.random.default_rng(seed)
@@ -275,6 +298,40 @@ def _stencil_step(solver, s):
     p = splu(A).solve(bc(q) - divergence(g, us, vs).ravel() / dt).reshape(g.ny, g.nx)
     gx, gy = gradient(g, p, q)
     return us - dt * gx, vs - dt * gy, p
+
+
+def _scipy_predictor(cfg, w):
+    """u* of w as scipy's product [I + dt nu L, -dt D] [w; (S_a w) * (S_b w)]
+    of the grid's matrices, (I + dt nu L) w without convection."""
+    g, dt = cfg.grid, cfg.dt
+    matrix, x = identity(g.n_vector) + (dt * cfg.nu) * vec_laplacian_matrix(g), w
+    if cfg.include_convection:
+        means, pairs, flux_div = convection_matrices(g)
+        m = means.tocsr() @ w
+        matrix = hstack([matrix, -dt * flux_div])
+        x = np.concatenate([w] + [m[a] * m[b] for a, b in pairs])
+    return matrix.tocsr() @ x
+
+
+def _scipy_step(solver, s):
+    """(w, p, Poisson residual, max |div u|, outlet fluxes, outlet pressures)
+    after one step of the solver's scheme with each sparse product written as
+    scipy's M @ x on the grid's matrices."""
+    cfg, g = solver.cfg, solver.grid
+    dt = cfg.dt
+    ws = _scipy_predictor(cfg, flat_faces((s.u, s.v)))
+    ws[solver._fixed] = cfg.waveform.magnitude(s.t + dt) * solver._fixed_data
+    fluxes = tuple(normal_flux(g, s.u, s.v, side) for _, side in g.outlets)
+    q = [wk_step(wk, flux, dt, cfg.windkessel[k]).p
+         for (k, _), wk, flux in zip(g.outlets, s.wk, fluxes)]
+    A, bc = center_laplacian(g, frozenset(side for _, side in g.outlets))
+    rhs = bc(q) - (divergence_matrix(g) / dt).tocsr() @ ws
+    p = solver._poisson.solve(rhs)
+    r = rhs - A @ p
+    w = ws - (dt * gradient_matrix(g)).tocsr() @ np.concatenate((p, q))
+    u, v = w[:g.n_u].reshape(g.ny, g.nx + 1), w[g.n_u:].reshape(g.ny + 1, g.nx)
+    res = math.sqrt(r.dot(r)) / math.sqrt(rhs.dot(rhs))
+    return w, p, res, float(np.abs(divergence(g, u, v)).max()), fluxes, q
 
 
 class TestLayouts:
@@ -313,23 +370,42 @@ class TestLayouts:
     @settings(max_examples=40, deadline=None)
     @given(layouts(), st.booleans(), st.integers(0, 2**32 - 1))
     def test_predictor_matrix_matches_stencils(self, grid, convective, seed):
-        """The solver's predictor, on [w, the self-advection fluxes] with
-        convection on and on w without, is w + dt (nu Lap(w) - div(w (x) w))
-        of the stencils to 1e-13 relative on random fields (the divergence,
-        gradient and convection matrices are checked in test_operators.py)."""
-        solver, s = _layout_solver(grid, seed=seed)
-        if not convective:
-            solver = FomSolver(dataclasses.replace(solver.cfg, include_convection=False))
+        """The solver's predictor (the unique face means and (I + dt nu L) w in
+        one product, then -dt D on the flux products) with convection on, and
+        (I + dt nu L) w without, is w + dt (nu Lap(w) - div(w (x) w)) of the
+        stencils to 1e-13 relative on random fields (the divergence, gradient
+        and convection matrices are checked in test_operators.py)."""
+        solver, s = _layout_solver(grid, seed=seed, convective=convective)
         cfg = solver.cfg
         w = flat_faces((s.u, s.v))
         rate = cfg.nu * flat_faces(vec_laplacian(grid, s.u, s.v))
-        x = w
         if convective:
             rate -= flat_faces(convection(grid, s.u, s.v, s.u, s.v))
-            means = solver._means @ w
-            x = np.concatenate([w, means[:means.size // 2] * means[means.size // 2:]])
         want = w + cfg.dt * rate
-        assert np.linalg.norm(solver._predictor @ x - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(solver._predict(w) - want) <= 1e-13 * np.linalg.norm(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(layouts(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_step_products_match_scipy(self, grid, convective, seed):
+        """Every sparse product of a step, run by csr_matvec into the solver's
+        work arrays, has the bits of scipy's M @ x on random fields: the
+        predictor those of [I + dt nu L, -dt D] [w; fluxes] (of (I + dt nu L) w
+        without convection), and a step from a random state those of the step
+        written with @ (Div/dt, the CSC Poisson matrix in the residual, dt Grad
+        on [p; q]), also when taken a second time, which leaves the first
+        step's state as it was."""
+        solver, s = _layout_solver(grid, seed=seed, convective=convective)
+        w = np.random.default_rng(seed).uniform(-1, 1, grid.n_vector)
+        assert np.array_equal(solver._predict(w), _scipy_predictor(solver.cfg, w))
+        first = solver.advance(s)
+        kept = flat_faces((first.u, first.v, first.p)).copy()
+        w_new, p, res, div_max, fluxes, q = _scipy_step(solver, s)
+        for new in (first, solver.advance(s)):
+            assert np.array_equal(flat_faces((new.u, new.v)), w_new)
+            assert np.array_equal(new.p.ravel(), p)
+            assert (new.poisson_residual, new.div_max, new.outlet_flux) == (res, div_max, fluxes)
+            assert [wk.p for wk in new.wk] == q
+        assert np.array_equal(flat_faces((first.u, first.v, first.p)), kept)
 
     @settings(max_examples=40, deadline=None)
     @given(layouts(), st.integers(0, 2**32 - 1))

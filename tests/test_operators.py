@@ -111,22 +111,22 @@ class TestLayoutProperties:
     @given(layouts(), st.integers(0, 2**32 - 1))
     def test_step_matrices_match_stencils(self, grid, seed):
         """The divergence, the gradient on [p, q] with random outlet data q,
-        and self-advection as D((S w)[:n] * (S w)[n:]) each apply their
-        stencil to 1e-13 relative; self-advection also equals convection(a, b)
-        with b a copy of a, bit for bit."""
+        and self-advection as D on the products of M w's paired face means
+        each apply their stencil to 1e-13 relative; self-advection also equals
+        convection(a, b) with b a copy of a, bit for bit."""
         rng = np.random.default_rng(seed)
         w = random_vectors(grid, rng).values[0]
         u, v = face_arrays(grid, w)
         p = rng.standard_normal((grid.ny, grid.nx))
         q = rng.uniform(-5.0, 5.0, len(grid.outlets))
-        S, D = convection_matrices(grid)
-        means = S @ w
-        half = means.size // 2
+        M, pairs, D = convection_matrices(grid)
+        means = M @ w
+        fluxes = np.concatenate([means[a] * means[b] for a, b in pairs])
         shared = convection(grid, u, v, u, v)
         for got, want in ((divergence_matrix(grid) @ w, divergence(grid, u, v).ravel()),
                           (gradient_matrix(grid) @ np.concatenate([p.ravel(), q]),
                            flat_faces(gradient(grid, p, q))),
-                          (D @ (means[:half] * means[half:]), flat_faces(shared))):
+                          (D @ fluxes, flat_faces(shared))):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         general = convection(grid, u, v, u.copy(), v.copy())
         assert all(a.tobytes() == b.tobytes() for a, b in zip(shared, general))
